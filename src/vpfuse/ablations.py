@@ -21,7 +21,11 @@ from .router import FusionStrategy
 from .tasks import FAMILIES, batch_stream, eval_batches
 from .training import TrainConfig, train
 
-SLOT_GATE_COLUMNS = ("p_img", "p_stc", "p_com")
+
+def gate_columns(cfg: Config) -> tuple[str, ...]:
+    """One gate column per projector slot, named after ``cfg.slot_labels()``:
+    ``p_img,p_stc,p_com`` by default, ``p_stc0,p_stc1,p_stc2`` when stacked."""
+    return tuple("p_" + label.replace("image", "img") for label in cfg.slot_labels())
 
 
 @dataclass
@@ -30,6 +34,7 @@ class EvalReport:
     mean_gates: dict[str, np.ndarray]
     n_per_family: int
     strategy: str
+    gate_columns: tuple[str, ...]
     seeds: list[int] = field(default_factory=list)
 
     @property
@@ -37,7 +42,7 @@ class EvalReport:
         return float(np.mean([self.accuracy[f] for f in self.accuracy]))
 
     def gate_csv(self) -> str:
-        lines = ["family," + ",".join(SLOT_GATE_COLUMNS)]
+        lines = ["family," + ",".join(self.gate_columns)]
         for fam in self.mean_gates:
             gates = ",".join(f"{v:.6f}" for v in self.mean_gates[fam])
             lines.append(f"{fam},{gates}")
@@ -86,7 +91,7 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
         mean_gates[family] = (gate_sum / gate_rows if gate_rows
                               else np.full(n_slots, 1.0 / n_slots))
     return EvalReport(accuracy=accuracy, mean_gates=mean_gates,
-                      n_per_family=n, strategy=kind)
+                      n_per_family=n, strategy=kind, gate_columns=gate_columns(cfg))
 
 
 def run_two_stage(cfg: Config, seed: int,

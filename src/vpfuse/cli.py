@@ -25,6 +25,7 @@ from . import __version__
 from .ablations import (
     SUBSETS,
     evaluate,
+    gate_columns,
     run_stacked_ablation,
     run_strategy_ablation,
     run_subset_ablation,
@@ -36,6 +37,7 @@ from .model import FusionModel
 from .projectors import compute_token_budget, validate_alignment
 from .router import FusionError, gate
 from .tasks import FAMILIES, TaskError, batch_stream
+from .tensor import NonFiniteError
 from .training import TrainConfig, TrainingError, train
 
 EXIT_OK = 0
@@ -166,11 +168,13 @@ def cmd_eval(args) -> int:
     _write_atomic(run_dir / "gates.csv", report.gate_csv())
 
     width = max(len(f) for f in families)
+    names = [col.removeprefix("p_") for col in report.gate_columns]
     lines = [f"strategy: {report.strategy}   n per family: {report.n_per_family}"]
     for fam in families:
-        g = report.mean_gates[fam]
+        gates = "  ".join(f"{name} {v:.3f}"
+                          for name, v in zip(names, report.mean_gates[fam]))
         lines.append(f"{fam.ljust(width)}  acc {report.accuracy[fam]:.3f}   "
-                     f"gates img {g[0]:.3f}  stc {g[1]:.3f}  com {g[2]:.3f}")
+                     f"gates {gates}")
     lines.append(f"combined accuracy: {report.combined:.3f}")
     text = "\n".join(lines) + "\n"
     _write_atomic(run_dir / "report.txt", text)
@@ -179,7 +183,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_route(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model, cfg, _ = load_checkpoint(args.ckpt)
     try:
         ids = np.array([int(tok) for tok in args.instruction.split()], dtype=np.int64)
     except ValueError:
@@ -190,9 +194,9 @@ def cmd_route(args) -> int:
         print("error: empty instruction", file=sys.stderr)
         return EXIT_VALIDATION
     instr = model.instruction_encoder.encode(ids[None, :])
-    gates = gate(model.router.route(instr))
-    img, stc, com = gates.p.data[0]
-    print(f"p_img={img:.6f} p_stc={stc:.6f} p_com={com:.6f}")
+    gates = gate(model.router.route(instr), model.active)
+    print(" ".join(f"{col}={v:.6f}"
+                   for col, v in zip(gate_columns(cfg), gates.p.data[0])))
     return EXIT_OK
 
 
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TrainingError, OSError) as exc:
+    except (TrainingError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -106,13 +106,6 @@ def _draw_glyph(frames: np.ndarray, glyph: int, cell_r: int, cell_c: int,
         frames[:, cell_r * patch + dr, cell_c * patch + dc] = FOREGROUND
 
 
-def _draw_block_wrapped(frame: np.ndarray, r: int, c: int, size: int,
-                        grid: int) -> None:
-    rows = np.arange(r, r + size) % grid
-    cols = np.arange(c, c + size) % grid
-    frame[np.ix_(rows, cols)] = FOREGROUND
-
-
 def generate_sample(spec: TaskSpec, index: int) -> VideoSample:
     """Deterministic sample for (spec.seed, spec.family, index)."""
     rng = Rng(spec.seed, f"sample/{spec.family}/{index}")
@@ -156,11 +149,17 @@ def generate_sample(spec: TaskSpec, index: int) -> VideoSample:
                 camo.append((int(cross + off) % g, free))
             else:
                 camo.append((free, int(cross + off) % g))
-        for i in range(t):
-            for dr, dc in camo:
-                _draw_block_wrapped(frames[i], dr, dc, spec.patch, g)
-            r, c = int(np.floor(rows[i])), int(np.floor(cols[i]))
-            _draw_block_wrapped(frames[i], r, c, spec.patch, g)
+        # Every block of every frame in one indexed write (all blocks have
+        # the same value, so overlaps need no order): corners are (T, N).
+        camo_r, camo_c = np.array(camo, dtype=np.int64).T
+        corner_r = np.column_stack([np.tile(camo_r, (t, 1)),
+                                    np.floor(rows).astype(np.int64)])
+        corner_c = np.column_stack([np.tile(camo_c, (t, 1)),
+                                    np.floor(cols).astype(np.int64)])
+        span = np.arange(spec.patch)
+        frames[np.arange(t)[:, None, None, None],
+               (corner_r[:, :, None, None] + span[:, None]) % g,
+               (corner_c[:, :, None, None] + span) % g] = FOREGROUND
         meta = {"direction": answer, "cols": cols, "rows": rows,
                 "camouflage": camo}
 

@@ -7,6 +7,13 @@ relies on:
 - Ops record onto the innermost active ``Tape`` (per thread) whenever any
   input requires grad.  With no active tape, forward math runs tape-free,
   which is how inference/eval avoids autograd overhead.
+- The tape owns the graph: its entries hold each op's inputs, output and
+  backward rule.  A recorded tensor points back at its tape only through a
+  weak reference, so the graph has no reference cycles and is freed by
+  reference counting as soon as the caller drops the tape and the tensors
+  it produced.  The caller must therefore keep the tape alive until
+  ``backward``; backward on a tensor whose tape is gone raises
+  ``TensorError``.
 - ``backward`` accumulates additively into ``.grad``; calling it twice
   without resetting doubles gradients.  ``zero_grad`` is explicit.
 - Every op validates that its output is finite and raises ``NonFiniteError``
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,7 +58,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_op_index")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_op_index",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -58,7 +67,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._tape: Optional["Tape"] = None
+        self._tape: Optional[weakref.ref] = None  # weak ref to the recording tape
         self._op_index: Optional[int] = None
 
     # -- introspection -----------------------------------------------------
@@ -81,9 +90,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -160,6 +166,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
+        self._ref = weakref.ref(self)  # the back-pointer every output gets
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -176,7 +183,7 @@ class Tape:
         return len(self.entries)
 
     def record(self, name, inputs, output, rule) -> None:
-        output._tape = self
+        output._tape = self._ref
         output._op_index = len(self.entries)
         self.entries.append(_TapeEntry(name, inputs, output, rule))
 
@@ -190,7 +197,8 @@ class Tape:
         """
         if loss.data.size != 1 or loss.data.shape != ():
             raise TensorError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self or loss._op_index is None:
+        ref = self._ref
+        if loss._tape is not ref or loss._op_index is None:
             raise TensorError("loss is not recorded on this tape (detached tensor)")
         local: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
         for entry in reversed(self.entries[: loss._op_index + 1]):
@@ -202,7 +210,7 @@ class Tape:
             for inp, g in zip(entry.inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
-                if inp._tape is self:
+                if inp._tape is ref:
                     acc = local.get(inp)
                     local[inp] = g if acc is None else acc + g
                 else:
@@ -213,7 +221,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into all requires_grad ancestors."""
     if loss._tape is None:
         raise TensorError("tensor was not recorded on any tape (detached tensor)")
-    loss._tape.backward(loss)
+    tape = loss._tape()
+    if tape is None:
+        raise TensorError("the tape that recorded this tensor has been freed; "
+                          "keep it alive until backward")
+    tape.backward(loss)
 
 
 def _emit(name: str, inputs: Sequence[Tensor], data: np.ndarray,
@@ -466,6 +478,27 @@ def conv3d_out_dim(dim: int, k: int, stride: int, pad: int) -> int:
     return (dim + 2 * pad - k) // stride + 1
 
 
+def _tap_ranges(d_in: int, d_out: int, k: int, stride: int,
+                pad: int) -> list[Optional[tuple[slice, slice]]]:
+    """Per kernel offset along one axis: the (output, input) slices where
+    that tap reads the unpadded input, or None if it reads only padding.
+
+    Output position ``o`` reads input ``o * stride + offset - pad``; the
+    valid outputs are those that land in ``[0, d_in)``.
+    """
+    ranges = []
+    for offset in range(k):
+        lo = max(0, -((offset - pad) // stride))  # ceil((pad - offset) / stride)
+        hi = min(d_out - 1, (d_in - 1 + pad - offset) // stride)
+        if lo > hi:
+            ranges.append(None)
+            continue
+        first = lo * stride + offset - pad
+        ranges.append((slice(lo, hi + 1),
+                       slice(first, first + (hi - lo) * stride + 1, stride)))
+    return ranges
+
+
 def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """3D convolution over (T, H, W) with zero padding.
 
@@ -499,43 +532,31 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
         dims_out.append(o)
     to, ho, wo = dims_out
 
-    pad_width = [(0, 0)] * lead + [(padding[0],) * 2, (padding[1],) * 2,
-                                   (padding[2],) * 2, (0, 0)]
-    xp = np.pad(x.data, pad_width)
-
-    def offset_slice(dt, dh, dw):
-        sl = (slice(None),) * lead
-        sl += (slice(dt, dt + (to - 1) * stride[0] + 1, stride[0]),
-               slice(dh, dh + (ho - 1) * stride[1] + 1, stride[1]),
-               slice(dw, dw + (wo - 1) * stride[2] + 1, stride[2]),
-               slice(None))
-        return sl
+    # Only taps whose window overlaps the unpadded input contribute; each
+    # reads the valid input range and writes the output range it reaches.
+    ranges = [_tap_ranges(d, o, k, s, p)
+              for d, o, s, p in zip(dims_in, dims_out, stride, padding)]
+    lead_sl = (slice(None),) * lead
+    taps = [((dt, dh, dw), lead_sl + (rt[0], rh[0], rw[0]),
+             lead_sl + (rt[1], rh[1], rw[1]))
+            for dt, rt in enumerate(ranges[0]) if rt is not None
+            for dh, rh in enumerate(ranges[1]) if rh is not None
+            for dw, rw in enumerate(ranges[2]) if rw is not None]
 
     out = np.zeros(x.shape[:lead] + (to, ho, wo, cout), dtype=np.float64)
-    for dt in range(k):
-        for dh in range(k):
-            for dw in range(k):
-                out += xp[offset_slice(dt, dh, dw)] @ kernel.data[dt, dh, dw]
+    for tap, out_sl, in_sl in taps:
+        out[out_sl] += x.data[in_sl] @ kernel.data[tap]
 
     def rule(g):
-        dxp = np.zeros_like(xp) if x.requires_grad else None
+        dx = np.zeros(x.shape, dtype=np.float64) if x.requires_grad else None
         dk = np.zeros(kernel.shape, dtype=np.float64) if kernel.requires_grad else None
-        contract = tuple(range(g.ndim - 1))
-        for dt in range(k):
-            for dh in range(k):
-                for dw in range(k):
-                    sl = offset_slice(dt, dh, dw)
-                    if dk is not None:
-                        dk[dt, dh, dw] = np.tensordot(xp[sl], g,
-                                                      axes=(contract, contract))
-                    if dxp is not None:
-                        dxp[sl] += g @ kernel.data[dt, dh, dw].T
-        dx = None
-        if dxp is not None:
-            unpad = (slice(None),) * lead
-            unpad += tuple(slice(p, p + d) for p, d in zip(padding, dims_in))
-            unpad += (slice(None),)
-            dx = dxp[unpad]
+        for tap, out_sl, in_sl in taps:
+            g_tap = g[out_sl]
+            g2 = g_tap.reshape(-1, cout)
+            if dk is not None:
+                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g2
+            if dx is not None:
+                dx[in_sl] += (g2 @ kernel.data[tap].T).reshape(g_tap.shape[:-1] + (cin,))
         return dx, dk
 
     return _emit("conv3d", (x, kernel), out, rule)

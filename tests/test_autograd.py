@@ -1,5 +1,8 @@
 """Backward-pass behavior and finite-difference gradient oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,29 @@ class TestBackwardContract:
         x = Tensor(np.array(1.0), requires_grad=True)
         with pytest.raises(TensorError):
             backward(x)
+
+    def test_backward_after_tape_dropped_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape():
+            loss = tsum(mul(x, x))
+        # Tensors point at their tape weakly: once the caller drops it, the
+        # graph is gone and backward must refuse rather than do nothing.
+        with pytest.raises(TensorError):
+            backward(loss)
+
+    def test_graph_freed_by_reference_counting(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = mul(x, x)
+                loss = tsum(hidden)
+                tape.backward(loss)
+            probe = weakref.ref(hidden)
+            del tape, loss, hidden
+            assert probe() is None  # no tape <-> tensor cycle keeps it alive
+        finally:
+            gc.enable()
 
     def test_no_grad_through_non_required(self):
         x = Tensor(np.ones(3))
@@ -202,6 +228,14 @@ def _conv_k_case(rng):
     x = Tensor(rng.randn(4, 4, 4, 2))
     return (Tensor(rng.randn(3, 3, 3, 2, 3)),
             lambda t: tsum(conv3d(x, t, (2, 1, 1), (1, 0, 0))))
+
+
+@_case("conv3d_tap_in_padding")
+def _conv_pad_case(rng):
+    # T axis: extent 2, pad 2, stride 3 -> kernel offset 1 reads only padding.
+    k = Tensor(rng.randn(3, 3, 3, 2, 2))
+    return (Tensor(rng.randn(2, 4, 5, 2)),
+            lambda t: tsum(conv3d(t, k, (3, 1, 2), (2, 0, 1))))
 
 
 @_case("pool_grid")

@@ -1,13 +1,18 @@
 """CLI surface: exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from vpfuse.ablations import stacked_config
+from vpfuse.checkpoint import save_checkpoint
 from vpfuse.cli import main
+from vpfuse.config import parse_config
+from vpfuse.model import FusionModel
 
 FAST = """
 train.batch = 4
@@ -26,6 +31,12 @@ def fast_cfg(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def untrained_ckpt(tmp_path, cfg):
+    path = tmp_path / "model.octo"
+    save_checkpoint(FusionModel(cfg, seed=1), path, stage="pretrain")
+    return str(path)
 
 
 class TestTokens:
@@ -103,6 +114,42 @@ class TestTrainEval:
                        "--out", str(tmp_path / "s2")) == 2
 
 
+class TestGateLabels:
+    def test_default_eval_report_names_img_stc_com(self, tmp_path, capsys):
+        ckpt = untrained_ckpt(tmp_path, parse_config(FAST))
+        assert run_cli("eval", "--ckpt", ckpt, "--families", "detail",
+                       "--out", str(tmp_path / "ev")) == 0
+        assert "gates img 0.333  stc 0.333  com 0.333" in capsys.readouterr().out
+
+    def test_stacked_model_labels_each_copy(self, tmp_path, capsys):
+        ckpt = untrained_ckpt(tmp_path, stacked_config(parse_config(FAST), "stc"))
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--ckpt", ckpt, "--families", "motion",
+                       "--out", str(out)) == 0
+        assert "gates stc0 0.333  stc1 0.333  stc2 0.333" in capsys.readouterr().out
+        assert (out / "gates.csv").read_text().startswith("family,p_stc0,p_stc1,p_stc2\n")
+        assert run_cli("route", "--ckpt", ckpt, "--instruction", "6 7 8 9") == 0
+        assert capsys.readouterr().out == ("p_stc0=0.333333 p_stc1=0.333333 "
+                                           "p_stc2=0.333333\n")
+
+    def test_route_zeroes_inactive_slot(self, tmp_path, capsys):
+        cfg = parse_config(FAST).replace(projectors__active=("image", "com"))
+        ckpt = untrained_ckpt(tmp_path, cfg)
+        assert run_cli("route", "--ckpt", ckpt, "--instruction", "12 13 14 15") == 0
+        assert capsys.readouterr().out == "p_img=0.500000 p_stc=0.000000 p_com=0.500000\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_forward_exits_1(tmp_path, capsys):
+    model = FusionModel(parse_config(FAST), seed=1)
+    model.named_parameters()["decoder.readout.w"].data[...] = 1e308
+    ckpt = tmp_path / "huge.octo"
+    save_checkpoint(model, ckpt, stage="tune")
+    assert run_cli("eval", "--ckpt", str(ckpt), "--out", str(tmp_path / "ev")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+
+
 class TestRoute:
     def make_ckpt(self, tmp_path, fast_cfg):
         out = tmp_path / "run"
@@ -155,7 +202,12 @@ class TestAblateCommand:
 
 
 def test_console_entrypoint_runs():
+    root = Path(__file__).parent.parent
+    # The child imports vpfuse from this checkout, installed or not.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "vpfuse.cli", "tokens"],
-                          capture_output=True, text=True, cwd=Path(__file__).parent.parent)
+                          capture_output=True, text=True, cwd=root, env=env)
     assert proc.returncode == 0
     assert "verdict: OK" in proc.stdout

@@ -52,6 +52,34 @@ def naive_conv3d(x, kernel, stride, pad):
     return out
 
 
+def padded_conv3d_reference(x, kernel, g, stride, pad):
+    """Zero-pad, then one matmul per kernel offset over the whole padded
+    volume: output, dx and dk for upstream gradient ``g``."""
+    k = kernel.shape[0]
+    lead = x.ndim - 4
+    xp = np.pad(x, [(0, 0)] * lead + [(p, p) for p in pad] + [(0, 0)])
+    dims_out = g.shape[lead:lead + 3]
+
+    def window(dt, dh, dw):
+        return (Ellipsis,) + tuple(slice(o, o + (n - 1) * s + 1, s) for o, n, s in
+                                   zip((dt, dh, dw), dims_out, stride)) + (slice(None),)
+
+    out = np.zeros(g.shape)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernel)
+    contract = tuple(range(g.ndim - 1))
+    for dt in range(k):
+        for dh in range(k):
+            for dw in range(k):
+                sl = window(dt, dh, dw)
+                out += xp[sl] @ kernel[dt, dh, dw]
+                dk[dt, dh, dw] = np.tensordot(xp[sl], g, axes=(contract, contract))
+                dxp[sl] += g @ kernel[dt, dh, dw].T
+    crop = (Ellipsis,) + tuple(slice(p, p + d) for p, d in
+                               zip(pad, x.shape[lead:lead + 3])) + (slice(None),)
+    return out, dxp[crop], dk
+
+
 class TestConv3d:
     def test_full_scale_aligned_shape(self):
         # (8,27,27) with k=3, stride (1,2,2), pad (1,1,1) -> (8,14,14); 8*14*14 = 1568
@@ -89,6 +117,26 @@ class TestConv3d:
         ref = naive_conv3d(x, kernel, stride, pad)
         assert fast.shape == ref.shape
         np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("shape,k,stride,pad", [
+        ((2, 8, 4, 4, 5), 3, (1, 1, 1), (1, 1, 1)),   # the desk stc shape, smaller
+        ((5, 7, 6, 3), 3, (2, 1, 3), (1, 0, 2)),
+        ((2, 3, 6, 5, 2), 2, (1, 2, 2), (1, 1, 0)),
+        ((2, 4, 5, 2), 3, (3, 1, 2), (2, 0, 1)),       # T offset 1 reads only padding
+    ])
+    def test_forward_and_grads_match_padded_reference(self, shape, k, stride, pad):
+        rng = np.random.RandomState(11)
+        x = Tensor(rng.randn(*shape), requires_grad=True)
+        kernel = Tensor(rng.randn(k, k, k, shape[-1], 3), requires_grad=True)
+        with Tape() as tape:
+            out = conv3d(x, kernel, stride, pad)
+            g = rng.randn(*out.shape)
+            tape.backward(tsum(out * Tensor(g)))
+        ref_out, ref_dx, ref_dk = padded_conv3d_reference(x.data, kernel.data, g,
+                                                          stride, pad)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel.grad, ref_dk, rtol=1e-12, atol=0)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.RandomState(3)
@@ -257,4 +305,4 @@ def test_ops_record_only_under_tape():
     assert out._tape is None  # no active tape, nothing recorded
     with Tape() as tape:
         out2 = a * 2.0
-        assert len(tape) == 1 and out2._tape is tape
+        assert len(tape) == 1 and out2._tape() is tape  # weak back-reference

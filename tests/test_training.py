@@ -1,5 +1,6 @@
 """Freeze contract, optimizer, and training-loop determinism."""
 
+import gc
 import hashlib
 import itertools
 
@@ -141,3 +142,17 @@ class TestTrainLoop:
         m1 = FusionModel(cfg, seed=1)
         m2 = FusionModel(cfg, seed=2)
         assert param_hashes(m1) != param_hashes(m2)
+
+    def test_step_graph_freed_without_cycle_collector(self):
+        # The tape owns each step's graph and tensors point back at it only
+        # weakly, so reference counting alone frees the graph.
+        cfg = fast_cfg()
+        model = FusionModel(cfg, seed=1)
+        run_stage(model, cfg, "tune", steps=1)  # warm up lazy imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            run_stage(model, cfg, "tune", steps=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
