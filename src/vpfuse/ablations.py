@@ -9,7 +9,7 @@ objects and as deterministic CSV/plain-text renderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ class EvalReport:
     n_per_family: int
     strategy: str
     gate_columns: tuple[str, ...]
-    seeds: list[int] = field(default_factory=list)
 
     @property
     def combined(self) -> float:

@@ -22,7 +22,7 @@ from .tensor import (
     broadcast_to,
     concat,
     embedding,
-    matmul,
+    linear,
     reshape,
     slice_axis,
 )
@@ -123,7 +123,7 @@ class VideoEncoder:
         patches = (frames.reshape(b, t, pg, self.patch, pg, self.patch)
                    .transpose(0, 1, 2, 4, 3, 5)
                    .reshape(b, t, pg, pg, self.patch * self.patch))
-        x = add(matmul(Tensor(patches), self.patch_w), self.patch_b)
+        x = linear(Tensor(patches), self.patch_w, self.patch_b)
         x = add(x, reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)))
         x = add(x, reshape(self.pos_h, (pg, 1, self.dim)))
         x = add(x, self.pos_w)

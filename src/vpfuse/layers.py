@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .rng import Rng
-from .tensor import Tensor, add, gelu, layer_norm, matmul, softmax, transpose
+from .tensor import Tensor, add, attention, layer_norm, linear
 
 
 def linear_params(rng: Rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
@@ -22,7 +22,7 @@ class Linear:
         self.w, self.b = linear_params(rng, fan_in, fan_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w": self.w, "b": self.b}
@@ -46,15 +46,13 @@ class TransformerBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         h = layer_norm(x, self.ln1_g, self.ln1_b)
-        q = add(matmul(h, self.wq), self.bq)
-        k = add(matmul(h, self.wk), self.bk)
-        v = add(matmul(h, self.wv), self.bv)
-        scores = matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)))
-        attn = softmax(scores * (1.0 / math.sqrt(self.dim)), axis=-1)
-        ctx = add(matmul(matmul(attn, v), self.wo), self.bo)
-        x = add(x, ctx)
+        q = linear(h, self.wq, self.bq)
+        k = linear(h, self.wk, self.bk)
+        v = linear(h, self.wv, self.bv)
+        attn = attention(q, k, v, 1.0 / math.sqrt(self.dim))
+        x = add(x, linear(attn, self.wo, self.bo))
         h2 = layer_norm(x, self.ln2_g, self.ln2_b)
-        ff = add(matmul(gelu(add(matmul(h2, self.w1), self.b1)), self.w2), self.b2)
+        ff = linear(linear(h2, self.w1, self.b1, "gelu"), self.w2, self.b2)
         return add(x, ff)
 
     def parameters(self) -> dict[str, Tensor]:

@@ -31,7 +31,7 @@ from .router import (
     fuse_with_strategy,
     one_hot_gates,
 )
-from .tensor import Tensor, add, concat, cross_entropy, matmul, tmean
+from .tensor import Tensor, concat, cross_entropy, tmean
 
 
 @dataclass

@@ -33,17 +33,16 @@ from .rng import Rng
 from .tensor import (
     Tensor,
     add,
+    attention,
     broadcast_to,
     concat,
     conv3d,
     conv3d_out_dim,
     gelu,
-    matmul,
+    linear,
     pool_bins,
     pool_grid,
     reshape,
-    softmax,
-    transpose,
 )
 
 SOURCE_TAGS = {
@@ -182,7 +181,7 @@ class ImageProjector:
         x = pool_grid(f.features, self.prepool)
         b, t, h, w, d = x.shape
         x = reshape(x, (b, t * h * w, d))
-        x = add(matmul(gelu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
+        x = linear(linear(x, self.w1, self.b1, "gelu"), self.w2, self.b2)
         if self.sep is not None:
             x = reshape(x, (b, t, h * w, self.d_out))
             sep = broadcast_to(reshape(self.sep, (1, 1, 1, self.d_out)),
@@ -229,7 +228,7 @@ class StcProjector:
                 x = gelu(x)
             x = add(conv3d(x, kern, self.stride, self.pad), bias)
         b, t, h, w, c = x.shape
-        x = add(matmul(reshape(x, (b, t * h * w, c)), self.out_w), self.out_b)
+        x = linear(reshape(x, (b, t * h * w, c)), self.out_w, self.out_b)
         return VisualTokens(tokens=x, source=SOURCE_TAGS[self.kind])
 
     def parameters(self) -> dict[str, Tensor]:
@@ -287,16 +286,14 @@ class ComProjector:
         parts = []
         if self.n_context > 0:
             flat = reshape(x, (b, t, h * w, d))
-            q = add(reshape(add(matmul(instr.cls, self.cls_w), self.cls_b),
-                            (b, 1, 1, d)),
+            q = add(reshape(linear(instr.cls, self.cls_w, self.cls_b), (b, 1, 1, d)),
                     self.query)  # (B, 1, n_ctx, D)
-            scores = matmul(q, transpose(flat, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
-            ctx = matmul(softmax(scores, axis=-1), flat)  # (B, T, n_ctx, D)
-            parts.append(add(matmul(ctx, self.ctx_w), self.ctx_b))
+            ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
+            parts.append(linear(ctx, self.ctx_w, self.ctx_b))
         if self.n_content > 0:
             pooled = pool_bins(x, self.bins[0], self.bins[1])
             pooled = reshape(pooled, (b, t, self.n_content, d))
-            parts.append(add(matmul(pooled, self.cnt_w), self.cnt_b))
+            parts.append(linear(pooled, self.cnt_w, self.cnt_b))
         per_frame = parts[0] if len(parts) == 1 else concat(parts, axis=2)
         c = per_frame.shape[2]
         if self.sep is not None:

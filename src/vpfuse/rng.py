@@ -26,6 +26,7 @@ FNV_PRIME = 0x100000001B3
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+_GAMMA_INT, _MIX_A_INT, _MIX_B_INT = int(GAMMA), int(MIX_A), int(MIX_B)
 
 
 def fnv1a64(text: str) -> int:
@@ -43,11 +44,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
+def _mix64_int(z: int) -> int:
+    """``_mix64`` on one Python int in [0, 2**64), with the same wrap-around."""
+    z = ((z ^ (z >> 30)) * _MIX_A_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
 def stream_seed(master_seed: int, label: str) -> int:
     """Derive the base state of a named stream from the master seed."""
-    z = np.array([(master_seed ^ fnv1a64(label)) & _MASK64], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return int(_mix64(z + GAMMA)[0])
+    z = (master_seed ^ fnv1a64(label)) & _MASK64
+    return _mix64_int((z + _GAMMA_INT) & _MASK64)
 
 
 class Rng:
@@ -58,7 +65,8 @@ class Rng:
     """
 
     def __init__(self, master_seed: int, label: str):
-        self._base = _U64(stream_seed(master_seed, label))
+        self._base_int = stream_seed(master_seed, label)
+        self._base = _U64(self._base_int)
         self._counter = 0
         self.label = label
 
@@ -68,12 +76,22 @@ class Rng:
         with np.errstate(over="ignore"):
             return _mix64(self._base + idx * GAMMA)
 
+    def _raw1(self) -> int:
+        """One raw output in Python ints: equal to ``_raw(1)[0]`` without the
+        numpy round trip that dominates scalar draws."""
+        self._counter += 1
+        return _mix64_int((self._base_int + self._counter * _GAMMA_INT) & _MASK64)
+
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 in [0, 1) with 53 random mantissa bits."""
-        n = int(np.prod(shape)) if shape else 1
+        if not shape:
+            # Below 2**53, int -> float and the power-of-two scale are exact,
+            # so this equals the vector path bit for bit.
+            return float(self._raw1() >> 11) * (2.0 ** -53)
+        n = int(np.prod(shape))
         bits = self._raw(n) >> _U64(11)
         vals = bits.astype(np.float64) * (2.0 ** -53)
-        return vals.reshape(shape) if shape else float(vals[0])
+        return vals.reshape(shape)
 
     def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
         """Standard normal via Box-Muller on uniform pairs."""
@@ -89,9 +107,9 @@ class Rng:
     def integers(self, high: int, shape=()) -> np.ndarray:
         """Integers in [0, high). Uses floor(u * high); the modulo-style bias
         is below 2^-50 for desk-scale high and irrelevant here."""
-        u = self.uniform(shape if shape else (1,))
-        vals = np.minimum((u * high).astype(np.int64), high - 1)
-        return vals.reshape(shape) if shape else int(vals[0])
+        if not shape:
+            return min(int(self.uniform() * high), high - 1)
+        return np.minimum((self.uniform(shape) * high).astype(np.int64), high - 1)
 
     def choice_distinct(self, high: int, k: int) -> np.ndarray:
         """k distinct integers from [0, high), in draw order."""

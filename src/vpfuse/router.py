@@ -24,7 +24,7 @@ from .encoders import InstructionEncoding
 from .layers import linear_params
 from .projectors import VisualTokens
 from .rng import Rng
-from .tensor import Tensor, add, concat, gelu, matmul, reshape, slice_axis, softmax
+from .tensor import Tensor, add, concat, linear, reshape, slice_axis, softmax
 
 
 class FusionError(ValueError):
@@ -60,8 +60,8 @@ class Router:
         self.b2 = Tensor(np.zeros(n_slots), requires_grad=True)
 
     def route(self, instr: InstructionEncoding) -> RouterLogits:
-        h = gelu(add(matmul(instr.cls, self.w1), self.b1))
-        return RouterLogits(values=add(matmul(h, self.w2), self.b2))
+        h = linear(instr.cls, self.w1, self.b1, "gelu")
+        return RouterLogits(values=linear(h, self.w2, self.b2))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"mlp1.w": self.w1, "mlp1.b": self.b1,

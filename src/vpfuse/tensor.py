@@ -20,6 +20,13 @@ relies on:
   immediately otherwise, naming the op.
 - Only the broadcasting the model actually needs is supported (numpy-style
   elementwise broadcast plus batched matmul).
+- The fused ops ``linear`` (bias and optional GELU folded in) and
+  ``attention`` each record one tape entry in place of a chain of composed
+  ops.  They repeat the composed ops' arithmetic in the same order, so
+  outputs and gradients are bitwise equal to the composed graph.  They check
+  finiteness of their output, and ``attention`` also of its scaled scores
+  (where the composed ``matmul`` would have raised), before the softmax can
+  turn a ``-inf`` score into a silent 0.
 """
 
 from __future__ import annotations
@@ -297,6 +304,88 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _emit("matmul", (a, b), data, rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor:
+    """``x @ w + b``, optionally followed by GELU, as one tape entry.
+
+    Bitwise equal to ``add(matmul(x, w), b)`` (and ``gelu`` of it): the
+    forward and backward repeat the composed ops' arithmetic in order.
+    """
+    if act not in (None, "gelu"):
+        raise TensorError(f"unknown linear activation {act!r}")
+    if x.ndim < 2 or w.ndim != 2:
+        raise TensorError(f"linear needs rank >= 2 input and a 2-D weight, "
+                          f"got {x.shape} and {w.shape}")
+    z = x.data @ w.data
+    z += b.data
+    if act == "gelu":
+        cdf = ndtr(z)
+        data = z * cdf
+    else:
+        data = z
+
+    def rule(g):
+        if act == "gelu":
+            # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only paid
+            # for here, so tape-free eval never computes it.
+            dz = z * -0.5
+            dz *= z
+            np.exp(dz, out=dz)
+            dz *= _INV_SQRT_2PI
+            dz *= z
+            dz += cdf
+            dz *= g
+        else:
+            dz = g
+        gx = (_unbroadcast(dz @ np.swapaxes(w.data, -1, -2), x.shape)
+              if x.requires_grad else None)
+        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape)
+              if w.requires_grad else None)
+        gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _emit("linear", (x, w, b), data, rule)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """``softmax(scale * q @ kᵀ) @ v`` over the last axis, as one tape entry.
+
+    The probabilities are computed in place and kept for backward.  Leading
+    axes broadcast as in ``matmul`` (a query shared by every frame works),
+    and ``k`` may be ``v``.  Bitwise equal to the composed
+    ``matmul``/``transpose``/``scalar_mul``/``softmax``/``matmul`` graph.
+    """
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise TensorError("attention operands must have rank >= 2")
+    scale = float(scale)
+    kt = np.swapaxes(k.data, -1, -2)
+    p = q.data @ kt
+    p *= scale
+    # exp would map a -inf score to a silent 0, so check before the softmax.
+    _check_finite(p, "attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = p @ v.data
+
+    def rule(g):
+        gv = (_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape)
+              if v.requires_grad else None)
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gq = (_unbroadcast(ds @ k.data, q.shape)
+              if q.requires_grad else None)
+        gk = (np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ ds, kt.shape),
+                          -1, -2)
+              if k.requires_grad else None)
+        return gq, gk, gv
+
+    return _emit("attention", (q, k, v), data, rule)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

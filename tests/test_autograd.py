@@ -10,6 +10,8 @@ from vpfuse.tensor import (
     Tape,
     Tensor,
     TensorError,
+    add,
+    attention,
     backward,
     broadcast_to,
     concat,
@@ -19,9 +21,11 @@ from vpfuse.tensor import (
     gelu,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mul,
     pool_grid,
+    scalar_mul,
     slice_axis,
     softmax,
     tmean,
@@ -258,6 +262,77 @@ def _ce_case(rng):
     return Tensor(rng.randn(4, 5)), lambda t: cross_entropy(t, [0, 3, 1, 4])
 
 
+@_case("linear_x_2d")
+def _linear_x_case(rng):
+    w, b = Tensor(rng.randn(5, 3)), Tensor(rng.randn(3))  # w frozen
+    return Tensor(rng.randn(4, 5)), lambda t: tsum(mul(linear(t, w, b), linear(t, w, b)))
+
+
+@_case("linear_gelu_x_3d")
+def _linear_gelu_x_case(rng):
+    w, b = Tensor(rng.randn(5, 3)), Tensor(rng.randn(3))
+    m = Tensor(rng.randn(2, 4, 3))
+    return Tensor(rng.randn(2, 4, 5)), lambda t: tsum(mul(linear(t, w, b, "gelu"), m))
+
+
+@_case("linear_w_3d")
+def _linear_w_case(rng):
+    x, b = Tensor(rng.randn(2, 4, 5)), Tensor(rng.randn(3))  # x frozen
+    return Tensor(rng.randn(5, 3)), lambda t: tsum(mul(linear(x, t, b), linear(x, t, b)))
+
+
+@_case("linear_gelu_w_2d")
+def _linear_gelu_w_case(rng):
+    x, b = Tensor(rng.randn(4, 5)), Tensor(rng.randn(3))
+    m = Tensor(rng.randn(4, 3))
+    return Tensor(rng.randn(5, 3)), lambda t: tsum(mul(linear(x, t, b, "gelu"), m))
+
+
+@_case("linear_gelu_bias")
+def _linear_gelu_b_case(rng):
+    x, w = Tensor(rng.randn(2, 4, 5)), Tensor(rng.randn(5, 3))
+    m = Tensor(rng.randn(2, 4, 3))
+    return Tensor(rng.randn(3)), lambda t: tsum(mul(linear(x, w, t, "gelu"), m))
+
+
+@_case("attention_q")
+def _attention_q_case(rng):
+    k, v = Tensor(rng.randn(2, 5, 4)), Tensor(rng.randn(2, 5, 3))
+    m = Tensor(rng.randn(2, 3, 3))
+    return Tensor(rng.randn(2, 3, 4)), lambda t: tsum(mul(attention(t, k, v, 0.7), m))
+
+
+@_case("attention_q_broadcast_over_frames")
+def _attention_q_bcast_case(rng):
+    # One query set per batch row, shared by every frame, as in the com projector.
+    kv = Tensor(rng.randn(2, 3, 5, 4))
+    m = Tensor(rng.randn(2, 3, 2, 4))
+    return (Tensor(rng.randn(2, 1, 2, 4)),
+            lambda t: tsum(mul(attention(t, kv, kv, 0.5), m)))
+
+
+@_case("attention_k")
+def _attention_k_case(rng):
+    q, v = Tensor(rng.randn(2, 3, 4)), Tensor(rng.randn(2, 5, 3))
+    m = Tensor(rng.randn(2, 3, 3))
+    return Tensor(rng.randn(2, 5, 4)), lambda t: tsum(mul(attention(q, t, v, 0.7), m))
+
+
+@_case("attention_v")
+def _attention_v_case(rng):
+    q, k = Tensor(rng.randn(3, 4)), Tensor(rng.randn(5, 4))
+    m = Tensor(rng.randn(3, 2))
+    return Tensor(rng.randn(5, 2)), lambda t: tsum(mul(attention(q, k, t, 0.7), m))
+
+
+@_case("attention_k_is_v")
+def _attention_kv_case(rng):
+    q = Tensor(rng.randn(2, 1, 3, 4))
+    m = Tensor(rng.randn(2, 2, 3, 4))
+    return (Tensor(rng.randn(2, 2, 5, 4)),
+            lambda t: tsum(mul(attention(q, t, t, 0.5), m)))
+
+
 @pytest.mark.parametrize("case", ISOLATED_CASES)
 def test_isolated_op_gradients(case):
     rng = np.random.RandomState(42)
@@ -265,20 +340,57 @@ def test_isolated_op_gradients(case):
     assert grad_check(f, x) < 1e-6
 
 
-def test_composed_graph_gradient():
-    # attention-flavored composite graph checked against finite differences
-    rng = np.random.RandomState(8)
-    wq = Tensor(rng.randn(6, 4))
-    wk = Tensor(rng.randn(6, 4))
-    wv = Tensor(rng.randn(6, 6))
-    gamma = Tensor(np.ones(6))
-    beta = Tensor(np.zeros(6))
+def _attention_graph(params, fused):
+    """Pre-LN attention with a GELU output layer, built from the fused ops or
+    from the composed ops they replace."""
+    gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = params
 
     def f(x):
         h = layer_norm(x, gamma, beta)
-        scores = matmul(matmul(h, wq), transpose(matmul(h, wk), (1, 0))) * 0.5
-        ctx = matmul(softmax(scores, axis=-1), matmul(h, wv))
-        return cross_entropy(tmean(gelu(ctx), axis=0), 2)
+        if fused:
+            ctx = attention(linear(h, wq, bq), linear(h, wk, bk),
+                            linear(h, wv, bv), 0.5)
+            out = linear(ctx, wo, bo, "gelu")
+        else:
+            q = add(matmul(h, wq), bq)
+            k = add(matmul(h, wk), bk)
+            v = add(matmul(h, wv), bv)
+            scores = scalar_mul(matmul(q, transpose(k, (1, 0))), 0.5)
+            ctx = matmul(softmax(scores, axis=-1), v)
+            out = gelu(add(matmul(ctx, wo), bo))
+        return cross_entropy(tmean(out, axis=0), 2)
+    return f
 
+
+def _attention_graph_params(rng):
+    shapes = [(6,), (6,), (6, 4), (4,), (6, 4), (4,), (6, 6), (6,), (6, 6), (6,)]
+    params = [Tensor(rng.randn(*s)) for s in shapes]
+    params[0] = Tensor(np.ones(6))
+    return params
+
+
+def test_composed_graph_gradient():
+    # attention-flavored composite graph checked against finite differences
+    rng = np.random.RandomState(8)
+    f = _attention_graph(_attention_graph_params(rng), fused=True)
     x = Tensor(rng.randn(5, 6))
     assert grad_check(f, x) < 1e-4
+
+
+def test_composed_graph_fused_equals_composed():
+    # The same graph through the fused ops and through the composed ops:
+    # loss and every gradient agree bit for bit.
+    rng = np.random.RandomState(8)
+    params = _attention_graph_params(rng)
+    x = Tensor(rng.randn(5, 6), requires_grad=True)
+    results = []
+    for fused in (True, False):
+        for t in [x, *params]:
+            t.requires_grad = True
+            t.zero_grad()
+        with Tape() as tape:
+            loss = _attention_graph(params, fused)(x)
+            tape.backward(loss)
+        results.append([loss.data] + [t.grad for t in [x, *params]])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)

@@ -1,0 +1,149 @@
+"""The fused ``linear`` and ``attention`` ops against the composed ops they
+replace: forward outputs and every gradient must agree bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vpfuse.tensor import (
+    NonFiniteError,
+    Tape,
+    Tensor,
+    TensorError,
+    add,
+    attention,
+    gelu,
+    linear,
+    matmul,
+    mul,
+    scalar_mul,
+    softmax,
+    transpose,
+    tsum,
+)
+
+
+def composed_linear(x, w, b, act=None):
+    z = add(matmul(x, w), b)
+    return gelu(z) if act == "gelu" else z
+
+
+def composed_attention(q, k, v, scale):
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = scalar_mul(matmul(q, transpose(k, axes)), scale)
+    return matmul(softmax(scores, axis=-1), v)
+
+
+def run(op, inputs, weight):
+    """Forward value, tape length and the gradient of sum(op(...) * weight)
+    with respect to every input (None where the input is frozen)."""
+    for t in inputs:
+        t.zero_grad()
+    with Tape() as tape:
+        out = op(*inputs)
+        tape.backward(tsum(mul(out, Tensor(weight))))
+        entries = len(tape)
+    return out.data, entries, [t.grad for t in inputs]
+
+
+def assert_bitwise(fused, composed):
+    out_f, _, grads_f = fused
+    out_c, _, grads_c = composed
+    assert np.array_equal(out_f, out_c)
+    for gf, gc in zip(grads_f, grads_c):
+        assert (gf is None) == (gc is None)
+        if gf is not None:
+            assert np.array_equal(gf, gc)
+
+
+def flags(draw, n):
+    """Which of n inputs require grad; at least one does."""
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return mask if any(mask) else [True] + mask[1:]
+
+
+@st.composite
+def linear_cases(draw):
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    n, d, h = (draw(st.integers(1, 6)) for _ in range(3))
+    act = draw(st.sampled_from([None, "gelu"]))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    x = Tensor(rng.randn(*lead, n, d) * 2.0)
+    w = Tensor(rng.randn(d, h))
+    b = Tensor(rng.randn(h))
+    for t, on in zip((x, w, b), flags(draw, 3)):
+        t.requires_grad = on
+    weight = rng.randn(*lead, n, h)
+    return (x, w, b), act, weight
+
+
+@st.composite
+def attention_cases(draw):
+    batch = draw(st.integers(1, 3))
+    frames = draw(st.integers(1, 3))
+    shared_q = draw(st.booleans())  # one query set broadcast over frames
+    n, m, d = (draw(st.integers(1, 6)) for _ in range(3))
+    k_is_v = draw(st.booleans())
+    dv = d if k_is_v else draw(st.integers(1, 6))
+    scale = draw(st.floats(0.05, 2.0))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    q = Tensor(rng.randn(batch, 1 if shared_q else frames, n, d))
+    k = Tensor(rng.randn(batch, frames, m, d))
+    v = k if k_is_v else Tensor(rng.randn(batch, frames, m, dv))
+    on_q, on_k, on_v = flags(draw, 3)
+    q.requires_grad = on_q
+    k.requires_grad = on_k or (k_is_v and on_v)
+    v.requires_grad = k.requires_grad if k_is_v else on_v
+    weight = rng.randn(batch, frames, n, dv)
+    return (q, k, v), scale, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_cases())
+def test_linear_bitwise_equals_composed(case):
+    inputs, act, weight = case
+    fused = run(lambda x, w, b: linear(x, w, b, act), inputs, weight)
+    composed = run(lambda x, w, b: composed_linear(x, w, b, act), inputs, weight)
+    assert_bitwise(fused, composed)
+    assert fused[1] == 3  # linear, mul, sum
+
+
+@settings(max_examples=60, deadline=None)
+@given(attention_cases())
+def test_attention_bitwise_equals_composed(case):
+    inputs, scale, weight = case
+    q, k, v = inputs
+    if k is v:
+        fused = run(lambda q_, kv: attention(q_, kv, kv, scale), (q, k), weight)
+        composed = run(lambda q_, kv: composed_attention(q_, kv, kv, scale),
+                       (q, k), weight)
+    else:
+        fused = run(lambda *a: attention(*a, scale), inputs, weight)
+        composed = run(lambda *a: composed_attention(*a, scale), inputs, weight)
+    assert_bitwise(fused, composed)
+    assert fused[1] == 3  # attention, mul, sum
+
+
+def test_attention_raises_on_minus_inf_score():
+    # q . k overflows to -inf in one score.  exp would turn it into a silent
+    # 0, so the fused op must raise where the composed matmul did.
+    q = Tensor(np.array([[1e200, 0.0], [1.0, 1.0]]))
+    k = Tensor(np.array([[-1e200, 0.0], [1.0, 2.0], [0.5, 0.5]]))
+    v = Tensor(np.ones((3, 2)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="attention"):
+            attention(q, k, v, 1.0)
+        with pytest.raises(NonFiniteError, match="matmul"):
+            composed_attention(q, k, v, 1.0)
+
+
+def test_bad_arguments_rejected():
+    x = Tensor(np.ones((2, 3)))
+    w, b = Tensor(np.ones((3, 4))), Tensor(np.zeros(4))
+    with pytest.raises(TensorError):
+        linear(x, w, b, act="relu")
+    with pytest.raises(TensorError):
+        linear(Tensor(np.ones(3)), w, b)
+    with pytest.raises(TensorError):
+        attention(Tensor(np.ones(3)), x, x, 1.0)

@@ -61,3 +61,39 @@ def test_simplex3_on_simplex():
         assert p.shape == (3,)
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) < 1e-12
+
+
+def test_scalar_draws_equal_vector_draws():
+    # Scalar draws take a pure-Python path; it must match the numpy path bit
+    # for bit and advance the stream by the same count.
+    n = 3000
+    r = Rng(5, "scalar/uniform")
+    scalars = np.array([r.uniform() for _ in range(n)])
+    assert scalars.tobytes() == Rng(5, "scalar/uniform").uniform((n,)).tobytes()
+
+    for high in (1, 2, 7, 27, 1000, 2 ** 40 + 3):
+        r = Rng(5, f"scalar/int{high}")
+        scalars = np.array([r.integers(high) for _ in range(n)], dtype=np.int64)
+        np.testing.assert_array_equal(
+            scalars, Rng(5, f"scalar/int{high}").integers(high, (n,)))
+
+    r = Rng(5, "scalar/mixed")
+    mixed = [r.uniform(), *r.uniform((3,)), r.uniform(), *r.uniform((2,))]
+    assert np.array(mixed).tobytes() == Rng(5, "scalar/mixed").uniform((7,)).tobytes()
+
+
+def test_choice_distinct_equals_vector_draws():
+    r = Rng(5, "scalar/choice")
+    picks = np.concatenate([r.choice_distinct(20, 8) for _ in range(300)])
+    # Reference: the same stream drawn as one vector (longer than the ~3000
+    # draws needed), filtered the same way.
+    stream = iter(Rng(5, "scalar/choice").integers(20, (10000,)).tolist())
+    want = []
+    for _ in range(300):
+        seen = []
+        while len(seen) < 8:
+            v = next(stream)
+            if v not in seen:
+                seen.append(v)
+        want.extend(seen)
+    np.testing.assert_array_equal(picks, want)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vpfuse.ablations import evaluate
 from vpfuse.config import default_config
 from vpfuse.model import FusionModel
 from vpfuse.tasks import batch_stream
@@ -156,3 +157,26 @@ class TestTrainLoop:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_whole_model_pin():
+    # One digest over a short two-stage run: the loss curve, every parameter
+    # byte afterwards and an eval report.  Recorded before the fused linear
+    # and attention ops replaced the composed ones, so any change in the
+    # arithmetic of a forward or backward rule shows up here.
+    cfg = fast_cfg()
+    model = FusionModel(cfg, seed=3)
+    curve = run_stage(model, cfg, "pretrain", steps=2, seed=3).loss_curve
+    curve += run_stage(model, cfg, "tune", steps=6, seed=3).loss_curve
+    report = evaluate(model, n=8)
+    h = hashlib.sha256()
+    for step, loss in curve:
+        h.update(f"{step}:{loss.hex()}\n".encode())
+    for name, p in sorted(model.named_parameters().items()):
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    h.update(report.accuracy_csv().encode())
+    for gates in report.mean_gates.values():
+        h.update(gates.tobytes())
+    assert h.hexdigest() == (
+        "8d915e09062755b5c2bbbd4e20924614ec83506eff3f0db08ab16db9372d89cd")
