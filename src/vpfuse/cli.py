@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Every op raises NonFiniteError on a NaN or Inf it produces, so
+        # numpy's floating-point warnings would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

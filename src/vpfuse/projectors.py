@@ -38,10 +38,11 @@ from .tensor import (
     concat,
     conv3d,
     conv3d_out_dim,
+    even_edges,
     gelu,
+    grid_edges,
     linear,
-    pool_bins,
-    pool_grid,
+    pool,
     reshape,
 )
 
@@ -178,7 +179,10 @@ class ImageProjector:
         self.d_out = d_out
 
     def __call__(self, f: FrameFeatures) -> VisualTokens:
-        x = pool_grid(f.features, self.prepool)
+        x = f.features
+        if self.prepool > 1:
+            h, w = x.shape[-3:-1]
+            x = pool(x, grid_edges(h, self.prepool), grid_edges(w, self.prepool))
         b, t, h, w, d = x.shape
         x = reshape(x, (b, t * h * w, d))
         x = linear(linear(x, self.w1, self.b1, "gelu"), self.w2, self.b2)
@@ -291,7 +295,7 @@ class ComProjector:
             ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
             parts.append(linear(ctx, self.ctx_w, self.ctx_b))
         if self.n_content > 0:
-            pooled = pool_bins(x, self.bins[0], self.bins[1])
+            pooled = pool(x, even_edges(h, self.bins[0]), even_edges(w, self.bins[1]))
             pooled = reshape(pooled, (b, t, self.n_content, d))
             parts.append(linear(pooled, self.cnt_w, self.cnt_b))
         per_frame = parts[0] if len(parts) == 1 else concat(parts, axis=2)

@@ -123,11 +123,3 @@ class Rng:
                 seen.add(v)
                 picked.append(v)
         return np.array(picked, dtype=np.int64)
-
-    def simplex3(self) -> np.ndarray:
-        """Three iid uniforms normalized onto the probability simplex."""
-        u = self.uniform((3,))
-        # Guard against the (measure-zero but representable) all-zero draw.
-        while u.sum() == 0.0:
-            u = self.uniform((3,))
-        return u / u.sum()

@@ -200,8 +200,7 @@ def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
 
 
 def _random_simplex(rng: Rng, n: int) -> np.ndarray:
-    if n == 3:
-        return rng.simplex3()
+    """n iid uniforms normalized onto the probability simplex."""
     u = rng.uniform((n,))
     while u.sum() == 0.0:
         u = rng.uniform((n,))

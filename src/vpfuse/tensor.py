@@ -27,13 +27,30 @@ relies on:
   finiteness of their output, and ``attention`` also of its scaled scores
   (where the composed ``matmul`` would have raised), before the softmax can
   turn a ``-inf`` score into a silent 0.
+- The forward arithmetic of ``linear``, ``attention``, ``layer_norm``,
+  ``conv3d`` and ``pool`` is split into row chunks of the leading (batch)
+  axis that run on the machine's cores; the numpy kernels release the GIL.  Chunk
+  boundaries depend only on the op's shape (at most four chunks, each with
+  enough work to pay for a hand-off), never on the worker count or on
+  timing, and every chunk repeats the unsplit arithmetic on its own rows,
+  so results are bitwise equal to one thread on any core count.  The
+  calling thread runs chunks itself and takes back every chunk no worker
+  has started, so it never idles waiting for a busy worker.  Chunks run in
+  the caller's ``contextvars`` context (``np.errstate`` applies to them),
+  and a chunk's exception is re-raised in the caller.  The tape, ``_emit``
+  and every backward rule stay on the calling thread; backward rules are
+  serial, because a weight gradient sums over the rows a split would
+  separate.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -262,6 +279,74 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# row chunks across cores
+# ---------------------------------------------------------------------------
+
+# Threads that run a split op's chunks, the caller included.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_MAX_CHUNKS = 4
+_MIN_CHUNK_WORK = 1 << 15  # elements per chunk, enough to pay for a hand-off
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="vpfuse-rows")
+        return _pool
+
+
+def _row_chunks(rows: int, row_work: int) -> list[slice]:
+    """Near-equal slices of ``rows``: at most ``_MAX_CHUNKS``, each with at
+    least ``_MIN_CHUNK_WORK`` elements; a function of the shape alone."""
+    if row_work <= 0:
+        return [slice(None)]
+    min_rows = -(-_MIN_CHUNK_WORK // row_work)
+    n = min(_MAX_CHUNKS, rows // min_rows)
+    if n <= 1:
+        return [slice(None)]
+    return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
+
+
+def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
+    """Call ``fill(rows_slice)`` on every chunk of the leading axis.
+
+    ``fill`` writes its rows of preallocated outputs and touches nothing
+    shared.  Workers take chunks from the front; the caller runs the first
+    chunk, then takes back from the back every chunk not yet started, and
+    only then waits.  A chunk's exception is re-raised here.
+    """
+    chunks = _row_chunks(rows, row_work)
+    if len(chunks) == 1 or _WORKERS <= 1:
+        for sl in chunks:
+            fill(sl)
+        return
+    pool = _worker_pool()
+    futures = [pool.submit(contextvars.copy_context().run, fill, sl)
+               for sl in chunks[1:]]
+    try:
+        fill(chunks[0])
+        for future, sl in zip(reversed(futures), reversed(chunks[1:])):
+            if future.cancel():
+                fill(sl)
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+
+
+def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
+    """Rows ``sl`` of an operand broadcast against a rank-``ndim`` output."""
+    return a[sl] if a.ndim == ndim and a.shape[0] != 1 else a
+
+
+# ---------------------------------------------------------------------------
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
 
@@ -317,13 +402,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     if x.ndim < 2 or w.ndim != 2:
         raise TensorError(f"linear needs rank >= 2 input and a 2-D weight, "
                           f"got {x.shape} and {w.shape}")
-    z = x.data @ w.data
-    z += b.data
-    if act == "gelu":
-        cdf = ndtr(z)
-        data = z * cdf
-    else:
-        data = z
+    z = np.empty(x.shape[:-1] + w.shape[1:])
+    cdf = np.empty(z.shape) if act == "gelu" else None
+    data = np.empty(z.shape) if act == "gelu" else z
+
+    def fill(sl):
+        zs = z[sl]
+        np.matmul(x.data[sl], w.data, out=zs)
+        zs += _rows(b.data, z.ndim, sl)
+        if act == "gelu":
+            ndtr(zs, out=cdf[sl])
+            np.multiply(zs, cdf[sl], out=data[sl])
+
+    # A 2-D x is a single GEMM; its rows stay whole, because a GEMM's bits
+    # may depend on its row count.  Batched x is one GEMM per leading index.
+    _over_rows(fill, z.shape[0], math.prod(z.shape[1:]) if x.ndim > 2 else 0)
 
     def rule(g):
         if act == "gelu":
@@ -360,14 +453,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         raise TensorError("attention operands must have rank >= 2")
     scale = float(scale)
     kt = np.swapaxes(k.data, -1, -2)
-    p = q.data @ kt
-    p *= scale
-    # exp would map a -inf score to a silent 0, so check before the softmax.
-    _check_finite(p, "attention")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data = p @ v.data
+    p = np.empty(np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+                 + (q.shape[-2], k.shape[-2]))
+    data = np.empty(np.broadcast_shapes(p.shape[:-2], v.shape[:-2])
+                    + (q.shape[-2], v.shape[-1]))
+
+    def fill(sl):
+        ps = p[sl]
+        np.matmul(_rows(q.data, p.ndim, sl), _rows(kt, p.ndim, sl), out=ps)
+        ps *= scale
+        # exp would map a -inf score to a silent 0, so check before the softmax.
+        _check_finite(ps, "attention")
+        ps -= ps.max(axis=-1, keepdims=True)
+        np.exp(ps, out=ps)
+        ps /= ps.sum(axis=-1, keepdims=True)
+        np.matmul(ps, _rows(v.data, data.ndim, sl), out=data[sl])
+
+    split = p.ndim == data.ndim > 2 and p.shape[0] == data.shape[0]
+    _over_rows(fill, p.shape[0], math.prod(p.shape[1:]) if split else 0)
 
     def rule(g):
         gv = (_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape)
@@ -487,11 +590,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
+    xhat = np.empty(x.shape)
+    inv = np.empty(x.shape[:-1] + (1,))
+    data = np.empty(np.broadcast_shapes(x.shape, gamma.shape, beta.shape))
+
+    def fill(sl):
+        xs = x.data[sl]
+        mu = xs.mean(axis=-1, keepdims=True)
+        var = xs.var(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + eps), out=inv[sl])
+        np.multiply(xs - mu, inv[sl], out=xhat[sl])
+        ds = data[sl]
+        np.multiply(xhat[sl], _rows(gamma.data, ds.ndim, sl), out=ds)
+        ds += _rows(beta.data, ds.ndim, sl)
+
+    split = x.ndim > 1 and data.shape == x.shape
+    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if split else 0)
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -609,8 +723,9 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     if any(p < 0 for p in padding):
         raise TensorError(f"padding must be non-negative, got {padding}")
 
-    lead = x.ndim - 4  # 0 or 1 batch axes
-    dims_in = x.shape[lead:lead + 3]
+    batched = x.ndim == 5
+    xb = x.data if batched else x.data[None]  # one code path over (B, T, H, W, C)
+    dims_in = xb.shape[1:4]
     dims_out = []
     for d, s, p in zip(dims_in, stride, padding):
         if k > d + 2 * p:
@@ -625,89 +740,88 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     # reads the valid input range and writes the output range it reaches.
     ranges = [_tap_ranges(d, o, k, s, p)
               for d, o, s, p in zip(dims_in, dims_out, stride, padding)]
-    lead_sl = (slice(None),) * lead
-    taps = [((dt, dh, dw), lead_sl + (rt[0], rh[0], rw[0]),
-             lead_sl + (rt[1], rh[1], rw[1]))
+    all_rows = slice(None)
+    taps = [((dt, dh, dw), (all_rows, rt[0], rh[0], rw[0]),
+             (all_rows, rt[1], rh[1], rw[1]))
             for dt, rt in enumerate(ranges[0]) if rt is not None
             for dh, rh in enumerate(ranges[1]) if rh is not None
             for dw, rw in enumerate(ranges[2]) if rw is not None]
 
-    out = np.zeros(x.shape[:lead] + (to, ho, wo, cout), dtype=np.float64)
-    for tap, out_sl, in_sl in taps:
-        out[out_sl] += x.data[in_sl] @ kernel.data[tap]
+    out = np.zeros(xb.shape[:1] + (to, ho, wo, cout), dtype=np.float64)
+
+    def fill(sl):
+        xs, outs = xb[sl], out[sl]
+        for tap, out_sl, in_sl in taps:
+            outs[out_sl] += xs[in_sl] @ kernel.data[tap]
+
+    _over_rows(fill, out.shape[0], math.prod(out.shape[1:]))
 
     def rule(g):
-        dx = np.zeros(x.shape, dtype=np.float64) if x.requires_grad else None
+        g = g if batched else g[None]
+        dx = np.zeros(xb.shape, dtype=np.float64) if x.requires_grad else None
         dk = np.zeros(kernel.shape, dtype=np.float64) if kernel.requires_grad else None
         for tap, out_sl, in_sl in taps:
             g_tap = g[out_sl]
             g2 = g_tap.reshape(-1, cout)
             if dk is not None:
-                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g2
+                dk[tap] = xb[in_sl].reshape(-1, cin).T @ g2
             if dx is not None:
                 dx[in_sl] += (g2 @ kernel.data[tap].T).reshape(g_tap.shape[:-1] + (cin,))
+        if dx is not None and not batched:
+            dx = dx[0]
         return dx, dk
 
-    return _emit("conv3d", (x, kernel), out, rule)
+    return _emit("conv3d", (x, kernel), out if batched else out[0], rule)
 
 
-def _pool_bins(extent: int, factor: int) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.arange(0, extent, factor)
-    sizes = np.minimum(starts + factor, extent) - starts
-    return starts, sizes
-
-
-def _partition(extent: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.floor(np.arange(bins + 1) * extent / bins).astype(np.int64)
-    return edges[:-1], np.diff(edges)
-
-
-def pool_bins(x: Tensor, bins_h: int, bins_w: int) -> Tensor:
-    """Average the H and W axes of (..., H, W, C) into bins_h x bins_w bins.
-
-    Bin edges split each axis as evenly as integer arithmetic allows, so any
-    bin count up to the axis extent is valid.
-    """
-    h, w = x.shape[-3], x.shape[-2]
-    if not (1 <= bins_h <= h and 1 <= bins_w <= w):
-        raise TensorError(f"cannot pool ({h},{w}) grid into ({bins_h},{bins_w}) bins")
-    hs, hsz = _partition(h, bins_h)
-    ws, wsz = _partition(w, bins_w)
-    summed = np.add.reduceat(x.data, hs, axis=-3)
-    summed = np.add.reduceat(summed, ws, axis=-2)
-    counts = np.outer(hsz, wsz)[..., None]
-    data = summed / counts
-
-    def rule(g):
-        gh = np.repeat(g / counts, hsz, axis=-3)
-        return (np.repeat(gh, wsz, axis=-2),)
-
-    return _emit("pool_bins", (x,), data, rule)
-
-
-def pool_grid(x: Tensor, factor: int) -> Tensor:
-    """Ceil-mode average pooling over the H and W axes of (..., H, W, C).
-
-    Uneven trailing bins average over the cells that exist, so 27 -> 14 with
-    factor 2 (last bin covers one row).
-    """
-    if factor == 1:
-        return x
+def grid_edges(extent: int, factor: int) -> np.ndarray:
+    """Ceil-mode bins of ``factor`` cells; a narrower trailing bin averages
+    the cells that exist, so 27 cells with factor 2 make 14 bins."""
     if factor < 1:
         raise TensorError(f"pool factor must be >= 1, got {factor}")
-    h, w = x.shape[-3], x.shape[-2]
-    hs, hsz = _pool_bins(h, factor)
-    ws, wsz = _pool_bins(w, factor)
-    summed = np.add.reduceat(x.data, hs, axis=-3)
-    summed = np.add.reduceat(summed, ws, axis=-2)
+    return np.append(np.arange(0, extent, factor), extent)
+
+
+def even_edges(extent: int, bins: int) -> np.ndarray:
+    """``bins`` bins as even as integer arithmetic allows."""
+    if not 1 <= bins <= extent:
+        raise TensorError(f"cannot split {extent} cells into {bins} bins")
+    return np.floor(np.arange(bins + 1) * extent / bins).astype(np.int64)
+
+
+def _bins(edges, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    edges = np.asarray(edges, dtype=np.int64)
+    sizes = np.diff(edges)
+    if (edges.ndim != 1 or len(edges) < 2 or edges[0] != 0 or edges[-1] != extent
+            or np.any(sizes < 1)):
+        raise TensorError(f"bin edges {edges.tolist()} do not split an extent of {extent}")
+    return edges[:-1], sizes
+
+
+def pool(x: Tensor, edges_h, edges_w) -> Tensor:
+    """Average the H and W axes of (..., H, W, C) over bins.
+
+    Bin ``i`` of an axis covers cells ``[edges[i], edges[i + 1])``; edges
+    rise strictly from 0 to the axis extent (see ``grid_edges`` and
+    ``even_edges``).
+    """
+    hs, hsz = _bins(edges_h, x.shape[-3])
+    ws, wsz = _bins(edges_w, x.shape[-2])
     counts = np.outer(hsz, wsz)[..., None]
-    data = summed / counts
+    data = np.empty(x.shape[:-3] + (len(hs), len(ws), x.shape[-1]))
+
+    def fill(sl):
+        summed = np.add.reduceat(x.data[sl], hs, axis=-3)
+        summed = np.add.reduceat(summed, ws, axis=-2)
+        np.divide(summed, counts, out=data[sl])
+
+    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 3 else 0)
 
     def rule(g):
         gh = np.repeat(g / counts, hsz, axis=-3)
         return (np.repeat(gh, wsz, axis=-2),)
 
-    return _emit("pool_grid", (x,), data, rule)
+    return _emit("pool", (x,), data, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from vpfuse.tensor import (
     embedding,
     gelu,
     grad_check,
+    grid_edges,
     layer_norm,
     linear,
     matmul,
     mul,
-    pool_grid,
+    pool,
     scalar_mul,
     slice_axis,
     softmax,
@@ -245,8 +246,9 @@ def _conv_pad_case(rng):
 @_case("pool_grid")
 def _pool_case(rng):
     w = Tensor(rng.randn(1, 3, 3, 2))
+    edges = grid_edges(5, 2)
     return (Tensor(rng.randn(1, 5, 5, 2)),
-            lambda t: tsum(mul(pool_grid(t, 2), w)))
+            lambda t: tsum(mul(pool(t, edges, edges), w)))
 
 
 @_case("embedding")

@@ -139,15 +139,14 @@ class TestGateLabels:
         assert capsys.readouterr().out == "p_img=0.500000 p_stc=0.000000 p_com=0.500000\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_forward_exits_1(tmp_path, capsys):
     model = FusionModel(parse_config(FAST), seed=1)
     model.named_parameters()["decoder.readout.w"].data[...] = 1e308
     ckpt = tmp_path / "huge.octo"
     save_checkpoint(model, ckpt, stage="tune")
     assert run_cli("eval", "--ckpt", str(ckpt), "--out", str(tmp_path / "ev")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite" in err
+    # The error line alone: no numpy overflow warning ahead of it.
+    assert capsys.readouterr().err == "error: op 'linear' produced non-finite values\n"
 
 
 class TestRoute:

@@ -54,15 +54,6 @@ def test_choice_distinct():
     assert sorted(v.tolist()) == list(range(10))
 
 
-def test_simplex3_on_simplex():
-    r = Rng(0, "s")
-    for _ in range(100):
-        p = r.simplex3()
-        assert p.shape == (3,)
-        assert np.all(p >= 0)
-        assert abs(p.sum() - 1.0) < 1e-12
-
-
 def test_scalar_draws_equal_vector_draws():
     # Scalar draws take a pure-Python path; it must match the numpy path bit
     # for bit and advance the stream by the same count.

@@ -1,5 +1,6 @@
 """Router logits, softmax gates, and fusion strategies."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestStrategies:
         _, g2 = self.run("random-weights", seed=5)
         np.testing.assert_array_equal(g1.p.data, g2.p.data)
         np.testing.assert_allclose(g1.p.data.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_random_weights_rows_on_simplex(self):
+        _, g = self.run("random-weights", seed=0, batch=100)
+        rows = g.p.data
+        assert rows.shape == (100, 3)
+        assert np.all(rows >= 0)
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) < 1e-12)
+        # Recorded while three slots still took a dedicated draw path.
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "8c523b3d12ab50a594be0e175d0901997ad1a2a8d7709652789711d15b76d680")
+        _, g = self.run("random-weights", seed=5, batch=4)
+        assert [v.hex() for v in g.p.data[0]] == [
+            "0x1.4f548ddaf9c4ep-1", "0x1.3bf62522cfc37p-2", "0x1.2b05f939e5968p-5"]
 
     def test_unknown_kind(self):
         with pytest.raises(FusionError):

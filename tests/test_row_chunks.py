@@ -1,0 +1,290 @@
+"""Forward kernels split into row chunks of the leading axis across threads.
+
+On shapes large enough to split, outputs and every gradient must be bitwise
+equal to the unsplit reference and to the same op on one thread.
+"""
+
+import contextlib
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_fused_ops import assert_bitwise, composed_attention, composed_linear, flags, run
+from test_tensor_ops import padded_conv3d_reference
+from vpfuse import tensor
+from vpfuse.tensor import (
+    NonFiniteError,
+    Tensor,
+    attention,
+    conv3d,
+    even_edges,
+    layer_norm,
+    linear,
+    pool,
+)
+
+
+@contextlib.contextmanager
+def threads(n):
+    saved = tensor._WORKERS
+    tensor._WORKERS = n
+    try:
+        yield
+    finally:
+        tensor._WORKERS = saved
+
+
+def split_and_serial(op, inputs, weight):
+    """``run`` with three threads and with one; both must agree bit for bit."""
+    with threads(3):
+        split = run(op, inputs, weight)
+    with threads(1):
+        serial = run(op, inputs, weight)
+    assert_bitwise(split, serial)
+    return split
+
+
+def seeded(draw):
+    return np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+
+
+def require_grads(draw, tensors):
+    for t, on in zip(tensors, flags(draw, len(tensors))):
+        t.requires_grad = on
+
+
+def test_chunks_depend_on_shape_only():
+    assert tensor._row_chunks(64, 134 * 64) == [
+        slice(0, 16), slice(16, 32), slice(32, 48), slice(48, 64)]
+    assert tensor._row_chunks(8, 10_000) == [slice(0, 4), slice(4, 8)]
+    assert tensor._row_chunks(7, 10_000) == [slice(None)]
+    assert tensor._row_chunks(1, 10 ** 6) == [slice(None)]
+    assert tensor._row_chunks(64, 100) == [slice(None)]
+    for rows in range(1, 70):
+        for work in (1_000, 5_000, 40_000):
+            chunks = tensor._row_chunks(rows, work)
+            assert len(chunks) <= 4
+            if len(chunks) > 1:
+                assert all((c.stop - c.start) * work >= tensor._MIN_CHUNK_WORK
+                           for c in chunks)
+
+
+@st.composite
+def big_linear_cases(draw):
+    b = draw(st.integers(1, 9))
+    t = draw(st.integers(100, 260))
+    d = draw(st.integers(2, 12))
+    h = draw(st.integers(128, 160))
+    act = draw(st.sampled_from([None, "gelu"]))
+    rng = seeded(draw)
+    x = Tensor(rng.randn(b, t, d) * 2.0)
+    w = Tensor(rng.randn(d, h))
+    bias = Tensor(rng.randn(h))
+    require_grads(draw, (x, w, bias))
+    return (x, w, bias), act, rng.randn(b, t, h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(big_linear_cases())
+def test_split_linear_bitwise(case):
+    inputs, act, weight = case
+    split = split_and_serial(lambda x, w, b: linear(x, w, b, act), inputs, weight)
+    composed = run(lambda x, w, b: composed_linear(x, w, b, act), inputs, weight)
+    assert_bitwise(split, composed)
+
+
+@st.composite
+def big_attention_cases(draw):
+    b = draw(st.integers(1, 7))
+    layout = draw(st.sampled_from(["tokens", "frames", "shared-batch"]))
+    d = draw(st.integers(2, 8))
+    k_is_v = draw(st.booleans())
+    dv = d if k_is_v else draw(st.integers(2, 8))
+    rng = seeded(draw)
+    if layout == "tokens":  # decoder-like self-attention over (B, N, D)
+        n = draw(st.integers(150, 260))
+        q_shape, k_shape, out_lead = (b, n, d), (b, n, d), (b, n)
+    elif layout == "frames":  # one query set broadcast over every frame
+        f, n, m = draw(st.integers(16, 32)), draw(st.integers(1, 4)), draw(st.integers(256, 512))
+        q_shape, k_shape, out_lead = (b, 1, n, d), (b, f, m, d), (b, f, n)
+    else:  # one query set shared by the whole batch
+        n, m = draw(st.integers(100, 200)), draw(st.integers(200, 300))
+        q_shape, k_shape, out_lead = (1, n, d), (b, m, d), (b, n)
+    q = Tensor(rng.randn(*q_shape))
+    k = Tensor(rng.randn(*k_shape))
+    v = k if k_is_v else Tensor(rng.randn(*k_shape[:-1], dv))
+    require_grads(draw, (q, k) if k_is_v else (q, k, v))
+    scale = draw(st.floats(0.05, 2.0))
+    return (q, k, v), scale, rng.randn(*out_lead, dv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(big_attention_cases())
+def test_split_attention_bitwise(case):
+    (q, k, v), scale, weight = case
+    if k is v:
+        inputs = (q, k)
+        split = split_and_serial(lambda q_, kv: attention(q_, kv, kv, scale), inputs, weight)
+        composed = run(lambda q_, kv: composed_attention(q_, kv, kv, scale), inputs, weight)
+    else:
+        inputs = (q, k, v)
+        split = split_and_serial(lambda *a: attention(*a, scale), inputs, weight)
+        composed = run(lambda *a: composed_attention(*a, scale), inputs, weight)
+    assert_bitwise(split, composed)
+
+
+def reference_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """The unsplit forward, and the backward for upstream gradient ``g``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(g.ndim - 1))
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return xhat * gamma + beta, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 9), st.integers(200, 400), st.integers(64, 128),
+       st.integers(0, 2 ** 31 - 1))
+def test_split_layer_norm_bitwise(b, t, d, seed):
+    rng = np.random.RandomState(seed)
+    inputs = (Tensor(rng.randn(b, t, d) * 3.0 + 1.0, requires_grad=True),
+              Tensor(rng.randn(d), requires_grad=True),
+              Tensor(rng.randn(d), requires_grad=True))
+    weight = rng.randn(b, t, d)
+    out, _, grads = split_and_serial(layer_norm, inputs, weight)
+    ref_out, ref_grads = reference_layer_norm(*(i.data for i in inputs), weight)
+    assert np.array_equal(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def big_conv_cases(draw):
+    lead = draw(st.sampled_from([(), (1,), (3,), (5,), (8,)]))  # () is a 4-D clip
+    k = draw(st.integers(1, 3))
+    stride = draw(st.sampled_from([(1, 1, 1), (1, 1, 1), (1, 2, 2), (2, 1, 1)]))
+    pad = tuple(draw(st.integers(0, 1)) for _ in range(3))
+    dims = tuple(draw(st.integers(6, 9)) for _ in range(3))
+    cin, cout = draw(st.integers(1, 4)), draw(st.integers(96, 160))
+    rng = seeded(draw)
+    x = Tensor(rng.randn(*lead, *dims, cin))
+    kernel = Tensor(rng.randn(k, k, k, cin, cout))
+    require_grads(draw, (x, kernel))
+    out_dims = tuple(tensor.conv3d_out_dim(n, k, s, p) for n, s, p in zip(dims, stride, pad))
+    return (x, kernel), stride, pad, rng.randn(*lead, *out_dims, cout)
+
+
+@settings(max_examples=25, deadline=None)
+@given(big_conv_cases())
+def test_split_conv3d_bitwise(case):
+    (x, kernel), stride, pad, weight = case
+    out, _, (dx, dk) = split_and_serial(lambda a, b: conv3d(a, b, stride, pad),
+                                        (x, kernel), weight)
+    # Unsplit reference: one clip at a time (a 4-D input is never split).
+    clips = x.data if x.ndim == 5 else x.data[None]
+    per_clip = np.stack([conv3d(Tensor(c), kernel, stride, pad).data for c in clips])
+    assert np.array_equal(out, per_clip if x.ndim == 5 else per_clip[0])
+    # The padded per-offset form runs its GEMMs over other row counts, which
+    # round differently, so it is matched to rounding: 1e-12 of each array's
+    # scale covers float64 sums over a few hundred terms.
+    ref = padded_conv3d_reference(x.data, kernel.data, weight, stride, pad)
+    for got, want in zip((out, dx, dk), ref):
+        if got is not None:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@st.composite
+def big_pool_cases(draw):
+    h, w = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    edges = even_edges(h, draw(st.integers(1, h))), even_edges(w, draw(st.integers(1, w)))
+    x = seeded(draw).randn(draw(st.integers(1, 9)), draw(st.integers(16, 48)), h, w, 32)
+    return x, edges
+
+
+@settings(max_examples=20, deadline=None)
+@given(big_pool_cases())
+def test_split_pool_bitwise(case):
+    x, (eh, ew) = case
+    sh, sw = np.diff(eh), np.diff(ew)
+    weight = np.random.RandomState(0).randn(*x.shape[:2], len(sh), len(sw), 32)
+    out, _, (dx,) = split_and_serial(lambda a: pool(a, eh, ew),
+                                     (Tensor(x, requires_grad=True),), weight)
+    counts = np.outer(sh, sw)[..., None]
+    summed = np.add.reduceat(np.add.reduceat(x, eh[:-1], axis=-3), ew[:-1], axis=-2)
+    assert np.array_equal(out, summed / counts)
+    assert np.array_equal(dx, np.repeat(np.repeat(weight / counts, sh, axis=-3), sw, axis=-2))
+
+
+def test_non_finite_score_in_one_chunk():
+    rng = np.random.RandomState(0)
+    q, k, v = (rng.randn(4, 134, 32) for _ in range(3))
+    assert len(tensor._row_chunks(4, 134 * 134)) == 2
+    q[3, 5, 0], k[3, 7, 0] = 1e200, -1e200  # one -inf score, in the last chunk
+    with threads(3), np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="attention"):
+            attention(Tensor(q), Tensor(k), Tensor(v), 0.25)
+        q[3, 5, 0] = 0.0
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 0.25).data
+    with threads(1):
+        assert np.array_equal(out, attention(Tensor(q), Tensor(k), Tensor(v), 0.25).data)
+
+
+def test_worker_chunk_honours_callers_errstate():
+    # The first chunk, on the caller, waits until a worker has run the second,
+    # so the second cannot be taken back by the caller.
+    ran = threading.Event()
+    seen = {}
+
+    def fill(sl):
+        if sl.start == 0:
+            assert ran.wait(timeout=30)
+            return
+        seen["thread"] = threading.get_ident()
+        ran.set()
+        np.float64(1e308) * 10.0
+
+    with threads(2), np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            tensor._over_rows(fill, 2, tensor._MIN_CHUNK_WORK)
+    assert seen["thread"] != threading.get_ident()
+
+
+def test_concurrent_callers_stress():
+    # More callers and workers than cores, with frequent thread switches:
+    # every caller must still get the one-thread result.
+    rng = np.random.RandomState(1)
+    x = Tensor(rng.randn(9, 150, 8))
+    w, b = Tensor(rng.randn(8, 128)), Tensor(rng.randn(128))
+    with threads(1):
+        want = linear(x, w, b, "gelu").data
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(20):
+                results.append(np.array_equal(linear(x, w, b, "gelu").data, want))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with threads(4):
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert not errors and len(results) == 80 and all(results)

@@ -15,10 +15,12 @@ from vpfuse.tensor import (
     conv3d_out_dim,
     cross_entropy,
     embedding,
+    even_edges,
     gelu,
+    grid_edges,
     layer_norm,
     matmul,
-    pool_grid,
+    pool,
     softmax,
     tmean,
     tsum,
@@ -269,13 +271,30 @@ class TestPlumbingOps:
 
     def test_pool_grid_even_and_uneven(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
-        out = pool_grid(Tensor(x), 2).data
+        out = pool(Tensor(x), grid_edges(4, 2), grid_edges(4, 2)).data
         np.testing.assert_allclose(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
         # 27 -> 14 bins with a 1-wide trailing bin, matching ceil(27/2)
         y = np.ones((1, 27, 27, 2))
-        pooled = pool_grid(Tensor(y), 2)
+        np.testing.assert_array_equal(grid_edges(27, 2), list(range(0, 27, 2)) + [27])
+        pooled = pool(Tensor(y), grid_edges(27, 2), grid_edges(27, 2))
         assert pooled.shape == (1, 14, 14, 2)
         np.testing.assert_allclose(pooled.data, 1.0)
+
+    def test_pool_even_bins(self):
+        np.testing.assert_array_equal(even_edges(5, 2), [0, 2, 5])
+        x = np.arange(25.0).reshape(5, 5, 1)
+        out = pool(Tensor(x), even_edges(5, 2), even_edges(5, 1)).data
+        np.testing.assert_allclose(out[:, 0, 0], [x[:2].mean(), x[2:].mean()])
+
+    def test_pool_rejects_bad_edges(self):
+        x = Tensor(np.ones((1, 4, 4, 1)))
+        for edges in ([0, 2], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4], [[0, 4]]):
+            with pytest.raises(TensorError):
+                pool(x, edges, [0, 4])
+        with pytest.raises(TensorError):
+            even_edges(4, 5)
+        with pytest.raises(TensorError):
+            grid_edges(4, 0)
 
 
 class TestFiniteGuard:

@@ -3,6 +3,10 @@
 import gc
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,11 +163,9 @@ class TestTrainLoop:
             gc.enable()
 
 
-def test_whole_model_pin():
-    # One digest over a short two-stage run: the loss curve, every parameter
-    # byte afterwards and an eval report.  Recorded before the fused linear
-    # and attention ops replaced the composed ones, so any change in the
-    # arithmetic of a forward or backward rule shows up here.
+def pin_digest():
+    """One digest over a short two-stage run: the loss curve, every parameter
+    byte afterwards and an eval report."""
     cfg = fast_cfg()
     model = FusionModel(cfg, seed=3)
     curve = run_stage(model, cfg, "pretrain", steps=2, seed=3).loss_curve
@@ -178,5 +180,27 @@ def test_whole_model_pin():
     h.update(report.accuracy_csv().encode())
     for gates in report.mean_gates.values():
         h.update(gates.tobytes())
-    assert h.hexdigest() == (
-        "8d915e09062755b5c2bbbd4e20924614ec83506eff3f0db08ab16db9372d89cd")
+    return h.hexdigest()
+
+
+def test_whole_model_pin():
+    # Any change in the arithmetic of a forward or backward rule shows up
+    # here.  A BLAS thread count of 2 changes the last bit of some weight
+    # gradients (their GEMMs split the summed axis), so the pin runs in one
+    # child process per thread count.  The 2-thread digest was recorded
+    # before the fused linear and attention ops replaced the composed ones,
+    # the 1-thread digest before ops were split into row chunks.
+    expected = {
+        1: "ad5c0475e459c1a5d4c7df3e0d9d7b19acc6569053bcb7ebb1f2dd28151683b9",
+        2: "8d915e09062755b5c2bbbd4e20924614ec83506eff3f0db08ab16db9372d89cd",
+    }
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    for threads, digest in expected.items():
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_training; print(test_training.pin_digest())"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == digest, f"{threads} BLAS thread(s)"
