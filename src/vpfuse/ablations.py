@@ -1,10 +1,12 @@
-"""Evaluation and the ablation harnesses (fusion strategy, projector subset,
-stacked projectors).
+"""Evaluation and the ablation harness.
 
-Every harness trains complete two-stage models from scratch; runs that share
-a seed consume identical data streams, so cross-arm comparisons differ only
-in the component under ablation.  Reports come back both as structured
-objects and as deterministic CSV/plain-text renderings.
+An ablation is a list of arms, each a name and a complete config; one arm
+list per mode (fusion strategy, projector subset, stacked projectors), and
+one loop, ``run_arms``, that trains a two-stage model per (arm, seed) from
+scratch and evaluates it.  Runs that share a seed consume identical data
+streams, so cross-arm comparisons differ only in the component under
+ablation.  Reports come back both as structured objects and as deterministic
+CSV/plain-text renderings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import Config
+from .config import PROJECTOR_KINDS, STRATEGIES, Config
 from .model import FusionModel
 from .rng import Rng
 from .router import FusionStrategy
@@ -175,85 +177,47 @@ def _aggregate(name: str, reports: list[EvalReport]) -> AblationRow:
                        combined=(float(np.mean(combined)), float(np.std(combined))))
 
 
-def run_strategy_ablation(cfg: Config, strategies: Sequence[str],
-                          seeds: Sequence[int],
-                          pretrain_steps: Optional[int] = None,
-                          tune_steps: Optional[int] = None,
-                          n_eval: Optional[int] = None) -> AblationTable:
-    """One trained model per (strategy, seed); identical data per seed."""
-    if len(seeds) < 1:
-        raise ValueError("at least one seed required")
-    rows = []
-    for strat in strategies:
-        reports = []
-        for seed in seeds:
-            run_cfg = cfg.replace(train__strategy=strat)
-            model = run_two_stage(run_cfg, seed, pretrain_steps, tune_steps)
-            reports.append(evaluate(model, n=n_eval))
-        rows.append(_aggregate(strat, reports))
-    return AblationTable(mode="strategy", rows=rows, seeds=list(seeds))
+def strategy_arms(cfg: Config) -> list[tuple[str, Config]]:
+    """One arm per fusion strategy."""
+    return [(kind, cfg.replace(train__strategy=kind)) for kind in STRATEGIES]
 
 
 SUBSETS = (("image",), ("stc",), ("com",), ("image", "stc", "com"))
 
 
-def subset_name(subset: Sequence[str]) -> str:
-    return "+".join(subset)
+def subset_arms(cfg: Config) -> list[tuple[str, Config]]:
+    """Each singleton projector subset, then the full set: excluded slots get
+    gate weight 0."""
+    return [("+".join(subset), cfg.replace(projectors__active=subset))
+            for subset in SUBSETS]
 
 
-def run_subset_ablation(cfg: Config, subsets: Sequence[Sequence[str]] = SUBSETS,
-                        seeds: Sequence[int] = (1,),
-                        pretrain_steps: Optional[int] = None,
-                        tune_steps: Optional[int] = None,
-                        n_eval: Optional[int] = None) -> AblationTable:
-    """Restrict the gate to a projector subset (excluded slots get weight 0),
-    then train and evaluate each restriction."""
+def stacked_config(cfg: Config, kind: str) -> Config:
+    """Config for three independently initialized projectors of one kind."""
+    return cfg.replace(projectors__kinds=(kind,) * 3,
+                       projectors__active=tuple(f"{kind}{i}" for i in range(3)))
+
+
+def stacked_arms(cfg: Config) -> list[tuple[str, Config]]:
+    """Stacked same-kind trios in place of the heterogeneous one (the router
+    is unchanged), then the heterogeneous fusion model itself."""
+    return ([(f"stacked-{kind}", stacked_config(cfg, kind)) for kind in PROJECTOR_KINDS]
+            + [("fusion", cfg)])
+
+
+ARMS = {"strategy": strategy_arms, "subset": subset_arms, "stacked": stacked_arms}
+
+
+def run_arms(mode: str, arms: Sequence[tuple[str, Config]], seeds: Sequence[int],
+             pretrain_steps: Optional[int] = None,
+             tune_steps: Optional[int] = None,
+             n_eval: Optional[int] = None) -> AblationTable:
+    """One trained and evaluated model per (arm, seed); one row per arm."""
+    if len(seeds) < 1:
+        raise ValueError("at least one seed required")
     rows = []
-    for subset in subsets:
-        if not subset:
-            raise ValueError("projector subsets must be non-empty")
-        reports = []
-        for seed in seeds:
-            run_cfg = cfg.replace(projectors__active=tuple(subset))
-            model = run_two_stage(run_cfg, seed, pretrain_steps, tune_steps)
-            reports.append(evaluate(model, n=n_eval))
-        rows.append(_aggregate(subset_name(subset), reports))
-    return AblationTable(mode="subset", rows=rows, seeds=list(seeds))
-
-
-def stacked_config(cfg: Config, kind: str, copies: int = 3) -> Config:
-    """Config for `copies` independently initialized projectors of one kind.
-
-    With one copy this degenerates to the singleton-subset run of the
-    heterogeneous model.
-    """
-    if copies == 3:
-        kinds = (kind, kind, kind)
-        return cfg.replace(projectors__kinds=kinds,
-                           projectors__active=(f"{kind}0", f"{kind}1", f"{kind}2"))
-    if copies == 1:
-        return cfg.replace(projectors__active=(kind,))
-    raise ValueError("stacked ablation supports 1 or 3 copies")
-
-
-def run_stacked_ablation(cfg: Config, kinds: Sequence[str] = ("image", "stc", "com"),
-                         seeds: Sequence[int] = (1,), copies: int = 3,
-                         pretrain_steps: Optional[int] = None,
-                         tune_steps: Optional[int] = None,
-                         n_eval: Optional[int] = None,
-                         include_fusion_row: bool = True) -> AblationTable:
-    """Replace the heterogeneous trio with stacked same-kind copies; the
-    router is unchanged."""
-    rows = []
-    for kind in kinds:
-        reports = []
-        for seed in seeds:
-            model = run_two_stage(stacked_config(cfg, kind, copies), seed,
-                                  pretrain_steps, tune_steps)
-            reports.append(evaluate(model, n=n_eval))
-        rows.append(_aggregate(f"stacked-{kind}", reports))
-    if include_fusion_row:
-        reports = [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps),
-                            n=n_eval) for seed in seeds]
-        rows.append(_aggregate("fusion", reports))
-    return AblationTable(mode="stacked", rows=rows, seeds=list(seeds))
+    for name, cfg in arms:
+        reports = [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps), n=n_eval)
+                   for seed in seeds]
+        rows.append(_aggregate(name, reports))
+    return AblationTable(mode=mode, rows=rows, seeds=list(seeds))

@@ -15,7 +15,9 @@ Layout (all integers little-endian):
 
 The config blob is the canonical config serialization plus a trailing
 `# stage: <name>` comment recording which training stage produced the file.
-Round-trips are bitwise: save -> load -> save yields identical bytes.
+Round-trips are bitwise: saving a loaded model with the stage that
+`load_checkpoint` returned yields identical bytes, because parsing a
+canonical serialization and serializing it again gives the same text.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ _STAGE_PREFIX = "# stage: "
 
 
 class CheckpointError(ValueError):
-    """Bad magic, version, truncation, or mismatch against the config."""
+    """Bad magic, version, truncation, undecodable or invalid config or
+    tensor names, or mismatch against the config."""
 
 
 def _config_blob(cfg: Config, stage: Optional[str]) -> str:
@@ -46,19 +49,9 @@ def _config_blob(cfg: Config, stage: Optional[str]) -> str:
     return text
 
 
-def save_checkpoint(model: FusionModel, path, stage: Optional[str] = None,
-                    config_blob: Optional[str] = None) -> None:
-    """Write the model's parameters and config; bitwise deterministic.
-
-    With no explicit stage, a model that came from ``load_checkpoint`` is
-    written back with its original config blob, so save -> load -> save is
-    byte-identical.
-    """
-    if config_blob is None and stage is None:
-        config_blob = resave_blob(model)
-    if config_blob is None:
-        config_blob = _config_blob(model.cfg, stage)
-    blob = config_blob.encode("utf-8")
+def save_checkpoint(model: FusionModel, path, stage: Optional[str] = None) -> None:
+    """Write the model's parameters and config; bitwise deterministic."""
+    blob = _config_blob(model.cfg, stage).encode("utf-8")
     params = model.named_parameters()
     names = sorted(params)
     out = bytearray()
@@ -96,6 +89,12 @@ class _Reader:
         vals = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return vals[0] if len(vals) == 1 else vals
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not valid UTF-8: {exc}") from exc
+
 
 def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     """Rebuild the model from a checkpoint; every parameter comes from disk."""
@@ -106,14 +105,16 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob_len = reader.unpack("<Q")
-    blob = reader.take(blob_len).decode("utf-8")
+    blob = reader.text(blob_len, "config blob")
     stage = None
     for line in blob.splitlines():
         if line.startswith(_STAGE_PREFIX):
             stage = line[len(_STAGE_PREFIX):].strip()
-    cfg = parse_config(blob)
-
-    model = FusionModel(cfg, seed=cfg["train.seed"])
+    try:
+        cfg = parse_config(blob)
+        model = FusionModel(cfg, seed=cfg["train.seed"])
+    except ValueError as exc:
+        raise CheckpointError(f"invalid config blob: {exc}") from exc
     params = model.named_parameters()
     expected = set(params)
 
@@ -121,7 +122,7 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     seen = set()
     for _ in range(count):
         name_len = reader.unpack("<I")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len, "tensor name")
         dtype = reader.unpack("<B")
         if dtype != DTYPE_F64:
             raise CheckpointError(f"unknown dtype code {dtype} for tensor {name!r}")
@@ -145,10 +146,4 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     missing = expected - seen
     if missing:
         raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)[:5]}")
-
-    model._checkpoint_blob = blob  # saved back verbatim for byte-exact round trips
     return model, cfg, stage
-
-
-def resave_blob(model: FusionModel) -> Optional[str]:
-    return getattr(model, "_checkpoint_blob", None)

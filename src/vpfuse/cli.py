@@ -22,20 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablations import (
-    SUBSETS,
-    evaluate,
-    gate_columns,
-    run_stacked_ablation,
-    run_strategy_ablation,
-    run_subset_ablation,
-)
+from .ablations import ARMS, evaluate, gate_columns, run_arms
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import STRATEGIES, Config, ConfigError, parse_config
+from .config import Config, ConfigError, parse_config
 from .encoders import EncodingError
 from .model import FusionModel
 from .projectors import compute_token_budget, validate_alignment
-from .router import FusionError, gate
+from .router import FusionError, gate, scatter_gates
 from .tasks import FAMILIES, TaskError, batch_stream
 from .tensor import NonFiniteError
 from .training import TrainConfig, TrainingError, train
@@ -122,12 +115,11 @@ def cmd_train(args) -> int:
         steps = args.steps
 
     if args.init:
-        model, ckpt_cfg, ckpt_stage = load_checkpoint(args.init)
+        model, ckpt_cfg, _ = load_checkpoint(args.init)
         if ckpt_cfg.serialize() != cfg.serialize():
             print("error: --init checkpoint config does not match --config",
                   file=sys.stderr)
             return EXIT_VALIDATION
-        model._checkpoint_blob = None  # new stage, fresh blob on save
     else:
         if args.stage == "tune":
             print("note: tuning from random init (no --init pretrain checkpoint)",
@@ -195,6 +187,7 @@ def cmd_route(args) -> int:
         return EXIT_VALIDATION
     instr = model.instruction_encoder.encode(ids[None, :])
     gates = gate(model.router.route(instr), model.active)
+    gates = scatter_gates(gates.p.data, model.active, model.router.n_slots)
     print(" ".join(f"{col}={v:.6f}"
                    for col, v in zip(gate_columns(cfg), gates.p.data[0])))
     return EXIT_OK
@@ -206,14 +199,8 @@ def cmd_ablate(args) -> int:
     if not seeds:
         print("error: at least one seed required", file=sys.stderr)
         return EXIT_VALIDATION
-    kw = dict(seeds=seeds, pretrain_steps=args.pretrain_steps,
-              tune_steps=args.tune_steps, n_eval=args.n)
-    if args.mode == "strategy":
-        table = run_strategy_ablation(cfg, STRATEGIES, **kw)
-    elif args.mode == "subset":
-        table = run_subset_ablation(cfg, SUBSETS, **kw)
-    else:
-        table = run_stacked_ablation(cfg, **kw)
+    table = run_arms(args.mode, ARMS[args.mode](cfg), seeds, args.pretrain_steps,
+                     args.tune_steps, args.n)
 
     run_dir = _make_run_dir(args.out)
     _write_manifest(run_dir, cfg, seeds[0], f"ablate --mode {args.mode}", 0, 0,
@@ -258,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run an ablation table")
     p.add_argument("--config")
-    p.add_argument("--mode", choices=("strategy", "subset", "stacked"), required=True)
+    p.add_argument("--mode", choices=tuple(ARMS), required=True)
     p.add_argument("--seeds", default="1,2", help="comma list of seeds")
     p.add_argument("--pretrain-steps", type=int)
     p.add_argument("--tune-steps", type=int)

@@ -181,6 +181,8 @@ class Config:
     def active_slots(self) -> tuple[int, ...]:
         labels = self.slot_labels()
         active = self["projectors.active"]
+        if not active:
+            raise ConfigError("projectors.active must name at least one slot")
         bad = [a for a in active if a not in labels]
         if bad:
             raise ConfigError(f"projectors.active names {bad} not among slots {labels}")

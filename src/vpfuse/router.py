@@ -7,6 +7,14 @@ streams.  The alternative fusion strategies used by the ablation harness
 (uniform average, token concatenation, random simplex weights, random one-hot
 choice) live here too.
 
+There is one gating path.  ``gate`` softmaxes the active slots' logits only,
+so its gates have one column per active slot, like every other strategy's,
+and ``fuse`` weights the active streams with them.  ``scatter_gates`` is the
+one place that aligns gates to all slots (exact zeros on inactive slots) for
+reporting: ``fuse_with_strategy`` uses it for every strategy, and so does the
+``route`` command.  Image inputs bypass the router: ``FusionModel.forward``
+sends them to the image-based projector and reports a one-hot gate.
+
 The second router stage is zero-initialized, so an untrained router emits
 exactly zero logits and uniform gates: the router strategy and the average
 strategy coincide until tuning moves the gate.
@@ -69,26 +77,16 @@ class Router:
 
 
 def gate(logits: RouterLogits, active: Optional[Sequence[int]] = None) -> GateWeights:
-    """Softmax gate values; with ``active`` set, excluded slots get exactly 0.
+    """Softmax over the ``active`` logit columns (all when None), in slot order.
 
-    Restricting to a subset is the -inf-logit limit: the softmax runs over
-    the active columns only and the rest of the row is identically zero.
+    Restricting to a subset is the -inf-logit limit: excluded slots would get
+    exactly 0, and ``scatter_gates`` puts those zeros back for reporting.
     """
     values = logits.values
-    n = values.shape[-1]
-    if active is None or len(active) == n:
-        return GateWeights(p=softmax(values, axis=-1))
-    cols = [slice_axis(values, values.ndim - 1, i, i + 1) for i in active]
-    sub = softmax(concat(cols, axis=-1), axis=-1)
-    zero = Tensor(np.zeros(values.shape[:-1] + (1,)))
-    out_cols = []
-    for i in range(n):
-        if i in active:
-            j = list(active).index(i)
-            out_cols.append(slice_axis(sub, sub.ndim - 1, j, j + 1))
-        else:
-            out_cols.append(zero)
-    return GateWeights(p=concat(out_cols, axis=-1))
+    if active is not None and len(active) < values.shape[-1]:
+        values = concat([slice_axis(values, values.ndim - 1, i, i + 1) for i in active],
+                        axis=-1)
+    return GateWeights(p=softmax(values, axis=-1))
 
 
 def _exact_one_hot_rows(p: np.ndarray) -> Optional[np.ndarray]:
@@ -145,8 +143,9 @@ def one_hot_gates(batch: int, index: int, n_slots: int = 3) -> GateWeights:
     return GateWeights(p=Tensor(p))
 
 
-def _scatter_gates(compact: np.ndarray, active: Sequence[int],
-                   n_slots: int) -> GateWeights:
+def scatter_gates(compact: np.ndarray, active: Sequence[int],
+                  n_slots: int) -> GateWeights:
+    """Slot-aligned copy of per-active-slot gates; inactive slots get 0."""
     full = np.zeros((compact.shape[0], n_slots))
     full[:, list(active)] = compact
     return GateWeights(p=Tensor(full))
@@ -172,15 +171,8 @@ def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
         tokens = concat([e.tokens for e in embeddings], axis=1)
         return VisualTokens(tokens=tokens, source="fused"), None
     if kind == "router":
-        logits = router.route(instr)
-        g = gate(logits, active if len(active) < n_slots else None)
-        if len(active) < n_slots:
-            compact = GateWeights(
-                p=concat([slice_axis(g.p, 1, i, i + 1) for i in active], axis=1))
-        else:
-            compact = g
-        return fuse(compact, embeddings), g
-    if kind == "average":
+        compact = gate(router.route(instr), active)
+    elif kind == "average":
         compact = uniform_gates(batch, n)
     elif kind == "random-weights":
         if strategy.rng is None:
@@ -196,7 +188,7 @@ def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
         compact = GateWeights(p=Tensor(rows))
     else:
         raise FusionError(f"unknown fusion strategy {kind!r}")
-    return fuse(compact, embeddings), _scatter_gates(compact.p.data, active, n_slots)
+    return fuse(compact, embeddings), scatter_gates(compact.p.data, active, n_slots)
 
 
 def _random_simplex(rng: Rng, n: int) -> np.ndarray:
@@ -205,17 +197,3 @@ def _random_simplex(rng: Rng, n: int) -> np.ndarray:
     while u.sum() == 0.0:
         u = rng.uniform((n,))
     return u / u.sum()
-
-
-def modality_gate(modality: str, instr: Optional[InstructionEncoding],
-                  router: Router, batch: int,
-                  image_slot: int = 0) -> GateWeights:
-    """Image inputs force a one-hot gate on the image-based slot, bypassing
-    the router entirely; video inputs take the routed path."""
-    if modality == "image":
-        return one_hot_gates(batch, image_slot, router.n_slots)
-    if modality == "video":
-        if instr is None:
-            raise FusionError("video modality requires an instruction encoding")
-        return gate(router.route(instr))
-    raise FusionError(f"unknown modality {modality!r}")

@@ -125,9 +125,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
@@ -138,9 +135,6 @@ class Tensor:
 
     def __neg__(self):
         return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         backward(self)

@@ -5,13 +5,14 @@ import pytest
 
 from vpfuse.ablations import (
     evaluate,
-    run_stacked_ablation,
-    run_strategy_ablation,
-    run_subset_ablation,
+    run_arms,
     run_two_stage,
+    stacked_arms,
     stacked_config,
+    strategy_arms,
+    subset_arms,
 )
-from vpfuse.config import STRATEGIES, default_config
+from vpfuse.config import STRATEGIES, ConfigError, default_config
 from vpfuse.model import FusionModel
 
 pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
@@ -55,17 +56,18 @@ class TestEvaluate:
 
 class TestHarnesses:
     def test_strategy_table_has_row_per_strategy(self):
-        table = run_strategy_ablation(tiny_cfg(), STRATEGIES, seeds=(1,),
-                                      pretrain_steps=2, tune_steps=2, n_eval=8)
+        table = run_arms("strategy", strategy_arms(tiny_cfg()), seeds=(1,),
+                         pretrain_steps=2, tune_steps=2, n_eval=8)
         assert [r.name for r in table.rows] == list(STRATEGIES)
         csv = table.to_csv()
         assert csv.count("\n") == len(STRATEGIES) + 1
 
     def test_subset_table_lists_singletons_plus_full(self):
-        table = run_subset_ablation(tiny_cfg(), seeds=(1,),
-                                    pretrain_steps=2, tune_steps=2, n_eval=8)
+        table = run_arms("subset", subset_arms(tiny_cfg()), seeds=(1,),
+                         pretrain_steps=2, tune_steps=2, n_eval=8)
         assert [r.name for r in table.rows] == ["image", "stc", "com",
                                                 "image+stc+com"]
+        assert "\nsubset,image," in table.to_csv()
 
     def test_stacked_runs_three_copies(self):
         cfg = stacked_config(tiny_cfg(), "stc")
@@ -74,18 +76,19 @@ class TestHarnesses:
         names = model.named_parameters()
         assert any(n.startswith("projectors.stc0.") for n in names)
         assert any(n.startswith("projectors.stc2.") for n in names)
-
-    def test_stacked_single_copy_reduces_to_singleton_subset(self):
-        cfg = tiny_cfg()
-        assert (stacked_config(cfg, "image", copies=1).serialize()
-                == cfg.replace(projectors__active=("image",)).serialize())
+        arms = stacked_arms(tiny_cfg())
+        assert [name for name, _ in arms] == ["stacked-image", "stacked-stc",
+                                              "stacked-com", "fusion"]
+        assert arms[1][1].serialize() == cfg.serialize()
+        assert arms[-1][1].serialize() == tiny_cfg().serialize()
 
     def test_determinism_same_seeds_same_csv(self):
         cfg = tiny_cfg()
-        t1 = run_strategy_ablation(cfg, ("router", "average"), seeds=(1, 2),
-                                   pretrain_steps=2, tune_steps=2, n_eval=8)
-        t2 = run_strategy_ablation(cfg, ("router", "average"), seeds=(1, 2),
-                                   pretrain_steps=2, tune_steps=2, n_eval=8)
+        arms = strategy_arms(cfg)[:2]  # router, average
+        t1 = run_arms("strategy", arms, seeds=(1, 2),
+                      pretrain_steps=2, tune_steps=2, n_eval=8)
+        t2 = run_arms("strategy", arms, seeds=(1, 2),
+                      pretrain_steps=2, tune_steps=2, n_eval=8)
         assert t1.to_csv() == t2.to_csv()
 
     def test_two_stage_preserves_stage1_projectors_into_stage2(self):
@@ -99,6 +102,10 @@ class TestHarnesses:
             assert p1.data.tobytes() == p2.data.tobytes(), n1
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            run_subset_ablation(tiny_cfg(), subsets=((),), seeds=(1,),
-                                pretrain_steps=1, tune_steps=1, n_eval=4)
+        arms = [("", tiny_cfg().replace(projectors__active=()))]
+        with pytest.raises(ConfigError, match="at least one slot"):
+            run_arms("subset", arms, seeds=(1,), pretrain_steps=1, tune_steps=1, n_eval=4)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_arms("strategy", strategy_arms(tiny_cfg()), seeds=())

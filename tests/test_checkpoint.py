@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpfuse.checkpoint import (
     CheckpointError,
@@ -20,6 +22,31 @@ def small_cfg():
     return default_config().replace(train__batch=4)
 
 
+def with_config_blob(raw: bytes, blob: bytes) -> bytes:
+    """Checkpoint bytes ``raw`` with the config blob replaced by ``blob``."""
+    (old_len,) = struct.unpack_from("<Q", raw, 8)
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + old_len:]
+
+
+def header_offsets(raw: bytes) -> list[int]:
+    """Offset of every byte that is not a tensor value: magic, version, the
+    config blob and its length, the tensor count and each tensor's header."""
+    (blob_len,) = struct.unpack_from("<Q", raw, 8)
+    pos = 16 + blob_len
+    offsets = list(range(pos + 8))
+    (count,) = struct.unpack_from("<Q", raw, pos)
+    pos += 8
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        (rank,) = struct.unpack_from("<I", raw, pos + 4 + name_len + 1)
+        head = 4 + name_len + 1 + 4 + 8 * rank
+        dims = struct.unpack_from(f"<{rank}Q", raw, pos + head - 8 * rank)
+        offsets += range(pos, pos + head)
+        pos += head + 8 * int(np.prod(dims))
+    assert pos == len(raw)
+    return offsets
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     model = FusionModel(small_cfg(), seed=3)
     p1 = tmp_path / "a.octo"
@@ -27,7 +54,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(model, p1, stage="pretrain")
     loaded, _, stage = load_checkpoint(p1)
     assert stage == "pretrain"
-    save_checkpoint(loaded, p2)
+    save_checkpoint(loaded, p2, stage=stage)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -73,8 +100,9 @@ def test_shape_mismatch_detected(tmp_path):
     # a checkpoint whose embedded config disagrees with its tensor dims
     model = FusionModel(small_cfg(), seed=0)
     path = tmp_path / "s.octo"
-    blob = model.cfg.replace(router__hidden=16).serialize()
-    save_checkpoint(model, path, config_blob=blob)
+    save_checkpoint(model, path)
+    blob = model.cfg.replace(router__hidden=16).serialize().encode()
+    path.write_bytes(with_config_blob(path.read_bytes(), blob))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path)
 
@@ -95,3 +123,41 @@ def test_resume_stage2_forward_matches_bitwise(tmp_path):
     assert stage == "pretrain"
     logits_after, _ = resumed.forward(batch)
     assert logits_after.data.tobytes() == logits_before.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.octo"
+    save_checkpoint(FusionModel(small_cfg(), seed=0), path, stage="tune")
+    raw = path.read_bytes()
+    return path, raw, header_offsets(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(saved, data):
+    # Header bytes are drawn most often: a flipped tensor value loads silently
+    # (the format has no checksum), so flips there test little.
+    path, raw, headers = saved
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.one_of(st.sampled_from(headers),
+                                  st.integers(0, len(raw) - 1)), label="offset")
+        mask = data.draw(st.integers(1, 255), label="xor")
+        corrupt = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+    path.write_bytes(corrupt)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("junk, message", [(b"\xff", "UTF-8"),
+                                            (b"video.grid = 15\n", "config")])
+def test_bad_config_blob_is_checkpoint_error(tmp_path, junk, message):
+    path = tmp_path / "c.octo"
+    save_checkpoint(FusionModel(small_cfg(), seed=0), path)
+    path.write_bytes(with_config_blob(path.read_bytes(), junk))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,28 @@ class TestAblateCommand:
                            "--tune-steps", "2", "--n", "8", "--out", str(out)) == 0
             csvs.append((out / "ablation.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_ablation_csvs_pinned(self, tmp_path):
+        # Recorded while each mode had its own harness loop.  Run with one
+        # BLAS thread, in a child process so the setting takes effect.
+        expected = {
+            "strategy": "c3c2ffcec93e276faf33266d06a13e00e16d06607f1d4c11e66176031952742e",
+            "subset": "068ab88567f9c92cbcba637ce9ca2536468264e780b87e252e728d250d0a537e",
+            "stacked": "8ed4bc9c21bbd50c0077a8b83badd673a858ef70dc7ff2a1ebd2e36c44335e00",
+        }
+        root = Path(__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        code = ("import sys\nfrom vpfuse.cli import main\n"
+                "for mode in sys.argv[2:]:\n"
+                "    assert main(['ablate', '--mode', mode, '--seeds', '1',"
+                " '--pretrain-steps', '2', '--tune-steps', '2', '--n', '8',"
+                " '--out', f'{sys.argv[1]}/{mode}']) == 0\n")
+        child = subprocess.run([sys.executable, "-c", code, str(tmp_path), *expected],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert {mode: hashlib.sha256((tmp_path / mode / "ablation.csv").read_bytes()
+                                     ).hexdigest() for mode in expected} == expected
 
 
 def test_console_entrypoint_runs():

@@ -1,8 +1,17 @@
 """Config parsing, validation, and canonical round-trips."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vpfuse.config import ConfigError, default_config, parse_config
+from vpfuse.config import (
+    PROJECTOR_KINDS,
+    SCHEMA,
+    STRATEGIES,
+    ConfigError,
+    default_config,
+    parse_config,
+)
 from vpfuse.projectors import compute_token_budget, validate_alignment
 
 
@@ -83,3 +92,44 @@ def test_slot_labels_unique_for_stacked_kinds():
 def test_active_subset_must_name_slots():
     with pytest.raises(ConfigError, match="active"):
         parse_config("projectors.active = imgg")
+    with pytest.raises(ConfigError, match="at least one slot"):
+        default_config().replace(projectors__active=()).active_slots()
+
+
+@st.composite
+def valid_configs(draw):
+    """A config with a random subset of keys set to random in-range values."""
+    overrides = {}
+    for key in draw(st.sets(st.sampled_from(sorted(SCHEMA)))):
+        kind = SCHEMA[key].kind
+        if key == "train.strategy":
+            value = draw(st.sampled_from(STRATEGIES))
+        elif key == "projectors.kinds":
+            value = tuple(draw(st.lists(st.sampled_from(PROJECTOR_KINDS),
+                                        min_size=3, max_size=3)))
+        elif key == "projectors.active":
+            continue  # drawn below from the slot labels of the drawn kinds
+        elif kind == "int":
+            value = draw(st.integers(1, 64))
+        elif kind == "float":
+            value = draw(st.floats(0.0, 1.0))
+        elif kind == "bool":
+            value = draw(st.booleans())
+        else:  # int3
+            value = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+        overrides[key.replace(".", "__")] = value
+    cfg = default_config().replace(**overrides)
+    assume(cfg["video.grid"] % cfg["video.patch"] == 0)
+    active = draw(st.lists(st.sampled_from(cfg.slot_labels()), min_size=1, unique=True))
+    return cfg.replace(projectors__active=tuple(active))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs(), st.randoms(use_true_random=False))
+def test_serialize_parse_idempotent_over_random_configs(cfg, random):
+    canon = cfg.serialize()
+    assert parse_config(canon, validate_budgets=False).serialize() == canon
+    # The same settings in another order, spacing and with comments.
+    lines = [f"  {line.replace(' = ', '=', 1)}\t# set\n" for line in canon.splitlines()]
+    random.shuffle(lines)
+    assert parse_config("".join(lines), validate_budgets=False).serialize() == canon

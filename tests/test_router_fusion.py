@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from vpfuse.ablations import stacked_config
 from vpfuse.config import default_config
 from vpfuse.encoders import InstructionEncoder, InstructionEncoding
+from vpfuse.model import Batch, FusionModel
 from vpfuse.projectors import VisualTokens
 from vpfuse.rng import Rng
 from vpfuse.router import (
@@ -19,10 +21,10 @@ from vpfuse.router import (
     fuse,
     fuse_with_strategy,
     gate,
-    modality_gate,
     one_hot_gates,
 )
-from vpfuse.tensor import Tape, Tensor, tsum
+from vpfuse.tasks import generate_sample, make_batch, spec_from_config
+from vpfuse.tensor import Tape, Tensor, softmax, tsum
 
 
 def make_router(seed=0):
@@ -90,17 +92,28 @@ class TestGate:
             assert np.all(g.p.data > 0)
             np.testing.assert_allclose(g.p.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def route_subset(self, logits, active, values):
+        # A zero instruction summary makes the logits the second-stage bias.
+        router = make_router()
+        router.b2.data[:] = logits
+        embs = const_embeddings(batch=1, values=values)
+        out, g = fuse_with_strategy(FusionStrategy(kind="router"),
+                                    fake_instr(np.zeros((1, 32))), embs, router, active)
+        return out.tokens.data, g.p.data, embs
+
     def test_subset_restriction_zeroes_excluded(self):
-        logits = RouterLogits(values=Tensor(np.array([[1.0, 2.0, 3.0]])))
-        g = gate(logits, active=(0, 2))
-        assert g.p.data[0, 1] == 0.0
-        np.testing.assert_allclose(g.p.data[0, [0, 2]],
-                                   np.exp([1.0, 3.0]) / np.exp([1.0, 3.0]).sum())
+        expected = np.exp([1.0, 3.0]) / np.exp([1.0, 3.0]).sum()
+        compact = gate(RouterLogits(values=Tensor(np.array([[1.0, 2.0, 3.0]]))), (0, 2))
+        np.testing.assert_allclose(compact.p.data, [expected])
+        tokens, p, _ = self.route_subset([1.0, 2.0, 3.0], (0, 2), (1.0, 3.0))
+        assert p[0, 1] == 0.0
+        np.testing.assert_allclose(p[0, [0, 2]], expected)
+        np.testing.assert_allclose(tokens, expected @ [1.0, 3.0])
 
     def test_singleton_subset_is_exact_one_hot(self):
-        logits = RouterLogits(values=Tensor(np.array([[-4.2, 1.3, 0.7]])))
-        g = gate(logits, active=(1,))
-        np.testing.assert_array_equal(g.p.data, [[0.0, 1.0, 0.0]])
+        tokens, p, embs = self.route_subset([-4.2, 1.3, 0.7], (1,), (2.0,))
+        np.testing.assert_array_equal(p, [[0.0, 1.0, 0.0]])
+        assert tokens.tobytes() == embs[0].tokens.data.tobytes()
 
 
 class TestFuse:
@@ -219,20 +232,39 @@ class TestStrategies:
             self.run("sometimes")
 
 
+def model_batch(cfg, family, n, **spec):
+    spec = spec_from_config(cfg, family, **spec)
+    return make_batch([generate_sample(spec, i) for i in range(n)])
+
+
 class TestModalityGate:
+    """Gating as ``FusionModel.forward`` applies it per input modality."""
+
     def test_image_forces_one_hot(self):
-        router = make_router()
-        g = modality_gate("image", None, router, batch=3)
-        np.testing.assert_array_equal(g.p.data, [[1.0, 0.0, 0.0]] * 3)
+        # The first active image-based slot takes every image sample.
+        cfg = stacked_config(default_config(), "image").replace(
+            projectors__active=("image1", "image2"))
+        model = FusionModel(cfg, seed=1)
+        model.router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
+        _, g = model.forward(model_batch(cfg, "detail", 3, total_frames=1))
+        np.testing.assert_array_equal(g.p.data, [[0.0, 1.0, 0.0]] * 3)
 
     def test_video_uses_router(self):
-        router = make_router()
-        router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
-        instr = fake_instr(np.random.RandomState(0).randn(2, 32))
-        g = modality_gate("video", instr, router, batch=2)
-        expected = gate(router.route(instr)).p.data
+        cfg = default_config()
+        model = FusionModel(cfg, seed=1)
+        model.router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
+        batch = model_batch(cfg, "motion", 2)
+        _, g = model.forward(batch)
+        instr = model.instruction_encoder.encode(batch.tokens)
+        expected = softmax(model.router.route(instr).values, axis=-1).data
         np.testing.assert_array_equal(g.p.data, expected)
+        assert np.ptp(expected, axis=1).min() > 1e-3  # the router is not uniform
 
     def test_unknown_modality(self):
+        # A single-frame batch under a modality name no gate knows is refused.
+        cfg = default_config()
+        batch = model_batch(cfg, "detail", 1, total_frames=1)
+        bad = Batch(frames=batch.frames, labels=batch.labels, tokens=batch.tokens,
+                    modality="audio", families=batch.families)
         with pytest.raises(FusionError):
-            modality_gate("audio", None, make_router(), batch=1)
+            FusionModel(cfg, seed=1).forward(bad)

@@ -163,10 +163,10 @@ class TestTrainLoop:
             gc.enable()
 
 
-def pin_digest():
+def pin_digest(**overrides):
     """One digest over a short two-stage run: the loss curve, every parameter
-    byte afterwards and an eval report."""
-    cfg = fast_cfg()
+    byte afterwards and an eval report.  ``overrides`` go to ``fast_cfg``."""
+    cfg = fast_cfg(**overrides)
     model = FusionModel(cfg, seed=3)
     curve = run_stage(model, cfg, "pretrain", steps=2, seed=3).loss_curve
     curve += run_stage(model, cfg, "tune", steps=6, seed=3).loss_curve
@@ -183,24 +183,47 @@ def pin_digest():
     return h.hexdigest()
 
 
+def child_digests(overrides, threads):
+    """``pin_digest(**overrides)`` computed in a child process per BLAS thread
+    count: a thread count of 2 changes the last bit of some weight gradients
+    (their GEMMs split the summed axis)."""
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    digests = {}
+    for n in threads:
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(n),
+                   OMP_NUM_THREADS=str(n), MKL_NUM_THREADS=str(n))
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_training; "
+             f"print(test_training.pin_digest(**{overrides!r}))"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests[n] = child.stdout.strip()
+    return digests
+
+
 def test_whole_model_pin():
     # Any change in the arithmetic of a forward or backward rule shows up
-    # here.  A BLAS thread count of 2 changes the last bit of some weight
-    # gradients (their GEMMs split the summed axis), so the pin runs in one
-    # child process per thread count.  The 2-thread digest was recorded
-    # before the fused linear and attention ops replaced the composed ones,
-    # the 1-thread digest before ops were split into row chunks.
+    # here.  The 2-thread digest was recorded before the fused linear and
+    # attention ops replaced the composed ones, the 1-thread digest before
+    # ops were split into row chunks.
     expected = {
         1: "ad5c0475e459c1a5d4c7df3e0d9d7b19acc6569053bcb7ebb1f2dd28151683b9",
         2: "8d915e09062755b5c2bbbd4e20924614ec83506eff3f0db08ab16db9372d89cd",
     }
-    tests_dir = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
-    for threads, digest in expected.items():
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
-                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
-        child = subprocess.run(
-            [sys.executable, "-c", "import test_training; print(test_training.pin_digest())"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == digest, f"{threads} BLAS thread(s)"
+    assert child_digests({}, (1, 2)) == expected
+
+
+@pytest.mark.parametrize("active, expected", [
+    (("image", "com"), {
+        1: "34d2fba92d03d0fd31c25931e2062d0fd849b7870aac08a6b130bb0fa0038400",
+        2: "92a5304b334c3bc7e1081aa33c2aa4b2981c1c0cf5fe359d4de7b39eded19c60"}),
+    (("com",), {
+        1: "e70c4a6a16c57517c851ed7007c2a6e307e4a02a1748c0b4492e8de116128ed4",
+        2: "573d819dadef390d169436793291534da825e5db64b668579eac726b4eed43e5"}),
+])
+def test_subset_model_pin(active, expected):
+    # Gating over a projector subset (a softmax over the active slots, or a
+    # one-hot gate for one slot).  Recorded while the gate still padded
+    # inactive slots with zero columns and fusion sliced them back out.
+    assert child_digests({"projectors__active": active}, (1, 2)) == expected
