@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .config import Config, ConfigError, default_config, parse_config
 from .encoders import (
-    FrameFeatures,
     InstructionEncoder,
     InstructionEncoding,
     VideoEncoder,
@@ -25,14 +24,14 @@ from .projectors import (
     compute_token_budget,
     validate_alignment,
 )
-from .router import FusionStrategy, GateWeights, Router, RouterLogits, fuse, gate
+from .router import FusionStrategy, GateWeights, Router, fuse, gate
 from .tensor import Tape, Tensor, backward, grad_check
 from .training import Adam, FreezeMask, TrainConfig, freeze_mask_for, train
 
 __all__ = [
-    "Adam", "Batch", "Config", "ConfigError", "FrameFeatures", "FreezeMask",
+    "Adam", "Batch", "Config", "ConfigError", "FreezeMask",
     "FusionModel", "FusionStrategy", "GateWeights", "InstructionEncoder",
-    "InstructionEncoding", "Router", "RouterLogits", "Tape", "Tensor",
+    "InstructionEncoding", "Router", "Tape", "Tensor",
     "TokenBudget", "TrainConfig", "VideoEncoder", "VideoSample", "VisualTokens",
     "backward", "compute_token_budget", "default_config", "freeze_mask_for",
     "fuse", "gate", "grad_check", "parse_config", "sample_frames", "train",

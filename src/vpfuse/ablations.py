@@ -18,10 +18,8 @@ import numpy as np
 
 from .config import PROJECTOR_KINDS, STRATEGIES, Config
 from .model import FusionModel
-from .rng import Rng
-from .router import FusionStrategy
 from .tasks import FAMILIES, batch_stream, eval_batches
-from .training import TrainConfig, train
+from .training import TrainConfig, make_strategy, train
 
 
 def gate_columns(cfg: Config) -> tuple[str, ...]:
@@ -58,19 +56,17 @@ class EvalReport:
 
 
 def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
-             n: Optional[int] = None, strategy_kind: Optional[str] = None,
-             eval_seed: int = 0) -> EvalReport:
+             n: Optional[int] = None,
+             strategy_kind: Optional[str] = None) -> EvalReport:
     """Accuracy and mean gates per family on the deterministic eval split.
 
     Inference runs tape-free.  Random fusion strategies draw from a fresh
-    seeded stream so repeated evaluations are reproducible.
+    stream (seed 0, stage "eval") so repeated evaluations are reproducible.
     """
     cfg = model.cfg
     n = cfg["eval.samples"] if n is None else n
     kind = strategy_kind or cfg["train.strategy"]
-    rng = (Rng(eval_seed, f"fusion/{kind}/eval")
-           if kind in ("random-weights", "random-choose") else None)
-    strategy = FusionStrategy(kind=kind, rng=rng)
+    strategy = make_strategy(kind, 0, "eval")
 
     accuracy: dict[str, float] = {}
     mean_gates: dict[str, np.ndarray] = {}
@@ -127,7 +123,6 @@ class AblationRow:
 class AblationTable:
     mode: str
     rows: list[AblationRow]
-    seeds: list[int]
     families: tuple[str, ...] = FAMILIES
 
     def to_csv(self) -> str:
@@ -159,12 +154,6 @@ class AblationTable:
             cells.append(f"{m:.3f}±{s:.3f}".ljust(12))
             out.append("  ".join(cells))
         return "\n".join(out) + "\n"
-
-    def row(self, name: str) -> AblationRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
 
 
 def _aggregate(name: str, reports: list[EvalReport]) -> AblationRow:
@@ -220,4 +209,4 @@ def run_arms(mode: str, arms: Sequence[tuple[str, Config]], seeds: Sequence[int]
         reports = [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps), n=n_eval)
                    for seed in seeds]
         rows.append(_aggregate(name, reports))
-    return AblationTable(mode=mode, rows=rows, seeds=list(seeds))
+    return AblationTable(mode=mode, rows=rows)

@@ -195,10 +195,7 @@ def cmd_route(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if not seeds:
-        print("error: at least one seed required", file=sys.stderr)
-        return EXIT_VALIDATION
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     table = run_arms(args.mode, ARMS[args.mode](cfg), seeds, args.pretrain_steps,
                      args.tune_steps, args.n)
 

@@ -148,12 +148,6 @@ class Config:
     def __getitem__(self, key: str) -> Any:
         return self._values[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def keys(self):
-        return self._values.keys()
-
     def replace(self, **overrides: Any) -> "Config":
         """New config with dotted keys overridden (underscores map to dots)."""
         vals = dict(self._values)

@@ -3,8 +3,10 @@
 These stand in for the frozen pretrained backbones of a full-size system:
 randomly initialized, shape-compatible, and deliberately simple.  The visual
 encoder is a per-patch linear map plus learned (t, h, w) positional
-embeddings; the instruction encoder is a tiny transformer whose position-0
-output is the pooled [CLS] summary the router consumes.
+embeddings; it returns the plain (B, T, H, W, D) feature Tensor that every
+projector takes.  The instruction encoder is a tiny transformer over a
+(B, L) batch of token ids whose position-0 output is the pooled [CLS]
+summary the router consumes.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ class VideoSample:
 
 
 @dataclass
-class FrameFeatures:
-    """Patch feature grid from the visual encoder: (..., T, H, W, D)."""
-
-    features: Tensor
-    frame_indices: np.ndarray  # original frame positions of the T axis
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.features.shape[-3], self.features.shape[-2]
-
-
-@dataclass
 class InstructionEncoding:
     """cls is the position-0 summary state; tokens are the per-token states."""
 
@@ -96,21 +86,20 @@ class VideoEncoder:
 
     def __init__(self, cfg: Config, rng: Rng):
         self.patch = cfg["video.patch"]
-        self.grid = cfg["video.grid"]
         self.dim = cfg["encoder.dim"]
-        self.total_frames = cfg["video.total_frames"]
         pg = cfg.patch_grid()
         pin = self.patch * self.patch
         self.patch_w = Tensor(rng.normal((pin, self.dim), std=1.0 / np.sqrt(pin)),
                               requires_grad=True)
         self.patch_b = Tensor(np.zeros(self.dim), requires_grad=True)
-        self.pos_t = Tensor(rng.normal((self.total_frames, self.dim), std=0.1),
+        self.pos_t = Tensor(rng.normal((cfg["video.total_frames"], self.dim), std=0.1),
                             requires_grad=True)
         self.pos_h = Tensor(rng.normal((pg, self.dim), std=0.1), requires_grad=True)
         self.pos_w = Tensor(rng.normal((pg, self.dim), std=0.1), requires_grad=True)
 
-    def encode(self, frames: np.ndarray, frame_indices: np.ndarray) -> FrameFeatures:
-        """frames: (B, T, G, G) raw values; frame_indices: original positions."""
+    def encode(self, frames: np.ndarray, frame_indices: np.ndarray) -> Tensor:
+        """(B, T, H, W, D) patch features of (B, T, G, G) raw frames whose
+        original positions in the clip are ``frame_indices``."""
         if frames.ndim != 4:
             raise EncodingError(f"expected (B, T, G, G) frames, got {frames.shape}")
         b, t, g1, g2 = frames.shape
@@ -126,8 +115,7 @@ class VideoEncoder:
         x = linear(Tensor(patches), self.patch_w, self.patch_b)
         x = add(x, reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)))
         x = add(x, reshape(self.pos_h, (pg, 1, self.dim)))
-        x = add(x, self.pos_w)
-        return FrameFeatures(features=x, frame_indices=frame_indices)
+        return add(x, self.pos_w)
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -151,9 +139,10 @@ class InstructionEncoder:
                        for _ in range(cfg["text.blocks"])]
 
     def encode(self, tokens: np.ndarray) -> InstructionEncoding:
+        """Encode a (B, L) batch of token ids."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
+        if tokens.ndim != 2:
+            raise EncodingError(f"expected (B, L) token ids, got shape {tokens.shape}")
         b, n = tokens.shape
         if n < 1 or n > self.max_len:
             raise EncodingError(f"instruction length {n} outside [1, {self.max_len}]")

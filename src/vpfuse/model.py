@@ -42,7 +42,6 @@ class Batch:
     labels: np.ndarray  # (B,)
     tokens: np.ndarray  # (B, L)
     modality: str       # image | video
-    families: list[str]
 
     @property
     def size(self) -> int:
@@ -133,8 +132,7 @@ class FusionModel:
                 raise FusionError(f"image modality with {t} frames")
             slot = self.image_slot()
             feats = self.visual_encoder.encode(batch.frames, np.array([0]))
-            fused = VisualTokens(tokens=self.projectors[slot](feats).tokens,
-                                 source="fused")
+            fused = self.projectors[slot](feats)
             gates = one_hot_gates(b, slot, len(self.kinds))
         elif batch.modality == "video":
             if t != self.cfg["video.total_frames"]:

@@ -7,6 +7,11 @@ running the network) and checked both at parse time and at model
 construction.  The test suite separately asserts that each network's actual
 output count equals its arithmetic count.
 
+Every projector takes the visual encoder's (B, T, H, W, D) feature Tensor
+(com also takes the instruction encoding) and returns ``VisualTokens`` around
+a (B, N, D_model) Tensor.  ``SOURCE_TAGS`` names each family in the token
+budget report.
+
 Projector families:
 
 - image: per-position two-layer MLP (linear -> GELU -> linear) over the
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, ConfigError
-from .encoders import FrameFeatures, InstructionEncoding
+from .encoders import InstructionEncoding
 from .layers import linear_params
 from .rng import Rng
 from .tensor import (
@@ -56,7 +61,6 @@ SOURCE_TAGS = {
 @dataclass
 class VisualTokens:
     tokens: Tensor  # (B, N, D_model)
-    source: str     # image-based | spatial-temporal | token-compress | fused
 
     @property
     def count(self) -> int:
@@ -178,8 +182,7 @@ class ImageProjector:
                     if self.separator_enabled else None)
         self.d_out = d_out
 
-    def __call__(self, f: FrameFeatures) -> VisualTokens:
-        x = f.features
+    def __call__(self, x: Tensor) -> VisualTokens:
         if self.prepool > 1:
             h, w = x.shape[-3:-1]
             x = pool(x, grid_edges(h, self.prepool), grid_edges(w, self.prepool))
@@ -191,7 +194,7 @@ class ImageProjector:
             sep = broadcast_to(reshape(self.sep, (1, 1, 1, self.d_out)),
                                (b, t, 1, self.d_out))
             x = reshape(concat([x, sep], axis=2), (b, t * (h * w + 1), self.d_out))
-        return VisualTokens(tokens=x, source=SOURCE_TAGS[self.kind])
+        return VisualTokens(tokens=x)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -225,15 +228,14 @@ class StcProjector:
         self.out_w, self.out_b = linear_params(rng, ch, d_out)
         self.d_out = d_out
 
-    def __call__(self, f: FrameFeatures) -> VisualTokens:
-        x = f.features
+    def __call__(self, x: Tensor) -> VisualTokens:
         for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
             if i > 0:
                 x = gelu(x)
             x = add(conv3d(x, kern, self.stride, self.pad), bias)
         b, t, h, w, c = x.shape
         x = linear(reshape(x, (b, t * h * w, c)), self.out_w, self.out_b)
-        return VisualTokens(tokens=x, source=SOURCE_TAGS[self.kind])
+        return VisualTokens(tokens=x)
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
@@ -284,8 +286,7 @@ class ComProjector:
         self.sep = (Tensor(rng.normal((d_out,), std=0.1), requires_grad=True)
                     if self.sep_period > 0 else None)
 
-    def __call__(self, f_all: FrameFeatures, instr: InstructionEncoding) -> VisualTokens:
-        x = f_all.features
+    def __call__(self, x: Tensor, instr: InstructionEncoding) -> VisualTokens:
         b, t, h, w, d = x.shape
         parts = []
         if self.n_context > 0:
@@ -309,7 +310,7 @@ class ComProjector:
                              (b, (t // m) * (m * c + 1), self.d_out))
         else:
             tokens = reshape(per_frame, (b, t * c, self.d_out))
-        return VisualTokens(tokens=tokens, source=SOURCE_TAGS[self.kind])
+        return VisualTokens(tokens=tokens)
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}

@@ -93,16 +93,16 @@ class Rng:
         vals = bits.astype(np.float64) * (2.0 ** -53)
         return vals.reshape(shape)
 
-    def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
         """Standard normal via Box-Muller on uniform pairs."""
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         m = (n + 1) // 2
         u1 = 1.0 - np.asarray(self._raw(m) >> _U64(11), dtype=np.float64) * (2.0 ** -53)
         u2 = np.asarray(self._raw(m) >> _U64(11), dtype=np.float64) * (2.0 ** -53)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n] * std
-        return z.reshape(shape) if shape else float(z[0])
+        return z.reshape(shape)
 
     def integers(self, high: int, shape=()) -> np.ndarray:
         """Integers in [0, high). Uses floor(u * high); the modulo-style bias

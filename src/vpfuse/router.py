@@ -1,11 +1,12 @@
 """Instruction-driven routing and fusion of projector outputs.
 
-The router maps the instruction summary through two MLP stages to one logit
-per projector; a softmax turns logits into gate values on the simplex; the
-fused embedding is the gate-weighted elementwise sum of the projector token
-streams.  The alternative fusion strategies used by the ablation harness
-(uniform average, token concatenation, random simplex weights, random one-hot
-choice) live here too.
+The router maps the instruction summary through two MLP stages to a
+(B, n_slots) logit Tensor, one logit per projector slot; a softmax turns
+logits into gate values on the simplex; the fused embedding is the
+gate-weighted elementwise sum of the projector token streams.  The
+alternative fusion strategies used by the ablation harness (uniform
+average, token concatenation, random simplex weights, random one-hot choice)
+live here too.
 
 There is one gating path.  ``gate`` softmaxes the active slots' logits only,
 so its gates have one column per active slot, like every other strategy's,
@@ -40,11 +41,6 @@ class FusionError(ValueError):
 
 
 @dataclass
-class RouterLogits:
-    values: Tensor  # (B, 3)
-
-
-@dataclass
 class GateWeights:
     p: Tensor  # (B, n_slots); rows on the probability simplex
 
@@ -58,7 +54,7 @@ class FusionStrategy:
 class Router:
     """cls -> (linear, GELU) -> linear -> one logit per projector slot."""
 
-    def __init__(self, cfg: Config, rng: Rng, n_slots: int = 3):
+    def __init__(self, cfg: Config, rng: Rng, n_slots: int):
         d_text = cfg["text.dim"]
         hidden = cfg["router.hidden"]
         self.n_slots = n_slots
@@ -67,23 +63,23 @@ class Router:
         self.w2 = Tensor(np.zeros((hidden, n_slots)), requires_grad=True)
         self.b2 = Tensor(np.zeros(n_slots), requires_grad=True)
 
-    def route(self, instr: InstructionEncoding) -> RouterLogits:
+    def route(self, instr: InstructionEncoding) -> Tensor:
+        """(B, n_slots) logits."""
         h = linear(instr.cls, self.w1, self.b1, "gelu")
-        return RouterLogits(values=linear(h, self.w2, self.b2))
+        return linear(h, self.w2, self.b2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"mlp1.w": self.w1, "mlp1.b": self.b1,
                 "mlp2.w": self.w2, "mlp2.b": self.b2}
 
 
-def gate(logits: RouterLogits, active: Optional[Sequence[int]] = None) -> GateWeights:
-    """Softmax over the ``active`` logit columns (all when None), in slot order.
+def gate(values: Tensor, active: Sequence[int]) -> GateWeights:
+    """Softmax over the ``active`` columns of (B, n_slots) logits, in slot order.
 
     Restricting to a subset is the -inf-logit limit: excluded slots would get
     exactly 0, and ``scatter_gates`` puts those zeros back for reporting.
     """
-    values = logits.values
-    if active is not None and len(active) < values.shape[-1]:
+    if len(active) < values.shape[-1]:
         values = concat([slice_axis(values, values.ndim - 1, i, i + 1) for i in active],
                         axis=-1)
     return GateWeights(p=softmax(values, axis=-1))
@@ -109,8 +105,6 @@ def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
     if len(shapes) != 1:
         raise FusionError(f"cannot fuse mismatched token shapes {sorted(shapes)}")
     pv = p.p
-    if pv.ndim == 1:
-        pv = reshape(pv, (1, pv.shape[0]))
     if pv.shape[-1] != len(embeddings):
         raise FusionError(f"{pv.shape[-1]} gate values for {len(embeddings)} embeddings")
 
@@ -123,21 +117,21 @@ def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
             rows = [slice_axis(embeddings[int(s)].tokens, 0, b, b + 1)
                     for b, s in enumerate(selected)]
             out = concat(rows, axis=0)
-        return VisualTokens(tokens=out, source="fused")
+        return VisualTokens(tokens=out)
 
     total = None
     for i, emb in enumerate(embeddings):
         weight = reshape(slice_axis(pv, 1, i, i + 1), (pv.shape[0], 1, 1))
         term = emb.tokens * weight
         total = term if total is None else add(total, term)
-    return VisualTokens(tokens=total, source="fused")
+    return VisualTokens(tokens=total)
 
 
-def uniform_gates(batch: int, n_slots: int = 3) -> GateWeights:
+def uniform_gates(batch: int, n_slots: int) -> GateWeights:
     return GateWeights(p=Tensor(np.full((batch, n_slots), 1.0 / n_slots)))
 
 
-def one_hot_gates(batch: int, index: int, n_slots: int = 3) -> GateWeights:
+def one_hot_gates(batch: int, index: int, n_slots: int) -> GateWeights:
     p = np.zeros((batch, n_slots))
     p[:, index] = 1.0
     return GateWeights(p=Tensor(p))
@@ -153,7 +147,7 @@ def scatter_gates(compact: np.ndarray, active: Sequence[int],
 
 def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
                        embeddings: Sequence[VisualTokens], router: Router,
-                       active: Optional[Sequence[int]] = None,
+                       active: Sequence[int],
                        ) -> tuple[VisualTokens, Optional[GateWeights]]:
     """Fuse per the configured strategy; returns (tokens, gates or None).
 
@@ -164,12 +158,10 @@ def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
     kind = strategy.kind
     batch = embeddings[0].tokens.shape[0]
     n = len(embeddings)
-    if active is None:
-        active = tuple(range(n))
     n_slots = router.n_slots
     if kind == "concat":
         tokens = concat([e.tokens for e in embeddings], axis=1)
-        return VisualTokens(tokens=tokens, source="fused"), None
+        return VisualTokens(tokens=tokens), None
     if kind == "router":
         compact = gate(router.route(instr), active)
     elif kind == "average":

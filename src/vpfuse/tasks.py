@@ -53,6 +53,7 @@ MOTION_DISTRACTORS = 4  # static same-brightness camouflage blocks
 # Index bases keeping streams disjoint: eval is far above any training index.
 EVAL_INDEX_BASE = 1 << 20
 TUNE_INDEX_BASE = 1 << 19
+EVAL_BATCH = 64
 
 
 class TaskError(ValueError):
@@ -184,12 +185,10 @@ def make_batch(samples: list[VideoSample]) -> Batch:
         labels=np.array([s.answer for s in samples], dtype=np.int64),
         tokens=np.stack([s.instruction_tokens for s in samples]),
         modality=modalities.pop(),
-        families=[s.family for s in samples],
     )
 
 
-def batch_stream(cfg: Config, stage: str, seed: int,
-                 include_images: bool = True) -> Iterator[Batch]:
+def batch_stream(cfg: Config, stage: str, seed: int) -> Iterator[Batch]:
     """Endless deterministic batch stream for one training stage.
 
     Video batches mix families uniformly; with probability
@@ -203,7 +202,7 @@ def batch_stream(cfg: Config, stage: str, seed: int,
     image_spec = spec_from_config(cfg, "detail", total_frames=1)
     kinds = cfg["projectors.kinds"]
     has_image_slot = any(kinds[i] == "image" for i in cfg.active_slots())
-    image_ratio = cfg["train.image_ratio"] if (include_images and has_image_slot) else 0.0
+    image_ratio = cfg["train.image_ratio"] if has_image_slot else 0.0
 
     counter = 0
     while True:
@@ -220,13 +219,13 @@ def batch_stream(cfg: Config, stage: str, seed: int,
         yield make_batch(samples)
 
 
-def eval_batches(cfg: Config, family: str, n: int,
-                 batch_size: int = 64) -> Iterator[Batch]:
-    """Deterministic eval split: indices live above every training index."""
+def eval_batches(cfg: Config, family: str, n: int) -> Iterator[Batch]:
+    """Deterministic eval split, ``EVAL_BATCH`` samples per batch: indices
+    live above every training index."""
     spec = spec_from_config(cfg, family)
     done = 0
     while done < n:
-        take = min(batch_size, n - done)
+        take = min(EVAL_BATCH, n - done)
         samples = [generate_sample(spec, EVAL_INDEX_BASE + done + j)
                    for j in range(take)]
         done += take

@@ -103,10 +103,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise TensorError(f"item() on tensor of shape {self.shape}")
@@ -118,30 +114,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +125,13 @@ def _as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class _TapeEntry:
-    __slots__ = ("name", "inputs", "output", "rule", "fired")
+    __slots__ = ("name", "inputs", "output", "rule")
 
     def __init__(self, name, inputs, output, rule):
         self.name = name
         self.inputs = inputs
         self.output = output
         self.rule = rule
-        self.fired = 0
 
 
 _local = threading.local()
@@ -197,9 +172,6 @@ class Tape:
         stack.pop()
         return False
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def record(self, name, inputs, output, rule) -> None:
         output._tape = self._ref
         output._op_index = len(self.entries)
@@ -223,7 +195,6 @@ class Tape:
             g_out = local.pop(entry.output, None)
             if g_out is None:
                 continue
-            entry.fired += 1
             grads = entry.rule(g_out)
             for inp, g in zip(entry.inputs, grads):
                 if g is None or not inp.requires_grad:
@@ -349,13 +320,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit("add", (a, b), data,
                  lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
                             _unbroadcast(g, b.shape) if b.requires_grad else None))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _emit("sub", (a, b), data,
-                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -616,24 +580,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _emit("layer_norm", (x, gamma, beta), data, rule)
 
 
-def cross_entropy(logits: Tensor, label) -> Tensor:
-    """Negative log softmax probability of the true class.
-
-    Accepts a single (C,) logit vector with an int label, or a (B, C) batch
-    with a length-B label sequence (mean reduction).
-    """
-    if logits.ndim == 1:
-        batched = False
-        z = logits.data[None, :]
-        labels = np.array([int(label)], dtype=np.int64)
-    elif logits.ndim == 2:
-        batched = True
-        z = logits.data
-        labels = np.asarray(label, dtype=np.int64)
-        if labels.shape != (z.shape[0],):
-            raise TensorError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-    else:
-        raise TensorError(f"cross_entropy expects rank 1 or 2 logits, got {logits.shape}")
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log softmax probability of the true classes of (B, C)
+    logits; ``labels`` is a length-B sequence."""
+    if logits.ndim != 2:
+        raise TensorError(f"cross_entropy expects (B, C) logits, got {logits.shape}")
+    z = logits.data
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (z.shape[0],):
+        raise TensorError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
     ncls = z.shape[1]
     if np.any(labels < 0) or np.any(labels >= ncls):
         raise TensorError(f"label out of range for {ncls} classes")
@@ -647,8 +602,7 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
     def rule(g):
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(len(labels)), labels] -= 1.0
-        dz = p * (float(g) / len(labels))
-        return (dz if batched else dz[0],)
+        return (p * (float(g) / len(labels)),)
 
     return _emit("cross_entropy", (logits,), data, rule)
 
@@ -699,11 +653,11 @@ def _tap_ranges(d_in: int, d_out: int, k: int, stride: int,
 def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """3D convolution over (T, H, W) with zero padding.
 
-    Input is (T, H, W, Cin) or batched (B, T, H, W, Cin); kernel is
-    (k, k, k, Cin, Cout).  Output dims follow floor((d + 2p - k)/s) + 1.
+    Input is (B, T, H, W, Cin); kernel is (k, k, k, Cin, Cout).  Output dims
+    follow floor((d + 2p - k)/s) + 1.
     """
-    if x.ndim not in (4, 5):
-        raise TensorError(f"conv3d input must be rank 4 or 5, got {x.shape}")
+    if x.ndim != 5:
+        raise TensorError(f"conv3d input must be (B, T, H, W, Cin), got {x.shape}")
     if kernel.ndim != 5 or not (kernel.shape[0] == kernel.shape[1] == kernel.shape[2]):
         raise TensorError(f"conv3d kernel must be (k,k,k,Cin,Cout), got {kernel.shape}")
     k = kernel.shape[0]
@@ -717,9 +671,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     if any(p < 0 for p in padding):
         raise TensorError(f"padding must be non-negative, got {padding}")
 
-    batched = x.ndim == 5
-    xb = x.data if batched else x.data[None]  # one code path over (B, T, H, W, C)
-    dims_in = xb.shape[1:4]
+    dims_in = x.shape[1:4]
     dims_out = []
     for d, s, p in zip(dims_in, stride, padding):
         if k > d + 2 * p:
@@ -741,31 +693,28 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
             for dh, rh in enumerate(ranges[1]) if rh is not None
             for dw, rw in enumerate(ranges[2]) if rw is not None]
 
-    out = np.zeros(xb.shape[:1] + (to, ho, wo, cout), dtype=np.float64)
+    out = np.zeros(x.shape[:1] + (to, ho, wo, cout), dtype=np.float64)
 
     def fill(sl):
-        xs, outs = xb[sl], out[sl]
+        xs, outs = x.data[sl], out[sl]
         for tap, out_sl, in_sl in taps:
             outs[out_sl] += xs[in_sl] @ kernel.data[tap]
 
     _over_rows(fill, out.shape[0], math.prod(out.shape[1:]))
 
     def rule(g):
-        g = g if batched else g[None]
-        dx = np.zeros(xb.shape, dtype=np.float64) if x.requires_grad else None
+        dx = np.zeros(x.shape, dtype=np.float64) if x.requires_grad else None
         dk = np.zeros(kernel.shape, dtype=np.float64) if kernel.requires_grad else None
         for tap, out_sl, in_sl in taps:
             g_tap = g[out_sl]
             g2 = g_tap.reshape(-1, cout)
             if dk is not None:
-                dk[tap] = xb[in_sl].reshape(-1, cin).T @ g2
+                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g2
             if dx is not None:
                 dx[in_sl] += (g2 @ kernel.data[tap].T).reshape(g_tap.shape[:-1] + (cin,))
-        if dx is not None and not batched:
-            dx = dx[0]
         return dx, dk
 
-    return _emit("conv3d", (x, kernel), out if batched else out[0], rule)
+    return _emit("conv3d", (x, kernel), out, rule)
 
 
 def grid_edges(extent: int, factor: int) -> np.ndarray:

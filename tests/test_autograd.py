@@ -64,12 +64,22 @@ class TestBackwardContract:
 
     def test_each_rule_fires_once_per_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)
+        calls = []
+
+        def counted(i, rule):
+            def wrapper(g):
+                calls.append(i)
+                return rule(g)
+            return wrapper
+
         with Tape() as tape:
             y = mul(x, x)
-            z = y + y
+            z = add(y, y)
             loss = tsum(z)
+            for i, entry in enumerate(tape.entries):
+                entry.rule = counted(i, entry.rule)
             tape.backward(loss)
-            assert all(e.fired == 1 for e in tape.entries)
+        assert sorted(calls) == list(range(len(tape.entries)))
 
     def test_scalar_required(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -124,8 +134,8 @@ class TestGradCheckExamples:
 
     def test_softmax_cross_entropy_composite(self):
         rng = np.random.RandomState(1)
-        x = Tensor(rng.randn(5))
-        err = grad_check(lambda t: cross_entropy(t, 2), x)
+        x = Tensor(rng.randn(1, 5))
+        err = grad_check(lambda t: cross_entropy(t, [2]), x)
         assert err < 1e-6
 
     def test_rejects_non_scalar(self):
@@ -152,7 +162,7 @@ def _case(name):
 @_case("add_broadcast")
 def _add_case(rng):
     other = Tensor(rng.randn(4, 1))
-    return Tensor(rng.randn(4, 5)), lambda t: tsum(mul(t + other, t + other))
+    return Tensor(rng.randn(4, 5)), lambda t: tsum(mul(add(t, other), add(t, other)))
 
 
 @_case("mul_broadcast")
@@ -224,13 +234,13 @@ def _transpose_case(rng):
 @_case("conv3d_input")
 def _conv_x_case(rng):
     k = Tensor(rng.randn(3, 3, 3, 2, 3))
-    return (Tensor(rng.randn(4, 4, 4, 2)),
+    return (Tensor(rng.randn(1, 4, 4, 4, 2)),
             lambda t: tsum(conv3d(t, k, (1, 2, 2), (1, 1, 1))))
 
 
 @_case("conv3d_kernel")
 def _conv_k_case(rng):
-    x = Tensor(rng.randn(4, 4, 4, 2))
+    x = Tensor(rng.randn(1, 4, 4, 4, 2))
     return (Tensor(rng.randn(3, 3, 3, 2, 3)),
             lambda t: tsum(conv3d(x, t, (2, 1, 1), (1, 0, 0))))
 
@@ -239,7 +249,7 @@ def _conv_k_case(rng):
 def _conv_pad_case(rng):
     # T axis: extent 2, pad 2, stride 3 -> kernel offset 1 reads only padding.
     k = Tensor(rng.randn(3, 3, 3, 2, 2))
-    return (Tensor(rng.randn(2, 4, 5, 2)),
+    return (Tensor(rng.randn(1, 2, 4, 5, 2)),
             lambda t: tsum(conv3d(t, k, (3, 1, 2), (2, 0, 1))))
 
 
@@ -360,7 +370,7 @@ def _attention_graph(params, fused):
             scores = scalar_mul(matmul(q, transpose(k, (1, 0))), 0.5)
             ctx = matmul(softmax(scores, axis=-1), v)
             out = gelu(add(matmul(ctx, wo), bo))
-        return cross_entropy(tmean(out, axis=0), 2)
+        return cross_entropy(tmean(out, axis=0, keepdims=True), [2])
     return f
 
 

@@ -190,6 +190,14 @@ class TestAblateCommand:
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 3 singletons + full set
 
+    @pytest.mark.parametrize("seeds", ["", ",", " , "])
+    def test_empty_seed_list_exits_2(self, tmp_path, fast_cfg, capsys, seeds):
+        out = tmp_path / "none"
+        assert run_cli("ablate", "--config", fast_cfg, "--mode", "strategy",
+                       "--seeds", seeds, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: at least one seed required\n"
+        assert not out.exists()
+
     def test_rerun_reproduces_csv_byte_for_byte(self, tmp_path, fast_cfg):
         csvs = []
         for name in ("r1", "r2"):

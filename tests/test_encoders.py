@@ -46,9 +46,9 @@ class TestVideoEncoder:
         enc = VideoEncoder(cfg, Rng(0, "init/visual"))
         frames = np.zeros((2, 4, 16, 16))
         out = enc.encode(frames, np.arange(4))
-        assert out.features.shape == (2, 4, 4, 4, 32)
+        assert out.shape == (2, 4, 4, 4, 32)
         noisy = np.random.RandomState(0).rand(2, 4, 16, 16)
-        assert enc.encode(noisy, np.arange(4)).features.shape == (2, 4, 4, 4, 32)
+        assert enc.encode(noisy, np.arange(4)).shape == (2, 4, 4, 4, 32)
 
     def test_zero_frames_zero_positions_give_bias(self):
         cfg = default_config()
@@ -59,7 +59,7 @@ class TestVideoEncoder:
         enc.patch_b.data[:] = np.arange(32, dtype=float)
         out = enc.encode(np.zeros((1, 2, 16, 16)), np.arange(2))
         np.testing.assert_array_equal(
-            out.features.data, np.broadcast_to(np.arange(32.0), (1, 2, 4, 4, 32)))
+            out.data, np.broadcast_to(np.arange(32.0), (1, 2, 4, 4, 32)))
 
     def test_full_scale_patch_grid(self):
         # 378-pixel frames with 14-pixel patches give a 27x27 grid
@@ -70,7 +70,7 @@ class TestVideoEncoder:
                                        stc__stride=(1, 2, 2))
         enc = VideoEncoder(cfg, Rng(0, "init/visual"))
         out = enc.encode(np.zeros((1, 3, 378, 378)), np.arange(3))
-        assert out.features.shape == (1, 3, 27, 27, 8)
+        assert out.shape == (1, 3, 27, 27, 8)
 
     def test_indivisible_grid_rejected(self):
         cfg = default_config()
@@ -111,3 +111,8 @@ class TestInstructionEncoder:
         enc = self.make()
         with pytest.raises(EncodingError):
             enc.encode(np.zeros((1, 7), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_token_batch_must_be_2d(self, shape):
+        with pytest.raises(EncodingError, match=r"\(B, L\) token ids"):
+            self.make().encode(np.ones(shape, dtype=int))

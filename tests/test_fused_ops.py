@@ -43,7 +43,7 @@ def run(op, inputs, weight):
     with Tape() as tape:
         out = op(*inputs)
         tape.backward(tsum(mul(out, Tensor(weight))))
-        entries = len(tape)
+        entries = len(tape.entries)
     return out.data, entries, [t.grad for t in inputs]
 
 

@@ -73,14 +73,14 @@ class TestForward:
     def test_wrong_frame_count_rejected(self, model):
         batch = video_batch(model.cfg, n=1)
         short = Batch(frames=batch.frames[:, :16], labels=batch.labels,
-                      tokens=batch.tokens, modality="video", families=batch.families)
+                      tokens=batch.tokens, modality="video")
         with pytest.raises(FusionError):
             model.forward(short)
 
     def test_unknown_modality_rejected(self, model):
         batch = video_batch(model.cfg, n=1)
         bad = Batch(frames=batch.frames, labels=batch.labels, tokens=batch.tokens,
-                    modality="audio", families=batch.families)
+                    modality="audio")
         with pytest.raises(FusionError):
             model.forward(bad)
 

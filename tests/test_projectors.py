@@ -96,7 +96,6 @@ class TestImageProjector:
         out = proj(feats)
         assert out.tokens.shape == (2, 128, 32)
         assert out.count == compute_token_budget(cfg)[0].count
-        assert out.source == "image-based"
 
     def test_zero_weights_give_bias_everywhere(self):
         cfg = desk_cfg()
@@ -133,7 +132,6 @@ class TestStcProjector:
         proj = StcProjector(cfg, Rng(1, "init/proj/stc"))
         out = proj(feats)
         assert out.tokens.shape == (2, 128, 32)
-        assert out.source == "spatial-temporal"
 
     def test_identity_config_is_linear_remap(self):
         cfg = desk_cfg(stc__kernel=1, stc__stride=(1, 1, 1), stc__pad=(0, 0, 0))
@@ -144,7 +142,7 @@ class TestStcProjector:
                              np.arange(8))
         out = proj(feats)
         assert out.count == 8 * 4 * 4
-        expected = feats.features.data.reshape(1, 128, 32) @ proj.out_w.data + proj.out_b.data
+        expected = feats.data.reshape(1, 128, 32) @ proj.out_w.data + proj.out_b.data
         np.testing.assert_allclose(out.tokens.data, expected, atol=1e-12)
 
     def test_not_frame_local_with_temporal_kernel(self):
@@ -174,7 +172,6 @@ class TestComProjector:
         instr = text.encode(np.array([[12, 13, 14, 15, 16, 17]] * 2))
         out = proj(feats, instr)
         assert out.tokens.shape == (2, 128, 32)
-        assert out.source == "token-compress"
 
     def test_single_frame_content_only_is_mapped_mean(self):
         cfg = desk_cfg(com__context=0, com__content=1, com__sep_period=0,
@@ -185,7 +182,7 @@ class TestComProjector:
         instr = text.encode(np.array([[12, 13, 14, 15, 16, 17]]))
         out = proj(feats, instr)
         assert out.tokens.shape == (1, 1, 32)
-        mean_feat = feats.features.data.reshape(1, 16, 32).mean(axis=1)
+        mean_feat = feats.data.reshape(1, 16, 32).mean(axis=1)
         expected = mean_feat @ proj.cnt_w.data + proj.cnt_b.data
         np.testing.assert_allclose(out.tokens.data[:, 0], expected, atol=1e-12)
 

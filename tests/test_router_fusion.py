@@ -17,7 +17,6 @@ from vpfuse.router import (
     FusionStrategy,
     GateWeights,
     Router,
-    RouterLogits,
     fuse,
     fuse_with_strategy,
     gate,
@@ -27,8 +26,11 @@ from vpfuse.tasks import generate_sample, make_batch, spec_from_config
 from vpfuse.tensor import Tape, Tensor, softmax, tsum
 
 
+ALL_SLOTS = (0, 1, 2)
+
+
 def make_router(seed=0):
-    return Router(default_config(), Rng(seed, "init/router"))
+    return Router(default_config(), Rng(seed, "init/router"), len(ALL_SLOTS))
 
 
 def fake_instr(cls_rows):
@@ -37,8 +39,7 @@ def fake_instr(cls_rows):
 
 
 def const_embeddings(batch=2, n=4, d=3, values=(1.0, 2.0, 3.0)):
-    return [VisualTokens(tokens=Tensor(np.full((batch, n, d), v)), source=s)
-            for v, s in zip(values, ("image-based", "spatial-temporal", "token-compress"))]
+    return [VisualTokens(tokens=Tensor(np.full((batch, n, d), v))) for v in values]
 
 
 class TestRoute:
@@ -46,49 +47,49 @@ class TestRoute:
         router = make_router()
         router.b2.data[:] = [0.5, -0.25, 0.0]
         out = router.route(fake_instr(np.zeros((2, 32))))
-        np.testing.assert_array_equal(out.values.data, [[0.5, -0.25, 0.0]] * 2)
+        np.testing.assert_array_equal(out.data, [[0.5, -0.25, 0.0]] * 2)
 
     def test_fresh_router_emits_exactly_zero_logits(self):
         router = make_router()
         out = router.route(fake_instr(np.random.RandomState(0).randn(3, 32)))
-        np.testing.assert_array_equal(out.values.data, np.zeros((3, 3)))
+        np.testing.assert_array_equal(out.data, np.zeros((3, 3)))
 
     def test_deterministic(self):
         router = make_router()
         router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.1)
         cls = np.random.RandomState(1).randn(2, 32)
-        a = router.route(fake_instr(cls)).values.data
-        b = router.route(fake_instr(cls)).values.data
+        a = router.route(fake_instr(cls)).data
+        b = router.route(fake_instr(cls)).data
         np.testing.assert_array_equal(a, b)
 
 
 class TestGate:
     def test_uniform(self):
-        g = gate(RouterLogits(values=Tensor(np.zeros((1, 3)))))
+        g = gate(Tensor(np.zeros((1, 3))), ALL_SLOTS)
         np.testing.assert_allclose(g.p.data, [[1 / 3] * 3])
 
     def test_analytic(self):
-        g = gate(RouterLogits(values=Tensor(np.array([[math.log(2.0), 0.0, 0.0]]))))
+        g = gate(Tensor(np.array([[math.log(2.0), 0.0, 0.0]])), ALL_SLOTS)
         np.testing.assert_allclose(g.p.data, [[0.5, 0.25, 0.25]], atol=1e-15)
 
     def test_shift_leaves_gates_bitwise_identical(self):
         logits = np.round(np.random.RandomState(0).randn(4, 3) * 2 ** 20) * 2.0 ** -20
-        base = gate(RouterLogits(values=Tensor(logits))).p.data
-        shifted = gate(RouterLogits(values=Tensor(logits + 8.0))).p.data
+        base = gate(Tensor(logits), ALL_SLOTS).p.data
+        shifted = gate(Tensor(logits + 8.0), ALL_SLOTS).p.data
         np.testing.assert_array_equal(base, shifted)
 
     def test_positive_scaling_preserves_argmax(self):
         rng = np.random.RandomState(2)
         for _ in range(25):
             logits = rng.randn(1, 3)
-            a = gate(RouterLogits(values=Tensor(logits))).p.data.argmax()
-            b = gate(RouterLogits(values=Tensor(logits * 3.7))).p.data.argmax()
+            a = gate(Tensor(logits), ALL_SLOTS).p.data.argmax()
+            b = gate(Tensor(logits * 3.7), ALL_SLOTS).p.data.argmax()
             assert a == b
 
     def test_simplex(self):
         rng = np.random.RandomState(3)
         for _ in range(25):
-            g = gate(RouterLogits(values=Tensor(rng.randn(2, 3) * 5)))
+            g = gate(Tensor(rng.randn(2, 3) * 5), ALL_SLOTS)
             assert np.all(g.p.data > 0)
             np.testing.assert_allclose(g.p.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -103,7 +104,7 @@ class TestGate:
 
     def test_subset_restriction_zeroes_excluded(self):
         expected = np.exp([1.0, 3.0]) / np.exp([1.0, 3.0]).sum()
-        compact = gate(RouterLogits(values=Tensor(np.array([[1.0, 2.0, 3.0]]))), (0, 2))
+        compact = gate(Tensor(np.array([[1.0, 2.0, 3.0]])), (0, 2))
         np.testing.assert_allclose(compact.p.data, [expected])
         tokens, p, _ = self.route_subset([1.0, 2.0, 3.0], (0, 2), (1.0, 3.0))
         assert p[0, 1] == 0.0
@@ -120,8 +121,7 @@ class TestFuse:
     def test_one_hot_is_bitwise_selected(self):
         embs = const_embeddings()
         embs[0].tokens.data[0, 0, 0] = -0.0  # signed-zero stress
-        out = fuse(one_hot_gates(2, 0), embs)
-        assert out.source == "fused"
+        out = fuse(one_hot_gates(2, 0, len(ALL_SLOTS)), embs)
         assert out.tokens.data.tobytes() == embs[0].tokens.data.tobytes()
 
     def test_weighted_constant_embeddings(self):
@@ -132,10 +132,10 @@ class TestFuse:
     def test_convex_bound_property(self):
         rng = np.random.RandomState(4)
         for _ in range(20):
-            embs = [VisualTokens(tokens=Tensor(rng.randn(2, 5, 3)), source="image-based")
+            embs = [VisualTokens(tokens=Tensor(rng.randn(2, 5, 3)))
                     for _ in range(3)]
-            logits = RouterLogits(values=Tensor(rng.randn(2, 3)))
-            out = fuse(gate(logits), embs).tokens.data
+            logits = Tensor(rng.randn(2, 3))
+            out = fuse(gate(logits, ALL_SLOTS), embs).tokens.data
             stack = np.stack([e.tokens.data for e in embs])
             assert np.all(out >= stack.min(axis=0) - 1e-12)
             assert np.all(out <= stack.max(axis=0) + 1e-12)
@@ -145,16 +145,16 @@ class TestFuse:
         p = GateWeights(p=Tensor(rng.dirichlet(np.ones(3), size=2)))
         e1 = [Tensor(rng.randn(2, 4, 3)) for _ in range(3)]
         e2 = [Tensor(rng.randn(2, 4, 3)) for _ in range(3)]
-        wrap = lambda ts: [VisualTokens(tokens=t, source="image-based") for t in ts]
+        wrap = lambda ts: [VisualTokens(tokens=t) for t in ts]
         lhs = fuse(p, wrap([Tensor(a.data + b.data) for a, b in zip(e1, e2)])).tokens.data
         rhs = (fuse(p, wrap(e1)).tokens.data + fuse(p, wrap(e2)).tokens.data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         embs = const_embeddings()
-        embs[1] = VisualTokens(tokens=Tensor(np.zeros((2, 5, 3))), source="spatial-temporal")
+        embs[1] = VisualTokens(tokens=Tensor(np.zeros((2, 5, 3))))
         with pytest.raises(FusionError):
-            fuse(one_hot_gates(2, 0), embs)
+            fuse(one_hot_gates(2, 0, len(ALL_SLOTS)), embs)
 
     def test_per_sample_one_hot_rows_select_bitwise(self):
         embs = const_embeddings()
@@ -166,10 +166,10 @@ class TestFuse:
     def test_gradient_reaches_gates_and_embeddings(self):
         rng = np.random.RandomState(6)
         logits = Tensor(rng.randn(1, 3), requires_grad=True)
-        embs = [VisualTokens(tokens=Tensor(rng.randn(1, 4, 3), requires_grad=True),
-                             source="image-based") for _ in range(3)]
+        embs = [VisualTokens(tokens=Tensor(rng.randn(1, 4, 3), requires_grad=True))
+                for _ in range(3)]
         with Tape() as tape:
-            out = fuse(gate(RouterLogits(values=logits)), embs)
+            out = fuse(gate(logits, ALL_SLOTS), embs)
             tape.backward(tsum(out.tokens))
         assert logits.grad is not None and np.any(logits.grad != 0)
         for e in embs:
@@ -184,7 +184,7 @@ class TestStrategies:
         embs = const_embeddings(batch=batch)
         router = make_router()
         strategy = FusionStrategy(kind=kind, rng=Rng(seed, f"fusion/{kind}"))
-        return fuse_with_strategy(strategy, instr, embs, router)
+        return fuse_with_strategy(strategy, instr, embs, router, ALL_SLOTS)
 
     def test_average_of_constants(self):
         out, g = self.run("average")
@@ -256,7 +256,7 @@ class TestModalityGate:
         batch = model_batch(cfg, "motion", 2)
         _, g = model.forward(batch)
         instr = model.instruction_encoder.encode(batch.tokens)
-        expected = softmax(model.router.route(instr).values, axis=-1).data
+        expected = softmax(model.router.route(instr), axis=-1).data
         np.testing.assert_array_equal(g.p.data, expected)
         assert np.ptp(expected, axis=1).min() > 1e-3  # the router is not uniform
 
@@ -265,6 +265,6 @@ class TestModalityGate:
         cfg = default_config()
         batch = model_batch(cfg, "detail", 1, total_frames=1)
         bad = Batch(frames=batch.frames, labels=batch.labels, tokens=batch.tokens,
-                    modality="audio", families=batch.families)
+                    modality="audio")
         with pytest.raises(FusionError):
             FusionModel(cfg, seed=1).forward(bad)

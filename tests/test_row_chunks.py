@@ -169,7 +169,7 @@ def test_split_layer_norm_bitwise(b, t, d, seed):
 
 @st.composite
 def big_conv_cases(draw):
-    lead = draw(st.sampled_from([(), (1,), (3,), (5,), (8,)]))  # () is a 4-D clip
+    lead = draw(st.sampled_from([(1,), (3,), (5,), (8,)]))
     k = draw(st.integers(1, 3))
     stride = draw(st.sampled_from([(1, 1, 1), (1, 1, 1), (1, 2, 2), (2, 1, 1)]))
     pad = tuple(draw(st.integers(0, 1)) for _ in range(3))
@@ -189,10 +189,10 @@ def test_split_conv3d_bitwise(case):
     (x, kernel), stride, pad, weight = case
     out, _, (dx, dk) = split_and_serial(lambda a, b: conv3d(a, b, stride, pad),
                                         (x, kernel), weight)
-    # Unsplit reference: one clip at a time (a 4-D input is never split).
-    clips = x.data if x.ndim == 5 else x.data[None]
-    per_clip = np.stack([conv3d(Tensor(c), kernel, stride, pad).data for c in clips])
-    assert np.array_equal(out, per_clip if x.ndim == 5 else per_clip[0])
+    # Unsplit reference: one clip at a time (a batch of one is never split).
+    per_clip = np.concatenate([conv3d(Tensor(c[None]), kernel, stride, pad).data
+                               for c in x.data])
+    assert np.array_equal(out, per_clip)
     # The padded per-offset form runs its GEMMs over other row counts, which
     # round differently, so it is matched to rounding: 1e-12 of each array's
     # scale covers float64 sums over a few hundred terms.

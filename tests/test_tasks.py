@@ -8,6 +8,7 @@ import pytest
 from vpfuse.config import default_config
 from vpfuse.encoders import sample_frames
 from vpfuse.tasks import (
+    EVAL_BATCH,
     EVAL_INDEX_BASE,
     FAMILIES,
     FAMILY_POOLS,
@@ -58,8 +59,8 @@ class TestDeterminism:
     def test_eval_split_disjoint_from_train(self):
         # train indices are consumed from 0 upward; eval lives above the base
         assert EVAL_INDEX_BASE > 1 << 19
-        batches = list(eval_batches(CFG, "detail", n=4, batch_size=2))
-        assert sum(b.size for b in batches) == 4
+        batches = list(eval_batches(CFG, "detail", n=EVAL_BATCH + 2))
+        assert [b.size for b in batches] == [EVAL_BATCH, 2]
 
 
 class TestDetail:

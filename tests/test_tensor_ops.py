@@ -10,6 +10,7 @@ from vpfuse.tensor import (
     Tape,
     Tensor,
     TensorError,
+    add,
     concat,
     conv3d,
     conv3d_out_dim,
@@ -101,8 +102,8 @@ class TestConv3d:
         rng = np.random.RandomState(0)
         x = rng.randn(3, 5, 4, 6)
         kernel = np.eye(6).reshape(1, 1, 1, 6, 6)
-        out = conv3d(Tensor(x), Tensor(kernel), (1, 1, 1), (0, 0, 0))
-        np.testing.assert_array_equal(out.data, x)
+        out = conv3d(Tensor(x[None]), Tensor(kernel), (1, 1, 1), (0, 0, 0))
+        np.testing.assert_array_equal(out.data[0], x)
 
     @pytest.mark.parametrize("shape,k,stride,pad", [
         ((4, 5, 6, 2), 3, (1, 1, 1), (1, 1, 1)),
@@ -115,16 +116,16 @@ class TestConv3d:
         rng = np.random.RandomState(7)
         x = rng.randn(*shape)
         kernel = rng.randn(k, k, k, shape[-1], 3)
-        fast = conv3d(Tensor(x), Tensor(kernel), stride, pad).data
+        fast = conv3d(Tensor(x[None]), Tensor(kernel), stride, pad).data[0]
         ref = naive_conv3d(x, kernel, stride, pad)
         assert fast.shape == ref.shape
         np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("shape,k,stride,pad", [
         ((2, 8, 4, 4, 5), 3, (1, 1, 1), (1, 1, 1)),   # the desk stc shape, smaller
-        ((5, 7, 6, 3), 3, (2, 1, 3), (1, 0, 2)),
+        ((1, 5, 7, 6, 3), 3, (2, 1, 3), (1, 0, 2)),
         ((2, 3, 6, 5, 2), 2, (1, 2, 2), (1, 1, 0)),
-        ((2, 4, 5, 2), 3, (3, 1, 2), (2, 0, 1)),       # T offset 1 reads only padding
+        ((1, 2, 4, 5, 2), 3, (3, 1, 2), (2, 0, 1)),    # T offset 1 reads only padding
     ])
     def test_forward_and_grads_match_padded_reference(self, shape, k, stride, pad):
         rng = np.random.RandomState(11)
@@ -146,16 +147,20 @@ class TestConv3d:
         kernel = rng.randn(3, 3, 3, 2, 4)
         batched = conv3d(Tensor(x), Tensor(kernel), (1, 2, 2), (1, 1, 1)).data
         for b in range(2):
-            single = conv3d(Tensor(x[b]), Tensor(kernel), (1, 2, 2), (1, 1, 1)).data
-            np.testing.assert_array_equal(batched[b], single)
+            single = conv3d(Tensor(x[b][None]), Tensor(kernel), (1, 2, 2), (1, 1, 1)).data
+            np.testing.assert_array_equal(batched[b], single[0])
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(TensorError):
-            conv3d(Tensor(np.zeros((2, 4, 4, 3))), Tensor(np.zeros((3, 3, 3, 2, 5))))
+            conv3d(Tensor(np.zeros((1, 2, 4, 4, 3))), Tensor(np.zeros((3, 3, 3, 2, 5))))
+
+    def test_unbatched_input_raises(self):
+        with pytest.raises(TensorError):
+            conv3d(Tensor(np.zeros((2, 4, 4, 1))), Tensor(np.zeros((1, 1, 1, 1, 1))))
 
     def test_non_positive_output_raises(self):
         with pytest.raises(TensorError):
-            conv3d(Tensor(np.zeros((2, 4, 4, 1))), Tensor(np.zeros((3, 3, 3, 1, 1))),
+            conv3d(Tensor(np.zeros((1, 2, 4, 4, 1))), Tensor(np.zeros((3, 3, 3, 1, 1))),
                    (1, 1, 1), (0, 0, 0))
 
 
@@ -208,31 +213,35 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_uniform_four_way(self):
-        loss = cross_entropy(Tensor(np.zeros(4)), 1).item()
+        loss = cross_entropy(Tensor(np.zeros((1, 4))), [1]).item()
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_saturated_correct_class(self):
-        loss = cross_entropy(Tensor(np.array([50.0, -50.0])), 0).item()
+        loss = cross_entropy(Tensor(np.array([[50.0, -50.0]])), [0]).item()
         assert loss < 1e-9
 
     def test_direct_formula_oracle(self):
         # oracle: -log(exp(z_y) / sum exp(z)) evaluated directly
         z = np.array([1.0, 2.0, 3.0])
         expected = -math.log(math.exp(z[2]) / np.exp(z).sum())
-        loss = cross_entropy(Tensor(z), 2).item()
+        loss = cross_entropy(Tensor(z[None]), [2]).item()
         assert abs(loss - expected) < 1e-12
         assert abs(loss - 0.40760596) < 1e-7
 
     def test_batched_is_mean(self):
         z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        per = [cross_entropy(Tensor(z[0]), 2).item(),
-               cross_entropy(Tensor(z[1]), 0).item()]
+        per = [cross_entropy(Tensor(z[:1]), [2]).item(),
+               cross_entropy(Tensor(z[1:]), [0]).item()]
         batch = cross_entropy(Tensor(z), [2, 0]).item()
         assert abs(batch - np.mean(per)) < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(TensorError):
-            cross_entropy(Tensor(np.zeros(3)), 3)
+            cross_entropy(Tensor(np.zeros((1, 3))), [3])
+
+    def test_logits_must_be_2d(self):
+        with pytest.raises(TensorError):
+            cross_entropy(Tensor(np.zeros(3)), [0])
 
 
 class TestPlumbingOps:
@@ -302,7 +311,7 @@ class TestFiniteGuard:
     def test_overflowing_op_raises(self):
         big = Tensor(np.array([1e308]))
         with pytest.raises(NonFiniteError):
-            big + big
+            add(big, big)
 
     def test_constructor_rejects_nan(self):
         with pytest.raises(NonFiniteError):
@@ -324,4 +333,4 @@ def test_ops_record_only_under_tape():
     assert out._tape is None  # no active tape, nothing recorded
     with Tape() as tape:
         out2 = a * 2.0
-        assert len(tape) == 1 and out2._tape() is tape  # weak back-reference
+        assert len(tape.entries) == 1 and out2._tape() is tape  # weak back-reference
