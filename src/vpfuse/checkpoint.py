@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  "OCTO"
-    u32     version (currently 1)
+    u32     version (currently 2)
     u64     config blob length, then that many bytes of UTF-8 config text
     u64     tensor count
     per tensor, sorted by name:
@@ -12,6 +12,9 @@ Layout (all integers little-endian):
         u32     rank
         u64[rank] dims
         raw row-major float64 values
+    u32     zlib.crc32 of every byte before it (version 2 only)
+
+Version 1 files, which end at the tensor table, still load, unchecked.
 
 The config blob is the canonical config serialization plus a trailing
 `# stage: <name>` comment recording which training stage produced the file.
@@ -23,6 +26,7 @@ canonical serialization and serializing it again gives the same text.
 from __future__ import annotations
 
 import struct
+import zlib
 from pathlib import Path
 from typing import Optional
 
@@ -32,14 +36,14 @@ from .config import Config, parse_config
 from .model import FusionModel
 
 MAGIC = b"OCTO"
-VERSION = 1
+VERSION = 2
 DTYPE_F64 = 0
 _STAGE_PREFIX = "# stage: "
 
 
 class CheckpointError(ValueError):
-    """Bad magic, version, truncation, undecodable or invalid config or
-    tensor names, or mismatch against the config."""
+    """Bad magic, version or checksum, truncation, undecodable or invalid
+    config or tensor names, or mismatch against the config."""
 
 
 def _config_blob(cfg: Config, stage: Optional[str]) -> str:
@@ -69,6 +73,7 @@ def save_checkpoint(model: FusionModel, path, stage: Optional[str] = None) -> No
         out += struct.pack("<I", t.data.ndim)
         out += struct.pack(f"<{t.data.ndim}Q", *t.data.shape)
         out += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     Path(path).write_bytes(bytes(out))
 
 
@@ -102,8 +107,13 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.unpack("<I")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if version == VERSION:
+        body, crc = reader.raw[:-4], reader.raw[-4:]
+        if struct.pack("<I", zlib.crc32(body)) != crc:
+            raise CheckpointError("checksum mismatch: checkpoint is corrupt or truncated")
+        reader.raw = body
     blob_len = reader.unpack("<Q")
     blob = reader.text(blob_len, "config blob")
     stage = None

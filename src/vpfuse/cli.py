@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tensor
 from .ablations import ARMS, evaluate, gate_columns, run_arms
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config, ConfigError, parse_config
@@ -58,6 +58,17 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: anything but an integer >= 1 exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _make_run_dir(path: str) -> Path:
     run_dir = Path(path)
     run_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -75,6 +86,8 @@ def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
         "end_step": end_step,
         "artifacts": artifacts,
         "config": cfg.serialize(),
+        "row_workers": tensor._WORKERS,
+        "blas_threads": tensor._BLAS_THREADS,
     }
     _write_atomic(run_dir / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", choices=("pretrain", "tune"), required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, help="override the configured step count")
+    p.add_argument("--steps", type=_positive_int, help="override the configured step count")
     p.add_argument("--out", required=True, help="run directory (must not exist)")
     p.add_argument("--init", help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on the synthetic families")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--families", help="comma list (default: all)")
-    p.add_argument("--n", type=int, help="samples per family")
+    p.add_argument("--n", type=_positive_int, help="samples per family")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
@@ -244,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--mode", choices=tuple(ARMS), required=True)
     p.add_argument("--seeds", default="1,2", help="comma list of seeds")
-    p.add_argument("--pretrain-steps", type=int)
-    p.add_argument("--tune-steps", type=int)
-    p.add_argument("--n", type=int, help="eval samples per family")
+    p.add_argument("--pretrain-steps", type=_positive_int)
+    p.add_argument("--tune-steps", type=_positive_int)
+    p.add_argument("--n", type=_positive_int, help="eval samples per family")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
     return parser

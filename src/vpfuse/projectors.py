@@ -128,6 +128,11 @@ def _com_budget(cfg: Config, label: str) -> TokenBudget:
     m = cfg["com.sep_period"]
     if c == 0:
         raise ConfigError("com projector needs at least one context or content token")
+    if cfg["com.content"]:
+        (bh, bw), pg = _bin_layout(cfg["com.content"]), cfg.patch_grid()
+        if max(bh, bw) > pg:
+            raise ConfigError(f"com.content {cfg['com.content']} pools into {bh}x{bw} "
+                              f"bins, more than the {pg}x{pg} patch grid holds")
     if m == 0:
         count = t * c
         return TokenBudget(label, "com",

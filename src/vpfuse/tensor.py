@@ -41,16 +41,23 @@ relies on:
   and every backward rule stay on the calling thread; backward rules are
   serial, because a weight gradient sums over the rows a split would
   separate.
+- All parallelism comes from those row chunks.  At import, numpy's vendored
+  OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
+  by thread count, which changes the last bits of weight gradients.  So
+  results do not depend on ``OPENBLAS_NUM_THREADS`` or on the core count.
+  ``_BLAS_THREADS`` is 1, or ``None`` on a numpy build without that library.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -254,6 +261,19 @@ _MAX_CHUNKS = 4
 _MIN_CHUNK_WORK = 1 << 15  # elements per chunk, enough to pay for a hand-off
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
+
+
+def _pin_blas() -> Optional[int]:
+    """Set numpy's vendored OpenBLAS to one thread; its thread count after."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so")):
+        blas = ctypes.CDLL(str(lib))
+        blas.scipy_openblas_set_num_threads64_(1)
+        return blas.scipy_openblas_get_num_threads64_()
+    return None
+
+
+_BLAS_THREADS = _pin_blas()
 
 
 def _worker_pool() -> ThreadPoolExecutor:

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, versioning, corruption handling."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,14 +24,17 @@ def small_cfg():
 
 
 def with_config_blob(raw: bytes, blob: bytes) -> bytes:
-    """Checkpoint bytes ``raw`` with the config blob replaced by ``blob``."""
+    """Checkpoint bytes ``raw`` with the config blob replaced by ``blob`` and
+    the checksum recomputed, so the loader gets past it to the blob."""
     (old_len,) = struct.unpack_from("<Q", raw, 8)
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + old_len:]
+    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + old_len:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def header_offsets(raw: bytes) -> list[int]:
     """Offset of every byte that is not a tensor value: magic, version, the
-    config blob and its length, the tensor count and each tensor's header."""
+    config blob and its length, the tensor count, each tensor's header and
+    the checksum."""
     (blob_len,) = struct.unpack_from("<Q", raw, 8)
     pos = 16 + blob_len
     offsets = list(range(pos + 8))
@@ -43,8 +47,8 @@ def header_offsets(raw: bytes) -> list[int]:
         dims = struct.unpack_from(f"<{rank}Q", raw, pos + head - 8 * rank)
         offsets += range(pos, pos + head)
         pos += head + 8 * int(np.prod(dims))
-    assert pos == len(raw)
-    return offsets
+    assert pos == len(raw) - 4
+    return offsets + list(range(pos, len(raw)))
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -136,8 +140,9 @@ def saved(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(saved, data):
-    # Header bytes are drawn most often: a flipped tensor value loads silently
-    # (the format has no checksum), so flips there test little.
+    # Every truncation and every changed byte raises: the CRC covers the
+    # whole file.  Header bytes are drawn most often, because a flip there
+    # that got past the CRC could load with a different config.
     path, raw, headers = saved
     if data.draw(st.booleans(), label="truncate"):
         corrupt = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
@@ -147,10 +152,31 @@ def test_corrupt_checkpoint_loads_or_raises_checkpoint_error(saved, data):
         mask = data.draw(st.integers(1, 255), label="xor")
         corrupt = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
     path.write_bytes(corrupt)
-    try:
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
-    except CheckpointError:
-        pass
+
+
+def test_flipped_tensor_value_fails_checksum(tmp_path):
+    path = tmp_path / "f.octo"
+    save_checkpoint(FusionModel(small_cfg(), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) - 12] ^= 1  # last bit of the last tensor value's low byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+def test_version_1_file_loads_unchecked(tmp_path):
+    # A version-1 file is a version-2 file without the trailing CRC.
+    model = FusionModel(small_cfg(), seed=3)
+    path = tmp_path / "v1.octo"
+    save_checkpoint(model, path, stage="tune")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
+    loaded, cfg, stage = load_checkpoint(path)
+    assert stage == "tune" and cfg.serialize() == model.cfg.serialize()
+    for name, p in model.named_parameters().items():
+        assert loaded.named_parameters()[name].data.tobytes() == p.data.tobytes(), name
 
 
 @pytest.mark.parametrize("junk, message", [(b"\xff", "UTF-8"),

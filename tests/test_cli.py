@@ -14,6 +14,7 @@ from vpfuse.checkpoint import save_checkpoint
 from vpfuse.cli import main
 from vpfuse.config import parse_config
 from vpfuse.model import FusionModel
+from vpfuse import tensor
 
 FAST = """
 train.batch = 4
@@ -114,6 +115,35 @@ class TestTrainEval:
                        "--init", str(out1 / "model.octo"),
                        "--out", str(tmp_path / "s2")) == 2
 
+    def test_manifest_records_threads(self, tmp_path, fast_cfg):
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
+                       "--steps", "1", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["row_workers"] == tensor._WORKERS >= 1
+        assert manifest["blas_threads"] == tensor._BLAS_THREADS
+
+
+class TestCountArguments:
+    # Step and sample counts must be positive integers.  Anything else exits
+    # 2 in argument parsing, before any training or any run directory.
+    @pytest.mark.parametrize("argv", [
+        "train --config {cfg} --stage pretrain --steps 0",
+        "train --config {cfg} --stage tune --steps -2",
+        "eval --ckpt unread.octo --n 0",
+        "ablate --config {cfg} --mode strategy --seeds 1 --pretrain-steps 1"
+        " --tune-steps 1 --n 0",
+        "ablate --config {cfg} --mode subset --seeds 1 --pretrain-steps 0",
+        "ablate --config {cfg} --mode stacked --seeds 1 --tune-steps two",
+    ])
+    def test_non_positive_count_exits_2(self, tmp_path, fast_cfg, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv.format(cfg=fast_cfg).split(), "--out", str(out))
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGateLabels:
     def test_default_eval_report_names_img_stc_com(self, tmp_path, capsys):
@@ -209,24 +239,17 @@ class TestAblateCommand:
         assert csvs[0] == csvs[1]
 
     def test_ablation_csvs_pinned(self, tmp_path):
-        # Recorded while each mode had its own harness loop.  Run with one
-        # BLAS thread, in a child process so the setting takes effect.
+        # Recorded with one BLAS thread while each mode had its own harness
+        # loop.
         expected = {
             "strategy": "c3c2ffcec93e276faf33266d06a13e00e16d06607f1d4c11e66176031952742e",
             "subset": "068ab88567f9c92cbcba637ce9ca2536468264e780b87e252e728d250d0a537e",
             "stacked": "8ed4bc9c21bbd50c0077a8b83badd673a858ef70dc7ff2a1ebd2e36c44335e00",
         }
-        root = Path(__file__).parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        code = ("import sys\nfrom vpfuse.cli import main\n"
-                "for mode in sys.argv[2:]:\n"
-                "    assert main(['ablate', '--mode', mode, '--seeds', '1',"
-                " '--pretrain-steps', '2', '--tune-steps', '2', '--n', '8',"
-                " '--out', f'{sys.argv[1]}/{mode}']) == 0\n")
-        child = subprocess.run([sys.executable, "-c", code, str(tmp_path), *expected],
-                               env=env, capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
+        for mode in expected:
+            assert run_cli("ablate", "--mode", mode, "--seeds", "1",
+                           "--pretrain-steps", "2", "--tune-steps", "2", "--n", "8",
+                           "--out", str(tmp_path / mode)) == 0
         assert {mode: hashlib.sha256((tmp_path / mode / "ablation.csv").read_bytes()
                                      ).hexdigest() for mode in expected} == expected
 

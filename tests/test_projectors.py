@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from vpfuse.config import ConfigError, default_config, parse_config
 from vpfuse.encoders import InstructionEncoder, VideoEncoder
@@ -80,6 +82,12 @@ class TestTokenBudget:
     def test_conv_underflow_rejected(self):
         with pytest.raises(ConfigError):
             compute_token_budget(desk_cfg(stc__kernel=9, stc__pad=(0, 0, 0)))
+
+    def test_content_bins_must_fit_patch_grid(self):
+        # two content tokens pool a 1x2 bin grid, which a 1x1 patch grid
+        # cannot hold; the projector itself would fail mid-forward
+        with pytest.raises(ConfigError, match="patch grid"):
+            compute_token_budget(desk_cfg(video__grid=4, video__patch=4, com__content=2))
 
 
 def encode_batch(cfg, frames, indices, seed=0):
@@ -196,36 +204,49 @@ class TestComProjector:
         assert not np.array_equal(a, b)
 
 
-def test_projector_counts_match_budgets_across_configs():
-    # arithmetic and network agree for a sweep of valid configs
-    cases = [
-        {},
-        {"com__context": 3, "com__sep_period": 0, "com__content": 1},
-        {"img__prepool": 2, "sampler__frames": 8, "video__total_frames": 8,
-         "stc__stride": (2, 2, 2), "stc__pad": (1, 1, 1), "com__context": 0,
-         "com__content": 2, "com__sep_period": 2},
-        {"img__separator": True, "com__context": 3, "com__content": 1,
-         "com__sep_period": 8},
-    ]
-    for overrides in cases:
-        cfg = desk_cfg(**overrides)
+@st.composite
+def small_configs(draw):
+    """Small configs over every key the token arithmetic reads; the widths
+    stay at 8 so a forward pass is cheap, as they do not change counts."""
+    patch = draw(st.sampled_from((2, 4)))
+    total = draw(st.integers(1, 12))
+    return desk_cfg(
+        video__patch=patch, video__grid=patch * draw(st.integers(1, 4)),
+        video__total_frames=total, sampler__frames=draw(st.integers(1, total)),
+        encoder__dim=8, text__dim=8, model__dim=8, img__hidden=8, stc__channels=8,
+        img__prepool=draw(st.integers(1, 3)), img__separator=draw(st.booleans()),
+        stc__kernel=draw(st.integers(1, 3)),
+        stc__stride=tuple(draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))),
+        stc__pad=tuple(draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))),
+        stc__blocks=draw(st.integers(1, 2)),
+        com__context=draw(st.integers(0, 3)), com__content=draw(st.integers(0, 2)),
+        com__sep_period=draw(st.sampled_from((0, 1, 2, 3, total))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs())
+def test_projector_counts_match_budgets_across_configs(cfg):
+    # The closed-form count equals each projector network's real output count.
+    try:
         budgets = compute_token_budget(cfg)
-        enc = VideoEncoder(cfg, Rng(0, "v"))
-        text = InstructionEncoder(cfg, Rng(0, "t"))
-        t_total = cfg["video.total_frames"]
-        k = cfg["sampler.frames"]
-        frames = np.random.RandomState(1).rand(1, t_total, 16, 16)
-        sampled_idx = np.linspace(0, t_total - 1, k).astype(int)
-        sampled = enc.encode(frames[:, sampled_idx], sampled_idx)
-        full = enc.encode(frames, np.arange(t_total))
-        instr = text.encode(np.array([[0, 1, 2, 3, 4, 5]]))
-        outs = [
-            ImageProjector(cfg, Rng(1, "pi"))(sampled),
-            StcProjector(cfg, Rng(1, "ps"))(sampled),
-            ComProjector(cfg, Rng(1, "pc"))(full, instr),
-        ]
-        for out, budget in zip(outs, budgets):
-            assert out.count == budget.count, (overrides, budget.derivation)
+    except ConfigError:
+        reject()
+    enc = VideoEncoder(cfg, Rng(0, "v"))
+    text = InstructionEncoder(cfg, Rng(0, "t"))
+    t_total = cfg["video.total_frames"]
+    grid = cfg["video.grid"]
+    frames = np.random.RandomState(1).rand(1, t_total, grid, grid)
+    sampled_idx = np.linspace(0, t_total - 1, cfg["sampler.frames"]).astype(int)
+    sampled = enc.encode(frames[:, sampled_idx], sampled_idx)
+    full = enc.encode(frames, np.arange(t_total))
+    instr = text.encode(np.array([[0, 1, 2, 3, 4, 5]]))
+    outs = [
+        ImageProjector(cfg, Rng(1, "pi"))(sampled),
+        StcProjector(cfg, Rng(1, "ps"))(sampled),
+        ComProjector(cfg, Rng(1, "pc"))(full, instr),
+    ]
+    for out, budget in zip(outs, budgets):
+        assert out.count == budget.count, budget.derivation
 
 
 @pytest.mark.parametrize("which", ["image", "stc", "com"])

@@ -5,8 +5,10 @@ equal to the unsplit reference and to the same op on one thread.
 """
 
 import contextlib
+import ctypes
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,18 @@ def test_chunks_depend_on_shape_only():
             if len(chunks) > 1:
                 assert all((c.stop - c.start) * work >= tensor._MIN_CHUNK_WORK
                            for c in chunks)
+
+
+def test_vendored_blas_runs_one_thread():
+    # Row chunks are the only parallelism: importing vpfuse sets numpy's
+    # vendored OpenBLAS, where the build has one, to a single thread.
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        assert tensor._BLAS_THREADS is None
+    else:
+        blas = ctypes.CDLL(str(libs[0]))
+        assert blas.scipy_openblas_get_num_threads64_() == tensor._BLAS_THREADS == 1
 
 
 @st.composite

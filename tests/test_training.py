@@ -183,47 +183,51 @@ def pin_digest(**overrides):
     return h.hexdigest()
 
 
-def child_digests(overrides, threads):
-    """``pin_digest(**overrides)`` computed in a child process per BLAS thread
-    count: a thread count of 2 changes the last bit of some weight gradients
-    (their GEMMs split the summed axis)."""
+_CHILD_PIN = """
+import os, sys
+if sys.argv[1] == "one_cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import test_training
+from vpfuse import tensor
+print(tensor._WORKERS, test_training.pin_digest())
+"""
+
+
+def child_pin(one_cpu=False, **env):
+    """``(tensor._WORKERS, pin_digest())`` in a child process with ``env``
+    added to its environment; ``one_cpu`` restricts the child to one CPU
+    before it imports ``vpfuse``."""
     tests_dir = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
-    digests = {}
-    for n in threads:
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(n),
-                   OMP_NUM_THREADS=str(n), MKL_NUM_THREADS=str(n))
-        child = subprocess.run(
-            [sys.executable, "-c", "import test_training; "
-             f"print(test_training.pin_digest(**{overrides!r}))"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        digests[n] = child.stdout.strip()
-    return digests
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD_PIN, "one_cpu" if one_cpu else "all"],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    workers, digest = child.stdout.split()
+    return int(workers), digest
 
 
 def test_whole_model_pin():
     # Any change in the arithmetic of a forward or backward rule shows up
-    # here.  The 2-thread digest was recorded before the fused linear and
-    # attention ops replaced the composed ones, the 1-thread digest before
-    # ops were split into row chunks.
-    expected = {
-        1: "ad5c0475e459c1a5d4c7df3e0d9d7b19acc6569053bcb7ebb1f2dd28151683b9",
-        2: "8d915e09062755b5c2bbbd4e20924614ec83506eff3f0db08ab16db9372d89cd",
-    }
-    assert child_digests({}, (1, 2)) == expected
+    # here.  Recorded with one BLAS thread before ops were split into row
+    # chunks.  ``vpfuse.tensor`` sets OpenBLAS to one thread at import, so
+    # the digest holds whatever thread count the environment asks for, and
+    # row chunks depend only on shape, so it holds on one core too.
+    expected = "ad5c0475e459c1a5d4c7df3e0d9d7b19acc6569053bcb7ebb1f2dd28151683b9"
+    assert pin_digest() == expected
+    assert child_pin(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                     MKL_NUM_THREADS="2")[1] == expected
+    assert child_pin(one_cpu=True) == (1, expected)
 
 
 @pytest.mark.parametrize("active, expected", [
-    (("image", "com"), {
-        1: "34d2fba92d03d0fd31c25931e2062d0fd849b7870aac08a6b130bb0fa0038400",
-        2: "92a5304b334c3bc7e1081aa33c2aa4b2981c1c0cf5fe359d4de7b39eded19c60"}),
-    (("com",), {
-        1: "e70c4a6a16c57517c851ed7007c2a6e307e4a02a1748c0b4492e8de116128ed4",
-        2: "573d819dadef390d169436793291534da825e5db64b668579eac726b4eed43e5"}),
-])
+    (("image", "com"), "34d2fba92d03d0fd31c25931e2062d0fd849b7870aac08a6b130bb0fa0038400"),
+    (("com",), "e70c4a6a16c57517c851ed7007c2a6e307e4a02a1748c0b4492e8de116128ed4"),
+], ids=["active0-expected0", "active1-expected1"])  # the cases' established ids
 def test_subset_model_pin(active, expected):
     # Gating over a projector subset (a softmax over the active slots, or a
-    # one-hot gate for one slot).  Recorded while the gate still padded
-    # inactive slots with zero columns and fusion sliced them back out.
-    assert child_digests({"projectors__active": active}, (1, 2)) == expected
+    # one-hot gate for one slot).  Recorded with one BLAS thread while the
+    # gate still padded inactive slots with zero columns and fusion sliced
+    # them back out.
+    assert pin_digest(projectors__active=active) == expected
