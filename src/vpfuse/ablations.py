@@ -12,12 +12,12 @@ CSV/plain-text renderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .config import PROJECTOR_KINDS, STRATEGIES, Config
-from .model import FusionModel
+from .model import Batch, FusionModel
 from .tasks import FAMILIES, batch_stream, eval_batches
 from .training import TrainConfig, make_strategy, train
 
@@ -56,8 +56,7 @@ class EvalReport:
 
 
 def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
-             n: Optional[int] = None,
-             strategy_kind: Optional[str] = None) -> EvalReport:
+             n: Optional[int] = None) -> EvalReport:
     """Accuracy and mean gates per family on the deterministic eval split.
 
     Inference runs tape-free.  Random fusion strategies draw from a fresh
@@ -65,7 +64,7 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
     """
     cfg = model.cfg
     n = cfg["eval.samples"] if n is None else n
-    kind = strategy_kind or cfg["train.strategy"]
+    kind = cfg["train.strategy"]
     strategy = make_strategy(kind, 0, "eval")
 
     accuracy: dict[str, float] = {}
@@ -91,24 +90,28 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
                       n_per_family=n, strategy=kind, gate_columns=gate_columns(cfg))
 
 
+def stage_recipe(model: FusionModel, stage: str,
+                 steps: Optional[int]) -> tuple[Iterator[Batch], TrainConfig]:
+    """The batch stream and ``TrainConfig`` that ``train`` runs one stage of
+    ``model`` with, read from ``model.cfg``; ``steps``, unless None, replaces
+    the stage's configured step count.  The stream's task specs are built
+    here, so a config the tasks cannot draw fails before any training."""
+    cfg = model.cfg
+    seed = cfg["train.seed"]
+    tc = TrainConfig(stage=stage, steps=steps or cfg[f"train.{stage}_steps"],
+                     batch_size=cfg["train.batch"], lr=cfg["train.lr"],
+                     beta1=cfg["train.beta1"], beta2=cfg["train.beta2"],
+                     seed=seed, strategy=cfg["train.strategy"])
+    return batch_stream(cfg, stage, seed), tc
+
+
 def run_two_stage(cfg: Config, seed: int,
                   pretrain_steps: Optional[int] = None,
                   tune_steps: Optional[int] = None) -> FusionModel:
     """Pretrain then tune one model; stage 2 continues the stage-1 weights."""
-    cfg = cfg.replace(train__seed=seed)
-    model = FusionModel(cfg, seed)
-    strategy = cfg["train.strategy"]
-    batch = cfg["train.batch"]
-    lr = cfg["train.lr"]
-    b1, b2 = cfg["train.beta1"], cfg["train.beta2"]
-    p_steps = pretrain_steps or cfg["train.pretrain_steps"]
-    t_steps = tune_steps or cfg["train.tune_steps"]
-    train(model, batch_stream(cfg, "pretrain", seed),
-          TrainConfig(stage="pretrain", steps=p_steps, batch_size=batch, lr=lr,
-                      beta1=b1, beta2=b2, seed=seed, strategy=strategy))
-    train(model, batch_stream(cfg, "tune", seed),
-          TrainConfig(stage="tune", steps=t_steps, batch_size=batch, lr=lr,
-                      beta1=b1, beta2=b2, seed=seed, strategy=strategy))
+    model = FusionModel(cfg.replace(train__seed=seed), seed)
+    for stage, steps in (("pretrain", pretrain_steps), ("tune", tune_steps)):
+        train(model, *stage_recipe(model, stage, steps))
     return model
 
 
@@ -123,17 +126,16 @@ class AblationRow:
 class AblationTable:
     mode: str
     rows: list[AblationRow]
-    families: tuple[str, ...] = FAMILIES
 
     def to_csv(self) -> str:
         header = ["mode", "name"]
-        for fam in self.families:
+        for fam in FAMILIES:
             header += [f"{fam}_mean", f"{fam}_sd"]
         header += ["combined_mean", "combined_sd"]
         lines = [",".join(header)]
         for row in self.rows:
             cells = [self.mode, row.name]
-            for fam in self.families:
+            for fam in FAMILIES:
                 m, s = row.per_family[fam]
                 cells += [f"{m:.6f}", f"{s:.6f}"]
             cells += [f"{row.combined[0]:.6f}", f"{row.combined[1]:.6f}"]
@@ -141,13 +143,13 @@ class AblationTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        names = ["arm"] + [f[:7] for f in self.families] + ["combined"]
+        names = ["arm"] + [f[:7] for f in FAMILIES] + ["combined"]
         widths = [max(len(names[0]), max(len(r.name) for r in self.rows))]
-        widths += [12] * (len(self.families) + 1)
+        widths += [12] * (len(FAMILIES) + 1)
         out = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
         for row in self.rows:
             cells = [row.name.ljust(widths[0])]
-            for fam in self.families:
+            for fam in FAMILIES:
                 m, s = row.per_family[fam]
                 cells.append(f"{m:.3f}±{s:.3f}".ljust(12))
             m, s = row.combined

@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, tensor
-from .ablations import ARMS, evaluate, gate_columns, run_arms
+from .ablations import ARMS, evaluate, gate_columns, run_arms, stage_recipe
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config, ConfigError, parse_config
 from .encoders import EncodingError
 from .model import FusionModel
 from .projectors import compute_token_budget, validate_alignment
 from .router import FusionError, gate, scatter_gates
-from .tasks import FAMILIES, TaskError, batch_stream
+from .tasks import FAMILIES, TaskError
 from .tensor import NonFiniteError
-from .training import TrainConfig, TrainingError, train
+from .training import TrainingError, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -41,9 +41,9 @@ _VALIDATION_ERRORS = (ConfigError, CheckpointError, EncodingError, TaskError,
                       FusionError, ValueError)
 
 
-def _load_config(path: str | None, validate_budgets: bool = True) -> Config:
+def _load_config(path: str | None) -> Config:
     text = Path(path).read_text(encoding="utf-8") if path else ""
-    return parse_config(text, validate_budgets=validate_budgets)
+    return parse_config(text)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -100,12 +100,7 @@ def _loss_csv(curve) -> str:
 
 
 def cmd_tokens(args) -> int:
-    cfg = _load_config(args.config, validate_budgets=False)
-    try:
-        budgets = compute_token_budget(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    budgets = compute_token_budget(_load_config(args.config))
     report = validate_alignment(budgets)
     width = max(len(b.label) for b in budgets)
     for b in budgets:
@@ -121,11 +116,6 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = cfg.replace(train__seed=args.seed)
-    seed = cfg["train.seed"]
-    steps = (cfg["train.pretrain_steps"] if args.stage == "pretrain"
-             else cfg["train.tune_steps"])
-    if args.steps is not None:
-        steps = args.steps
 
     if args.init:
         model, ckpt_cfg, _ = load_checkpoint(args.init)
@@ -134,25 +124,21 @@ def cmd_train(args) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
     else:
+        model = FusionModel(cfg, cfg["train.seed"])
         if args.stage == "tune":
             print("note: tuning from random init (no --init pretrain checkpoint)",
                   file=sys.stderr)
-        model = FusionModel(cfg, seed)
+    # Every check on the config runs before the run directory exists.
+    batches, tc = stage_recipe(model, args.stage, args.steps)
 
     run_dir = _make_run_dir(args.out)
-    artifacts = ["model.octo", "loss.csv"]
-    _write_manifest(run_dir, cfg, seed, f"train --stage {args.stage}",
-                    0, steps, artifacts)
-
-    tc = TrainConfig(stage=args.stage, steps=steps, batch_size=cfg["train.batch"],
-                     lr=cfg["train.lr"], beta1=cfg["train.beta1"],
-                     beta2=cfg["train.beta2"], seed=seed,
-                     strategy=cfg["train.strategy"])
-    result = train(model, batch_stream(cfg, args.stage, seed), tc)
+    _write_manifest(run_dir, cfg, tc.seed, f"train --stage {args.stage}",
+                    0, tc.steps, ["model.octo", "loss.csv"])
+    result = train(model, batches, tc)
 
     save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
     _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
-    print(f"{args.stage}: {steps} steps, final loss {result.final_loss:.6f}")
+    print(f"{args.stage}: {tc.steps} steps, final loss {result.final_loss:.6f}")
     print(f"artifacts in {run_dir}")
     return EXIT_OK
 

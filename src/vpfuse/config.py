@@ -211,11 +211,12 @@ def _validate_value(key: str, raw: Any) -> Any:
     return value
 
 
-def parse_config(text: str, validate_budgets: bool = True) -> Config:
-    """Parse config text, apply defaults, validate the derived token budgets.
+def parse_config(text: str) -> Config:
+    """Parse config text, apply defaults, check the grid and the active slots.
 
-    ``validate_budgets=False`` skips the alignment check so tooling (the
-    `tokens` command) can inspect deliberately misaligned profiles.
+    Token-budget alignment is a property of the model, not of the text, so
+    ``FusionModel`` checks it; the `tokens` command can therefore show a
+    misaligned profile's budgets.
     """
     values: dict[str, Any] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -239,11 +240,6 @@ def parse_config(text: str, validate_budgets: bool = True) -> Config:
     cfg = Config(values)
     cfg.patch_grid()  # grid divisibility is structural, always enforced
     cfg.active_slots()
-    if validate_budgets:
-        from .projectors import compute_token_budget, validate_alignment
-        report = validate_alignment(compute_token_budget(cfg))
-        if not report.ok:
-            raise ConfigError(f"token budgets misaligned:\n{report.message}")
     return cfg
 
 

@@ -71,18 +71,16 @@ class Decoder:
 
 
 class FusionModel:
-    """The assembled system; construction fails on misaligned token budgets."""
+    """The assembled system; construction fails unless every projector slot,
+    active or not, emits the same number of tokens."""
 
     def __init__(self, cfg: Config, seed: int):
         self.cfg = cfg
-        self.seed = seed
         self.kinds = cfg["projectors.kinds"]
         self.labels = cfg.slot_labels()
         self.active = cfg.active_slots()
 
-        self.budgets = compute_token_budget(cfg)
-        active_budgets = [self.budgets[i] for i in self.active]
-        report = validate_alignment(active_budgets)
+        report = validate_alignment(compute_token_budget(cfg))
         if not report.ok:
             raise ConfigError(f"token budgets misaligned:\n{report.message}")
 

@@ -3,9 +3,9 @@ their outputs interchangeable.
 
 Element-wise fusion only makes sense if every projector emits the same number
 of tokens, so budgets are derived in closed form from the config (never by
-running the network) and checked both at parse time and at model
-construction.  The test suite separately asserts that each network's actual
-output count equals its arithmetic count.
+running the network), and ``FusionModel`` refuses to build unless every slot's
+budget is the same.  The test suite separately asserts that each network's
+actual output count equals its arithmetic count.
 
 Every projector takes the visual encoder's (B, T, H, W, D) feature Tensor
 (com also takes the instruction encoding) and returns ``VisualTokens`` around
@@ -170,6 +170,14 @@ def validate_alignment(budgets: list[TokenBudget]) -> AlignmentReport:
     return AlignmentReport(False, "\n".join(lines))
 
 
+def _append_separators(grouped: Tensor, sep: Tensor) -> Tensor:
+    """(B, G, n, D) token groups -> (B, G * (n + 1), D) with the learned
+    (D,) separator closing every group."""
+    b, g, n, d = grouped.shape
+    seps = broadcast_to(reshape(sep, (1, 1, 1, d)), (b, g, 1, d))
+    return reshape(concat([grouped, seps], axis=2), (b, g * (n + 1), d))
+
+
 class ImageProjector:
     """Frame-local MLP2x-GELU projector; no cross-frame mixing by design."""
 
@@ -180,12 +188,10 @@ class ImageProjector:
         hidden = cfg["img.hidden"]
         d_out = cfg["model.dim"]
         self.prepool = cfg["img.prepool"]
-        self.separator_enabled = cfg["img.separator"]
         self.w1, self.b1 = linear_params(rng, d_in, hidden)
         self.w2, self.b2 = linear_params(rng, hidden, d_out)
         self.sep = (Tensor(rng.normal((d_out,), std=0.1), requires_grad=True)
-                    if self.separator_enabled else None)
-        self.d_out = d_out
+                    if cfg["img.separator"] else None)
 
     def __call__(self, x: Tensor) -> VisualTokens:
         if self.prepool > 1:
@@ -195,10 +201,7 @@ class ImageProjector:
         x = reshape(x, (b, t * h * w, d))
         x = linear(linear(x, self.w1, self.b1, "gelu"), self.w2, self.b2)
         if self.sep is not None:
-            x = reshape(x, (b, t, h * w, self.d_out))
-            sep = broadcast_to(reshape(self.sep, (1, 1, 1, self.d_out)),
-                               (b, t, 1, self.d_out))
-            x = reshape(concat([x, sep], axis=2), (b, t * (h * w + 1), self.d_out))
+            x = _append_separators(reshape(x, (b, t, h * w, x.shape[-1])), self.sep)
         return VisualTokens(tokens=x)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -231,7 +234,6 @@ class StcProjector:
             self.biases.append(Tensor(np.zeros(ch), requires_grad=True))
             cin = ch
         self.out_w, self.out_b = linear_params(rng, ch, d_out)
-        self.d_out = d_out
 
     def __call__(self, x: Tensor) -> VisualTokens:
         for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
@@ -278,8 +280,6 @@ class ComProjector:
         self.n_context = cfg["com.context"]
         self.n_content = cfg["com.content"]
         self.sep_period = cfg["com.sep_period"]
-        self.d_in = d_in
-        self.d_out = d_out
         if self.n_context > 0:
             self.query = Tensor(rng.normal((self.n_context, d_in), std=0.1),
                                 requires_grad=True)
@@ -305,16 +305,13 @@ class ComProjector:
             pooled = reshape(pooled, (b, t, self.n_content, d))
             parts.append(linear(pooled, self.cnt_w, self.cnt_b))
         per_frame = parts[0] if len(parts) == 1 else concat(parts, axis=2)
-        c = per_frame.shape[2]
+        c, d_out = per_frame.shape[2:]
         if self.sep is not None:
             m = self.sep_period
-            grouped = reshape(per_frame, (b, t // m, m * c, self.d_out))
-            sep = broadcast_to(reshape(self.sep, (1, 1, 1, self.d_out)),
-                               (b, t // m, 1, self.d_out))
-            tokens = reshape(concat([grouped, sep], axis=2),
-                             (b, (t // m) * (m * c + 1), self.d_out))
+            tokens = _append_separators(reshape(per_frame, (b, t // m, m * c, d_out)),
+                                        self.sep)
         else:
-            tokens = reshape(per_frame, (b, t * c, self.d_out))
+            tokens = reshape(per_frame, (b, t * c, d_out))
         return VisualTokens(tokens=tokens)
 
     def parameters(self) -> dict[str, Tensor]:

@@ -193,31 +193,35 @@ def batch_stream(cfg: Config, stage: str, seed: int) -> Iterator[Batch]:
 
     Video batches mix families uniformly; with probability
     ``train.image_ratio`` a batch is single-frame image-modality detail data
-    (skipped automatically when no image-based slot is active).
+    (skipped automatically when no image-based slot is active).  The task
+    specs are built by the call itself, so a config the families cannot draw
+    fails here rather than at the first batch.
     """
-    rng = Rng(seed, f"train/{stage}/stream")
-    batch_size = cfg["train.batch"]
-    base = 0 if stage == "pretrain" else TUNE_INDEX_BASE
     video_specs = {fam: spec_from_config(cfg, fam) for fam in FAMILIES}
     image_spec = spec_from_config(cfg, "detail", total_frames=1)
     kinds = cfg["projectors.kinds"]
     has_image_slot = any(kinds[i] == "image" for i in cfg.active_slots())
     image_ratio = cfg["train.image_ratio"] if has_image_slot else 0.0
+    batch_size = cfg["train.batch"]
+    base = 0 if stage == "pretrain" else TUNE_INDEX_BASE
 
-    counter = 0
-    while True:
-        as_image = rng.uniform() < image_ratio
-        samples = []
-        for _ in range(batch_size):
-            index = base + counter
-            counter += 1
-            if as_image:
-                samples.append(generate_sample(image_spec, index))
-            else:
-                fam = FAMILIES[rng.integers(len(FAMILIES))]
-                samples.append(generate_sample(video_specs[fam], index))
-        yield make_batch(samples)
+    def batches() -> Iterator[Batch]:
+        rng = Rng(seed, f"train/{stage}/stream")
+        counter = 0
+        while True:
+            as_image = rng.uniform() < image_ratio
+            samples = []
+            for _ in range(batch_size):
+                index = base + counter
+                counter += 1
+                if as_image:
+                    samples.append(generate_sample(image_spec, index))
+                else:
+                    fam = FAMILIES[rng.integers(len(FAMILIES))]
+                    samples.append(generate_sample(video_specs[fam], index))
+            yield make_batch(samples)
 
+    return batches()
 
 def eval_batches(cfg: Config, family: str, n: int) -> Iterator[Batch]:
     """Deterministic eval split, ``EVAL_BATCH`` samples per batch: indices

@@ -526,13 +526,12 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit("sum", (a,), data, rule)
 
 
-def tmean(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis: int) -> Tensor:
     n = a.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+    data = a.data.mean(axis=axis)
 
     def rule(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
 
     return _emit("mean", (a,), data, rule)
 
@@ -567,7 +566,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit("softmax", (a,), data, rule)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = np.empty(x.shape)
     inv = np.empty(x.shape[:-1] + (1,))
     data = np.empty(np.broadcast_shapes(x.shape, gamma.shape, beta.shape))
@@ -576,7 +575,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         xs = x.data[sl]
         mu = xs.mean(axis=-1, keepdims=True)
         var = xs.var(axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(var + eps), out=inv[sl])
+        np.divide(1.0, np.sqrt(var + 1e-5), out=inv[sl])
         np.multiply(xs - mu, inv[sl], out=xhat[sl])
         ds = data[sl]
         np.multiply(xhat[sl], _rows(gamma.data, ds.ndim, sl), out=ds)

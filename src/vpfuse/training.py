@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,15 +112,14 @@ def make_strategy(kind: str, seed: int, stage: str) -> FusionStrategy:
     return FusionStrategy(kind=kind, rng=rng)
 
 
-def train(model: FusionModel, batches: Iterable[Batch], cfg: TrainConfig,
-          optimizer: Optional[Adam] = None) -> TrainResult:
+def train(model: FusionModel, batches: Iterable[Batch], cfg: TrainConfig) -> TrainResult:
     """Run one stage; returns the per-step loss curve.
 
     Frozen parameters (per the stage mask) are never updated.  Any op that
     produces a non-finite value aborts with a diagnostic naming it.
     """
     mask = freeze_mask_for(cfg.stage)
-    opt = optimizer or Adam(cfg.lr, cfg.beta1, cfg.beta2)
+    opt = Adam(cfg.lr, cfg.beta1, cfg.beta2)
     strategy = make_strategy(cfg.strategy, cfg.seed, cfg.stage)
     params = model.named_parameters()
     # Frozen parameters drop out of the autograd graph entirely: no tape

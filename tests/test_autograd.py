@@ -26,6 +26,7 @@ from vpfuse.tensor import (
     matmul,
     mul,
     pool,
+    reshape,
     scalar_mul,
     slice_axis,
     softmax,
@@ -370,7 +371,7 @@ def _attention_graph(params, fused):
             scores = scalar_mul(matmul(q, transpose(k, (1, 0))), 0.5)
             ctx = matmul(softmax(scores, axis=-1), v)
             out = gelu(add(matmul(ctx, wo), bo))
-        return cross_entropy(tmean(out, axis=0, keepdims=True), [2])
+        return cross_entropy(reshape(tmean(out, axis=0), (1, -1)), [2])
     return f
 
 

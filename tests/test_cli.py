@@ -115,6 +115,17 @@ class TestTrainEval:
                        "--init", str(out1 / "model.octo"),
                        "--out", str(tmp_path / "s2")) == 2
 
+    def test_task_config_error_leaves_no_run_dir(self, tmp_path, capsys):
+        # The detail family draws one of four glyphs, so five classes cannot
+        # be synthesized; that must fail before the run directory exists.
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text(FAST + "model.classes = 5\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: detail family supports up to 4 classes\n"
+        assert not out.exists()
+
     def test_manifest_records_threads(self, tmp_path, fast_cfg):
         out = tmp_path / "run"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,

@@ -12,6 +12,7 @@ from vpfuse.config import (
     default_config,
     parse_config,
 )
+from vpfuse.model import FusionModel
 from vpfuse.projectors import compute_token_budget, validate_alignment
 
 
@@ -48,12 +49,13 @@ def test_comments_and_blank_lines():
 
 
 def test_misaligned_stride_raises_naming_stc():
+    cfg = parse_config("stc.stride = 2,2,2")
     with pytest.raises(ConfigError, match="stc"):
-        parse_config("stc.stride = 2,2,2")
+        FusionModel(cfg, seed=0)
 
 
 def test_misaligned_profile_parseable_without_validation():
-    cfg = parse_config("stc.stride = 2,2,2", validate_budgets=False)
+    cfg = parse_config("stc.stride = 2,2,2")
     report = validate_alignment(compute_token_budget(cfg))
     assert not report.ok
     assert "stc" in report.message
@@ -128,8 +130,8 @@ def valid_configs(draw):
 @given(valid_configs(), st.randoms(use_true_random=False))
 def test_serialize_parse_idempotent_over_random_configs(cfg, random):
     canon = cfg.serialize()
-    assert parse_config(canon, validate_budgets=False).serialize() == canon
+    assert parse_config(canon).serialize() == canon
     # The same settings in another order, spacing and with comments.
     lines = [f"  {line.replace(' = ', '=', 1)}\t# set\n" for line in canon.splitlines()]
     random.shuffle(lines)
-    assert parse_config("".join(lines), validate_budgets=False).serialize() == canon
+    assert parse_config("".join(lines)).serialize() == canon

@@ -88,6 +88,14 @@ class TestForward:
         with pytest.raises(ConfigError, match="misaligned"):
             FusionModel(default_config().replace(stc__stride=(2, 2, 2)), seed=0)
 
+    def test_misaligned_inactive_slot_rejected_at_construction(self):
+        # Arms are built with Config.replace, never parsed, so the model is
+        # the one place alignment is checked, and it covers every slot.
+        cfg = default_config().replace(stc__stride=(2, 2, 2),
+                                       projectors__active=("image", "com"))
+        with pytest.raises(ConfigError, match="mismatch: stc disagree"):
+            FusionModel(cfg, seed=0)
+
     def test_subset_gates_one_hot_and_inactive_skipped(self):
         cfg = default_config().replace(projectors__active=("com",))
         m = FusionModel(cfg, seed=1)

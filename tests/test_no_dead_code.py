@@ -8,10 +8,15 @@ method as an attribute or a string constant (the benchmark's tracer patches
 methods by name).  A method reference is attributed to one class when its
 receiver names that class (``tape.backward`` and ``Tape.backward`` call
 ``Tape``'s method, not ``Tensor``'s) or when the string sits in a tuple next
-to the class (``(tensor.Tape, "backward", ...)``); otherwise it counts for
-every class that defines the name.  A function's own arguments and
-assignment targets are local variables, not uses, and names listed in
-``__all__`` and import statements are exports.
+to the class (``(tensor.Tape, "backward", ...)``); an attribute of
+``<expr>.data`` is a numpy array's and counts for no class; any other
+reference counts for every class that defines the name.  A function's own
+arguments and assignment targets are local variables, not uses, and names
+listed in ``__all__`` and import statements are exports.
+
+Likewise every parameter with a default is passed by some call in the
+program or the benchmark, by keyword, by position or through ``*``/``**``;
+a default that no caller overrides is a knob only its default reaches.
 """
 
 from __future__ import annotations
@@ -19,10 +24,20 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vpfuse"
-USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = {"vpfuse"} | {p.stem for p in PACKAGE.glob("*.py")}
+NUMPY = "<ndarray>"  # receiver of ``<expr>.data.<name>``
+
+
+def _parse(paths, prefix: str = "") -> dict[str, ast.Module]:
+    return {prefix + p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
+
+
+PACKAGE_TREES = _parse(PACKAGE.glob("*.py"))
+USER_TREES = PACKAGE_TREES | _parse((ROOT / "perfbench").glob("*.py"), "perfbench/")
 
 # Kept without a caller in the program, each for the reason given.
 ALLOWED = {
@@ -31,6 +46,14 @@ ALLOWED = {
     "tsum": "reduction the gradient tests build scalar losses with",
     "grad_check": "the finite-difference gradient checker, a public testing tool",
     "backward": "the only call that reports a freed tape for a recorded tensor",
+}
+
+# Functions whose defaults no call in the program overrides, each kept for
+# the reason given.
+ALLOWED_DEFAULTS = {
+    "main": "the console script calls main() to read sys.argv; tests pass argv",
+    "tsum": "its axis and keepdims shape the gradient tests' scalar losses",
+    "grad_check": "the testing tool's eps, max_coords and seed are set by tests",
 }
 
 
@@ -42,19 +65,27 @@ def _last_name(node: ast.AST) -> str | None:
     return None
 
 
-def _definitions() -> list[tuple[str, str | None, str, int, int]]:
-    """(name, owning class or None, file, first line, last line)."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found.append((node.name, None, path.name, node.lineno, node.end_lineno))
+def _functions(package: dict[str, ast.Module]):
+    """(file, owning class or None, node) of every module-level function and
+    method, dunders included."""
+    for file, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield file, None, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, ast.FunctionDef)
-                            and not (item.name.startswith("__") and item.name.endswith("__"))):
-                        found.append((item.name, node.name, path.name,
-                                      item.lineno, item.end_lineno))
+                    if isinstance(item, ast.FunctionDef):
+                        yield file, node.name, item
+
+
+def _definitions(package: dict[str, ast.Module]) -> list[tuple[str, str | None, str, int, int]]:
+    """(name, owning class or None, file, first line, last line)."""
+    found = [(node.name, None, file, node.lineno, node.end_lineno)
+             for file, tree in package.items() for node in tree.body
+             if isinstance(node, ast.ClassDef)]
+    for file, owner, node in _functions(package):
+        if owner is None or not (node.name.startswith("__") and node.name.endswith("__")):
+            found.append((node.name, owner, file, node.lineno, node.end_lineno))
     return found
 
 
@@ -104,6 +135,8 @@ class _References(ast.NodeVisitor):
         receiver = _last_name(node.value)
         if receiver == "self" and self.classes:
             receiver = self.classes[-1]
+        if receiver == "data" and isinstance(node.value, ast.Attribute):
+            receiver = NUMPY
         self.add(node.attr, receiver, "attr", node)
         self.generic_visit(node)
 
@@ -113,26 +146,28 @@ class _References(ast.NodeVisitor):
             self.add(node.value, owners, "str", node)
 
 
-def _references() -> list:
+def _references(users: dict[str, ast.Module]) -> list:
     out: list = []
-    for path in USERS:
-        _References(path.name if path.parent == PACKAGE else f"perfbench/{path.name}",
-                    out).visit(ast.parse(path.read_text(encoding="utf-8")))
+    for file, tree in users.items():
+        _References(file, out).visit(tree)
     return out
 
 
 def _owners(receiver, classes_defining: set[str]) -> set[str]:
     """Classes a method reference may call, out of those defining the name."""
+    if receiver == NUMPY:
+        return set()
     names = receiver if isinstance(receiver, list) else [receiver]
     named = {c for c in classes_defining for r in names
              if r is not None and r.lower() == c.lower()}
     return named or classes_defining
 
 
-def unused_definitions() -> list[tuple[str, str | None, str]]:
+def unused_definitions(package: dict[str, ast.Module],
+                       users: dict[str, ast.Module]) -> list[tuple[str, str | None, str]]:
     """(file, owning class or None, name) of every definition without a use."""
-    defs = _definitions()
-    refs = _references()
+    defs = _definitions(package)
+    refs = _references(users)
     classes_by_method: dict[str, set[str]] = {}
     for name, owner, *_ in defs:
         if owner is not None:
@@ -153,12 +188,103 @@ def unused_definitions() -> list[tuple[str, str | None, str]]:
     return unused
 
 
+def unpassed_defaults(package: dict[str, ast.Module],
+                      users: dict[str, ast.Module]) -> list[tuple[str, str | None, str, str]]:
+    """(file, owning class or None, function, parameter) of every parameter
+    with a default that no call passes.  A call matches by the callee's last
+    name (the class's name for ``__init__``); a call that spreads ``*`` or
+    ``**`` passes every parameter."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in users.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_last_name(node.func), []).append(node)
+    missing = []
+    for file, owner, fn in _functions(package):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        with_default = [(positional.index(a), a.arg)
+                        for a in positional[len(positional) - len(args.defaults):]]
+        with_default += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+        bound = 1 if owner is not None else 0  # ``self`` is not in the call
+        sites = calls.get(owner if fn.name == "__init__" else fn.name, [])
+        for index, param in with_default:
+            if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg in (None, param) for k in call.keywords)
+                       or (index is not None and bound + len(call.args) > index)
+                       for call in sites):
+                missing.append((file, owner, fn.name, param))
+    return missing
+
+
 def test_every_definition_has_a_non_test_caller():
     unused = [f"{file}: {owner + '.' if owner else ''}{name}"
-              for file, owner, name in unused_definitions()
+              for file, owner, name in unused_definitions(PACKAGE_TREES, USER_TREES)
               if owner is not None or name not in ALLOWED]
     assert unused == []
 
 
+def test_every_default_is_overridden_by_a_non_test_caller():
+    unpassed = [f"{file}: {owner + '.' if owner else ''}{fn}({param}=)"
+                for file, owner, fn, param in unpassed_defaults(PACKAGE_TREES, USER_TREES)
+                if fn not in ALLOWED_DEFAULTS]
+    assert unpassed == []
+
+
 def test_allowlist_names_exist():
-    assert set(ALLOWED) <= {name for name, owner, *_ in _definitions() if owner is None}
+    functions = {name for name, owner, *_ in _definitions(PACKAGE_TREES) if owner is None}
+    assert set(ALLOWED) <= functions
+    assert set(ALLOWED_DEFAULTS) <= {fn for _, _, fn, _ in
+                                     unpassed_defaults(PACKAGE_TREES, USER_TREES)}
+
+
+def _snippet(source: str) -> dict[str, ast.Module]:
+    return {"snippet.py": ast.parse(source)}
+
+
+def test_numpy_attribute_is_no_method_use():
+    # ``x.data`` is a Tensor's ndarray, so ``x.data.size`` is numpy's
+    # attribute and leaves a Tensor method of that name unused.
+    tree = _snippet("class Tensor:\n"
+                    "    def size(self):\n"
+                    "        return 0\n"
+                    "\n"
+                    "def count(x):\n"
+                    "    return x.data.size\n")
+    assert ("snippet.py", "Tensor", "size") in unused_definitions(tree, tree)
+    tree = _snippet("class Tensor:\n"
+                    "    def size(self):\n"
+                    "        return 0\n"
+                    "\n"
+                    "def count(x):\n"
+                    "    return x.size\n")
+    assert ("snippet.py", "Tensor", "size") not in unused_definitions(tree, tree)
+
+
+@pytest.mark.parametrize("call, target, passed", [
+    ("f(1)", (None, "f"), False),
+    ("f(1, 2)", (None, "f"), True),
+    ("f(1, k=2)", (None, "f"), True),
+    ("f(*args)", (None, "f"), True),
+    ("f(1, **kwargs)", (None, "f"), True),
+    ("g(1, 2)", (None, "f"), False),
+    ("Adam(0.1)", ("Adam", "__init__"), False),
+    ("Adam(0.1, 0.5)", ("Adam", "__init__"), True),
+    ("opt.step(1)", ("Adam", "step"), False),
+    ("opt.step(1, 2)", ("Adam", "step"), True),
+])
+def test_default_passed_by_keyword_position_or_spread(call, target, passed):
+    tree = _snippet("def f(a, k=1):\n"
+                    "    return a + k\n"
+                    "\n"
+                    "class Adam:\n"
+                    "    def __init__(self, lr, beta=0.9):\n"
+                    "        self.lr = lr\n"
+                    "\n"
+                    "    def step(self, a, k=1):\n"
+                    "        return a + k\n"
+                    "\n"
+                    f"{call}\n")
+    unpassed = {(owner, fn) for _, owner, fn, _ in unpassed_defaults(tree, tree)}
+    assert (target not in unpassed) is passed

@@ -45,8 +45,7 @@ class TestTokenBudget:
 
     def test_unmodified_stc_is_676(self):
         cfg = parse_config(STC_UNMODIFIED.replace("stc.stride = 1,2,2",
-                                                  "stc.stride = 2,2,2"),
-                           validate_budgets=False)
+                                                  "stc.stride = 2,2,2"))
         budgets = compute_token_budget(cfg)
         assert budgets[1].count == 676
         report = validate_alignment(budgets)
@@ -54,8 +53,7 @@ class TestTokenBudget:
         assert "stc" in report.message
 
     def test_image_separators_restore_1576(self):
-        cfg = parse_config(FULL_SCALE + "img.separator = true\n",
-                           validate_budgets=False)
+        cfg = parse_config(FULL_SCALE + "img.separator = true\n")
         budgets = compute_token_budget(cfg)
         assert budgets[0].count == 1576  # 8 * 14 * 14 + 8 separators
 
