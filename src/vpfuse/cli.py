@@ -69,6 +69,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_list(text: str) -> list[int]:
+    """argparse type for ``--seeds``: a comma list of integers >= 0, checked
+    before any model is built.  An empty list is left to ``run_arms``."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        seeds = None
+    if seeds is None or any(seed < 0 for seed in seeds):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of non-negative integer seeds, got {text!r}")
+    return seeds
+
+
 def _make_run_dir(path: str) -> Path:
     run_dir = Path(path)
     run_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -194,12 +207,11 @@ def cmd_route(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    table = run_arms(args.mode, ARMS[args.mode](cfg), seeds, args.pretrain_steps,
-                     args.tune_steps, args.n)
+    table = run_arms(args.mode, ARMS[args.mode](cfg), args.seeds,
+                     args.pretrain_steps, args.tune_steps, args.n)
 
     run_dir = _make_run_dir(args.out)
-    _write_manifest(run_dir, cfg, seeds[0], f"ablate --mode {args.mode}", 0, 0,
+    _write_manifest(run_dir, cfg, args.seeds[0], f"ablate --mode {args.mode}", 0, 0,
                     ["ablation.csv", "ablation.txt"])
     _write_atomic(run_dir / "ablation.csv", table.to_csv())
     _write_atomic(run_dir / "ablation.txt", table.to_text())
@@ -242,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run an ablation table")
     p.add_argument("--config")
     p.add_argument("--mode", choices=tuple(ARMS), required=True)
-    p.add_argument("--seeds", default="1,2", help="comma list of seeds")
+    p.add_argument("--seeds", type=_seed_list, default="1,2",
+                   help="comma list of seeds")
     p.add_argument("--pretrain-steps", type=_positive_int)
     p.add_argument("--tune-steps", type=_positive_int)
     p.add_argument("--n", type=_positive_int, help="eval samples per family")

@@ -37,10 +37,18 @@ relies on:
   calling thread runs chunks itself and takes back every chunk no worker
   has started, so it never idles waiting for a busy worker.  Chunks run in
   the caller's ``contextvars`` context (``np.errstate`` applies to them),
-  and a chunk's exception is re-raised in the caller.  The tape, ``_emit``
-  and every backward rule stay on the calling thread; backward rules are
-  serial, because a weight gradient sums over the rows a split would
-  separate.
+  and a chunk's exception is re-raised in the caller.  The tape and ``_emit``
+  stay on the calling thread.
+- Two backward rules split the same way.  ``attention`` computes its three
+  gradients per batch row when ``q``, ``k`` and ``v`` share the scores'
+  leading axes (self-attention); a broadcast query sums over rows, so that
+  layout stays in one chunk.  ``conv3d`` splits its kernel gradient over
+  kernel taps, each tap's gradient being one GEMM of its own; its input
+  gradient adds the taps up in order on the calling thread.  The other
+  rules are serial: a weight gradient sums over the rows a split would
+  separate, and the row-local ``linear`` and ``layer_norm`` input
+  gradients were slower split at the desk batch of 16 (each row's work is
+  less than a hand-off costs).
 - All parallelism comes from those row chunks.  At import, numpy's vendored
   OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
   by thread count, which changes the last bits of weight gradients.  So
@@ -448,23 +456,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         np.matmul(ps, _rows(v.data, data.ndim, sl), out=data[sl])
 
     split = p.ndim == data.ndim > 2 and p.shape[0] == data.shape[0]
-    _over_rows(fill, p.shape[0], math.prod(p.shape[1:]) if split else 0)
+    row_work = math.prod(p.shape[1:]) if split else 0
+    _over_rows(fill, p.shape[0], row_work)
 
     def rule(g):
-        gv = (_unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape)
-              if v.requires_grad else None)
-        if not (q.requires_grad or k.requires_grad):
-            return None, None, gv
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        gq = (_unbroadcast(ds @ k.data, q.shape)
-              if q.requires_grad else None)
-        gk = (np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ ds, kt.shape),
-                          -1, -2)
-              if k.requires_grad else None)
-        return gq, gk, gv
+        # Gradients are written per row into buffers of the broadcast shape,
+        # then summed down to each operand.  Only when q, k and v all share
+        # p's leading axes is that sum a no-op, so only then do rows split.
+        lead = data.shape[:-2]
+        gv = np.empty(lead + v.shape[-2:]) if v.requires_grad else None
+        ds = (np.empty(lead + p.shape[-2:])
+              if q.requires_grad or k.requires_grad else None)
+        gq = np.empty(lead + q.shape[-2:]) if q.requires_grad else None
+        gk = np.empty(lead + kt.shape[-2:]) if k.requires_grad else None
+        vt = np.swapaxes(v.data, -1, -2)
+
+        def fill(sl):
+            ps = _rows(p, g.ndim, sl)
+            if gv is not None:
+                np.matmul(np.swapaxes(ps, -1, -2), g[sl], out=gv[sl])
+            if ds is None:
+                return
+            dss = ds[sl]
+            np.matmul(g[sl], _rows(vt, g.ndim, sl), out=dss)
+            dss -= (dss * ps).sum(axis=-1, keepdims=True)
+            dss *= ps
+            dss *= scale
+            if gq is not None:
+                np.matmul(dss, _rows(k.data, g.ndim, sl), out=gq[sl])
+            if gk is not None:
+                np.matmul(np.swapaxes(_rows(q.data, g.ndim, sl), -1, -2), dss,
+                          out=gk[sl])
+
+        shared = q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+        _over_rows(fill, g.shape[0], row_work if shared else 0)
+        # gk stays a transposed view of its (..., D, Nk) buffer: a contiguous
+        # copy would change the summation order of gradients downstream.
+        return (None if gq is None else _unbroadcast(gq, q.shape),
+                None if gk is None else np.swapaxes(_unbroadcast(gk, kt.shape), -1, -2),
+                None if gv is None else _unbroadcast(gv, v.shape))
 
     return _emit("attention", (q, k, v), data, rule)
 
@@ -724,13 +754,20 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
     def rule(g):
         dx = np.zeros(x.shape, dtype=np.float64) if x.requires_grad else None
         dk = np.zeros(kernel.shape, dtype=np.float64) if kernel.requires_grad else None
-        for tap, out_sl, in_sl in taps:
-            g_tap = g[out_sl]
-            g2 = g_tap.reshape(-1, cout)
-            if dk is not None:
-                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g2
-            if dx is not None:
-                dx[in_sl] += (g2 @ kernel.data[tap].T).reshape(g_tap.shape[:-1] + (cin,))
+
+        # Each tap's kernel gradient is its own GEMM, so the taps split into
+        # chunks; a tap reads at most every output row's (Cin + Cout) values.
+        def fill_dk(sl):
+            for tap, out_sl, in_sl in taps[sl]:
+                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g[out_sl].reshape(-1, cout)
+
+        if dk is not None:
+            _over_rows(fill_dk, len(taps), math.prod(out.shape[:-1]) * (cin + cout))
+        if dx is not None:  # taps overlap in dx, so they add up in order
+            for tap, out_sl, in_sl in taps:
+                g_tap = g[out_sl]
+                dx[in_sl] += (g_tap.reshape(-1, cout) @ kernel.data[tap].T
+                              ).reshape(g_tap.shape[:-1] + (cin,))
         return dx, dk
 
     return _emit("conv3d", (x, kernel), out, rule)

@@ -14,7 +14,7 @@ from vpfuse.checkpoint import save_checkpoint
 from vpfuse.cli import main
 from vpfuse.config import parse_config
 from vpfuse.model import FusionModel
-from vpfuse import tensor
+from vpfuse import ablations, tensor
 
 FAST = """
 train.batch = 4
@@ -237,6 +237,24 @@ class TestAblateCommand:
         assert run_cli("ablate", "--config", fast_cfg, "--mode", "strategy",
                        "--seeds", seeds, "--out", str(out)) == 2
         assert capsys.readouterr().err == "error: at least one seed required\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1,-2", "-2", "a", "1,2.5", "1;2"])
+    def test_bad_seed_exits_2_before_training(self, tmp_path, fast_cfg, capsys,
+                                              monkeypatch, seeds):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_two_stage called for a rejected seed list")
+
+        monkeypatch.setattr(ablations, "run_two_stage", no_training)
+        out = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ablate", "--config", fast_cfg, "--mode", "strategy",
+                    "--seeds", seeds, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seeds: expected a comma list of "
+                            f"non-negative integer seeds, got {seeds!r}\n")
+        assert "invalid literal" not in err
         assert not out.exists()
 
     def test_rerun_reproduces_csv_byte_for_byte(self, tmp_path, fast_cfg):

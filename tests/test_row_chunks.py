@@ -1,7 +1,11 @@
-"""Forward kernels split into row chunks of the leading axis across threads.
+"""Kernels split into chunks across threads: every forward named in
+``vpfuse.tensor``'s docstring by rows of the leading axis, attention's
+backward by batch rows and conv3d's kernel gradient by kernel taps.
 
 On shapes large enough to split, outputs and every gradient must be bitwise
-equal to the unsplit reference and to the same op on one thread.
+equal to the unsplit reference and to the same op on one thread.  The desk
+shapes must reach the split paths, which is checked from the chunk counts
+(a function of the shape), not from timing.
 """
 
 import contextlib
@@ -20,6 +24,7 @@ from test_tensor_ops import padded_conv3d_reference
 from vpfuse import tensor
 from vpfuse.tensor import (
     NonFiniteError,
+    Tape,
     Tensor,
     attention,
     conv3d,
@@ -27,6 +32,7 @@ from vpfuse.tensor import (
     layer_norm,
     linear,
     pool,
+    tsum,
 )
 
 
@@ -214,6 +220,54 @@ def test_split_conv3d_bitwise(case):
     for got, want in zip((out, dx, dk), ref):
         if got is not None:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def backward_chunk_counts(op, inputs):
+    """Chunk count of every ``_over_rows`` call made by the backward of
+    ``sum(op(*inputs))``; a function of the shapes alone."""
+    counts = []
+    over_rows = tensor._over_rows
+
+    def counted(fill, rows, row_work):
+        counts.append(len(tensor._row_chunks(rows, row_work)))
+        over_rows(fill, rows, row_work)
+
+    with Tape() as tape:
+        loss = tsum(op(*inputs))
+        tensor._over_rows = counted
+        try:
+            tape.backward(loss)
+        finally:
+            tensor._over_rows = over_rows
+    return counts
+
+
+def stc_conv(x, kernel):
+    return conv3d(x, kernel, (1, 1, 1), (1, 1, 1))
+
+
+def test_decoder_attention_backward_splits():
+    # The decoder's self-attention at B=16 (p of (16, 134, 134)) splits its
+    # backward by batch row; the stc taps are checked below.
+    rng = np.random.RandomState(2)
+    qkv = [Tensor(rng.randn(16, 134, 32), requires_grad=True) for _ in range(3)]
+    [count] = backward_chunk_counts(lambda *a: attention(*a, 0.2), qkv)
+    assert count > 1
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["frozen-x", "x-grad"])
+def test_split_conv3d_taps_at_desk_shape(x_grad):
+    # The stc projector's shape at B=16: (B, T, H, W, C) = (16, 8, 4, 4, 32)
+    # features and a 3x3x3 kernel with padding 1.  Its 27 taps' kernel
+    # gradients run in chunks, and must equal one thread's bit for bit (dx
+    # too, if required).
+    rng = np.random.RandomState(3)
+    x = Tensor(rng.randn(16, 8, 4, 4, 32), requires_grad=x_grad)
+    kernel = Tensor(rng.randn(3, 3, 3, 32, 32) * 0.1, requires_grad=True)
+    [tap_chunks] = backward_chunk_counts(stc_conv, (x, kernel))
+    assert tap_chunks > 1
+    _, _, (dx, dk) = split_and_serial(stc_conv, (x, kernel), rng.randn(16, 8, 4, 4, 32))
+    assert dk is not None and (dx is not None) == x_grad
 
 
 @st.composite
