@@ -12,9 +12,7 @@ Layout (all integers little-endian):
         u32     rank
         u64[rank] dims
         raw row-major float64 values
-    u32     zlib.crc32 of every byte before it (version 2 only)
-
-Version 1 files, which end at the tensor table, still load, unchecked.
+    u32     zlib.crc32 of every byte before it
 
 The config blob is the canonical config serialization plus a trailing
 `# stage: <name>` comment recording which training stage produced the file.
@@ -107,13 +105,12 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.unpack("<I")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if version == VERSION:
-        body, crc = reader.raw[:-4], reader.raw[-4:]
-        if struct.pack("<I", zlib.crc32(body)) != crc:
-            raise CheckpointError("checksum mismatch: checkpoint is corrupt or truncated")
-        reader.raw = body
+    body, crc = reader.raw[:-4], reader.raw[-4:]
+    if struct.pack("<I", zlib.crc32(body)) != crc:
+        raise CheckpointError("checksum mismatch: checkpoint is corrupt or truncated")
+    reader.raw = body
     blob_len = reader.unpack("<Q")
     blob = reader.text(blob_len, "config blob")
     stage = None

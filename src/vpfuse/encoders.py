@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .layers import TransformerBlock, prefix_params
+from .layers import Linear, Module, TransformerBlock
 from .rng import Rng
 from .tensor import (
     Tensor,
@@ -24,7 +24,6 @@ from .tensor import (
     broadcast_to,
     concat,
     embedding,
-    linear,
     reshape,
     slice_axis,
 )
@@ -77,7 +76,7 @@ def sample_frames(total_frames: int, k: int) -> np.ndarray:
     return idx
 
 
-class VideoEncoder:
+class VideoEncoder(Module):
     """Non-overlapping patch flattening -> linear map -> 3-axis positions.
 
     Parameters are frozen in every training stage; the trainer enforces this
@@ -85,13 +84,10 @@ class VideoEncoder:
     """
 
     def __init__(self, cfg: Config, rng: Rng):
-        self.patch = cfg["video.patch"]
+        self.patch_size = cfg["video.patch"]
         self.dim = cfg["encoder.dim"]
         pg = cfg.patch_grid()
-        pin = self.patch * self.patch
-        self.patch_w = Tensor(rng.normal((pin, self.dim), std=1.0 / np.sqrt(pin)),
-                              requires_grad=True)
-        self.patch_b = Tensor(np.zeros(self.dim), requires_grad=True)
+        self.patch = Linear(rng, self.patch_size * self.patch_size, self.dim)
         self.pos_t = Tensor(rng.normal((cfg["video.total_frames"], self.dim), std=0.1),
                             requires_grad=True)
         self.pos_h = Tensor(rng.normal((pg, self.dim), std=0.1), requires_grad=True)
@@ -103,28 +99,23 @@ class VideoEncoder:
         if frames.ndim != 4:
             raise EncodingError(f"expected (B, T, G, G) frames, got {frames.shape}")
         b, t, g1, g2 = frames.shape
-        if g1 != g2 or g1 % self.patch != 0:
-            raise EncodingError(f"frame grid {g1}x{g2} not divisible by patch {self.patch}")
+        p = self.patch_size
+        if g1 != g2 or g1 % p != 0:
+            raise EncodingError(f"frame grid {g1}x{g2} not divisible by patch {p}")
         frame_indices = np.asarray(frame_indices, dtype=np.int64)
         if frame_indices.shape != (t,):
             raise EncodingError("frame_indices must match the frame axis")
-        pg = g1 // self.patch
-        patches = (frames.reshape(b, t, pg, self.patch, pg, self.patch)
+        pg = g1 // p
+        patches = (frames.reshape(b, t, pg, p, pg, p)
                    .transpose(0, 1, 2, 4, 3, 5)
-                   .reshape(b, t, pg, pg, self.patch * self.patch))
-        x = linear(Tensor(patches), self.patch_w, self.patch_b)
+                   .reshape(b, t, pg, pg, p * p))
+        x = self.patch(Tensor(patches))
         x = add(x, reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)))
         x = add(x, reshape(self.pos_h, (pg, 1, self.dim)))
         return add(x, self.pos_w)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "patch.w": self.patch_w, "patch.b": self.patch_b,
-            "pos_t": self.pos_t, "pos_h": self.pos_h, "pos_w": self.pos_w,
-        }
 
-
-class InstructionEncoder:
+class InstructionEncoder(Module):
     """CLS-prefixed token transformer over the synthetic instruction vocabulary."""
 
     def __init__(self, cfg: Config, rng: Rng):
@@ -135,8 +126,8 @@ class InstructionEncoder:
         self.cls = Tensor(rng.normal((self.dim,), std=0.5), requires_grad=True)
         self.pos = Tensor(rng.normal((self.max_len + 1, self.dim), std=0.1),
                           requires_grad=True)
-        self.blocks = [TransformerBlock(rng, self.dim, 2 * self.dim)
-                       for _ in range(cfg["text.blocks"])]
+        self.block = [TransformerBlock(rng, self.dim, 2 * self.dim)
+                      for _ in range(cfg["text.blocks"])]
 
     def encode(self, tokens: np.ndarray) -> InstructionEncoding:
         """Encode a (B, L) batch of token ids."""
@@ -152,14 +143,8 @@ class InstructionEncoder:
         cls = broadcast_to(reshape(self.cls, (1, 1, self.dim)), (b, 1, self.dim))
         x = concat([cls, tok], axis=1)
         x = add(x, reshape(slice_axis(self.pos, 0, 0, n + 1), (1, n + 1, self.dim)))
-        for block in self.blocks:
+        for block in self.block:
             x = block(x)
         cls_out = reshape(slice_axis(x, 1, 0, 1), (b, self.dim))
         tok_out = slice_axis(x, 1, 1, n + 1)
         return InstructionEncoding(cls=cls_out, tokens=tok_out)
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"embed": self.embed, "cls": self.cls, "pos": self.pos}
-        for i, block in enumerate(self.blocks):
-            params.update(prefix_params(f"block{i}", block.parameters()))
-        return params

@@ -1,4 +1,5 @@
-"""Small parameterized layers shared by the text encoder and decoder head."""
+"""The `Module` parameter walk and the small layers shared by the text
+encoder and decoder head."""
 
 from __future__ import annotations
 
@@ -10,6 +11,38 @@ from .rng import Rng
 from .tensor import Tensor, add, attention, layer_norm, linear
 
 
+class Module:
+    """A layer whose parameters are its Tensor attributes.
+
+    ``named_parameters`` names each one by where it sits in ``vars(self)``: a
+    Tensor by its attribute, a nested `Module`'s as ``attr.<its name>``, list
+    items as ``attr0``, ``attr1``, ... and dict items as ``attr.key``; any
+    other value is skipped.  The optimizer, the checkpoint and ``zero_grad``
+    all see every Tensor reached this way, so a `Module` holds no other
+    Tensor.
+    """
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        params: dict[str, Tensor] = {}
+        for attr, value in vars(self).items():
+            _collect(params, attr, value)
+        return params
+
+
+def _collect(params: dict[str, Tensor], name: str, value) -> None:
+    if isinstance(value, Tensor):
+        params[name] = value
+    elif isinstance(value, Module):
+        for sub, p in value.named_parameters().items():
+            params[f"{name}.{sub}"] = p
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _collect(params, f"{name}{i}", item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _collect(params, f"{name}.{key}", item)
+
+
 def linear_params(rng: Rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
     w = Tensor(rng.normal((fan_in, fan_out), std=1.0 / math.sqrt(fan_in)),
                requires_grad=True)
@@ -17,56 +50,40 @@ def linear_params(rng: Rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
     return w, b
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, rng: Rng, fan_in: int, fan_out: int):
         self.w, self.b = linear_params(rng, fan_in, fan_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
+
+def _norm_affine(dim: int) -> dict[str, Tensor]:
+    return {"g": Tensor(np.ones(dim), requires_grad=True),
+            "b": Tensor(np.zeros(dim), requires_grad=True)}
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-LN single-head self-attention followed by a GELU feed-forward."""
 
     def __init__(self, rng: Rng, dim: int, hidden: int):
         self.dim = dim
-        self.ln1_g = Tensor(np.ones(dim), requires_grad=True)
-        self.ln1_b = Tensor(np.zeros(dim), requires_grad=True)
-        self.wq, self.bq = linear_params(rng, dim, dim)
-        self.wk, self.bk = linear_params(rng, dim, dim)
-        self.wv, self.bv = linear_params(rng, dim, dim)
-        self.wo, self.bo = linear_params(rng, dim, dim)
-        self.ln2_g = Tensor(np.ones(dim), requires_grad=True)
-        self.ln2_b = Tensor(np.zeros(dim), requires_grad=True)
-        self.w1, self.b1 = linear_params(rng, dim, hidden)
-        self.w2, self.b2 = linear_params(rng, hidden, dim)
+        self.ln1 = _norm_affine(dim)
+        self.attn: dict[str, Tensor] = {}
+        for name in "qkvo":
+            self.attn[f"w{name}"], self.attn[f"b{name}"] = linear_params(rng, dim, dim)
+        self.ln2 = _norm_affine(dim)
+        self.ffn: dict[str, Tensor] = {}
+        self.ffn["w1"], self.ffn["b1"] = linear_params(rng, dim, hidden)
+        self.ffn["w2"], self.ffn["b2"] = linear_params(rng, hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = layer_norm(x, self.ln1_g, self.ln1_b)
-        q = linear(h, self.wq, self.bq)
-        k = linear(h, self.wk, self.bk)
-        v = linear(h, self.wv, self.bv)
-        attn = attention(q, k, v, 1.0 / math.sqrt(self.dim))
-        x = add(x, linear(attn, self.wo, self.bo))
-        h2 = layer_norm(x, self.ln2_g, self.ln2_b)
-        ff = linear(linear(h2, self.w1, self.b1, "gelu"), self.w2, self.b2)
+        a, f = self.attn, self.ffn
+        h = layer_norm(x, self.ln1["g"], self.ln1["b"])
+        q = linear(h, a["wq"], a["bq"])
+        k = linear(h, a["wk"], a["bk"])
+        v = linear(h, a["wv"], a["bv"])
+        x = add(x, linear(attention(q, k, v, 1.0 / math.sqrt(self.dim)), a["wo"], a["bo"]))
+        h2 = layer_norm(x, self.ln2["g"], self.ln2["b"])
+        ff = linear(linear(h2, f["w1"], f["b1"], "gelu"), f["w2"], f["b2"])
         return add(x, ff)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "ln1.g": self.ln1_g, "ln1.b": self.ln1_b,
-            "attn.wq": self.wq, "attn.bq": self.bq,
-            "attn.wk": self.wk, "attn.bk": self.bk,
-            "attn.wv": self.wv, "attn.bv": self.bv,
-            "attn.wo": self.wo, "attn.bo": self.bo,
-            "ln2.g": self.ln2_g, "ln2.b": self.ln2_b,
-            "ffn.w1": self.w1, "ffn.b1": self.b1,
-            "ffn.w2": self.w2, "ffn.b2": self.b2,
-        }
-
-
-def prefix_params(prefix: str, params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {f"{prefix}.{k}": v for k, v in params.items()}

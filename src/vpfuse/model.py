@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Config, ConfigError
 from .encoders import InstructionEncoder, VideoEncoder, sample_frames
-from .layers import Linear, TransformerBlock, prefix_params
+from .layers import Linear, Module, TransformerBlock
 from .projectors import (
     VisualTokens,
     build_projector,
@@ -48,29 +48,22 @@ class Batch:
         return self.frames.shape[0]
 
 
-class Decoder:
+class Decoder(Module):
     def __init__(self, cfg: Config, rng: Rng):
         d_model = cfg["model.dim"]
         self.text_proj = Linear(rng, cfg["text.dim"], d_model)
-        self.blocks = [TransformerBlock(rng, d_model, cfg["decoder.hidden"])
-                       for _ in range(cfg["decoder.blocks"])]
+        self.block = [TransformerBlock(rng, d_model, cfg["decoder.hidden"])
+                      for _ in range(cfg["decoder.blocks"])]
         self.readout = Linear(rng, d_model, cfg["model.classes"])
 
     def __call__(self, visual: VisualTokens, text_states: Tensor) -> Tensor:
         seq = concat([visual.tokens, self.text_proj(text_states)], axis=1)
-        for block in self.blocks:
+        for block in self.block:
             seq = block(seq)
         return self.readout(tmean(seq, axis=1))
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = prefix_params("text_proj", self.text_proj.parameters())
-        for i, block in enumerate(self.blocks):
-            params.update(prefix_params(f"block{i}", block.parameters()))
-        params.update(prefix_params("readout", self.readout.parameters()))
-        return params
 
-
-class FusionModel:
+class FusionModel(Module):
     """The assembled system; construction fails unless every projector slot,
     active or not, emits the same number of tokens."""
 
@@ -86,27 +79,13 @@ class FusionModel:
 
         self.visual_encoder = VideoEncoder(cfg, Rng(seed, "init/visual"))
         self.instruction_encoder = InstructionEncoder(cfg, Rng(seed, "init/text"))
-        self.projectors = [build_projector(kind, cfg, Rng(seed, f"init/proj/{label}"))
-                           for kind, label in zip(self.kinds, self.labels)]
+        self.projectors = {label: build_projector(kind, cfg, Rng(seed, f"init/proj/{label}"))
+                           for kind, label in zip(self.kinds, self.labels)}
         self.router = Router(cfg, Rng(seed, "init/router"), n_slots=len(self.kinds))
         self.decoder = Decoder(cfg, Rng(seed, "init/decoder"))
 
-        self._params: dict[str, Tensor] = {}
-        self._params.update(prefix_params("visual_encoder",
-                                          self.visual_encoder.parameters()))
-        self._params.update(prefix_params("instruction_encoder",
-                                          self.instruction_encoder.parameters()))
-        for label, proj in zip(self.labels, self.projectors):
-            self._params.update(prefix_params(f"projectors.{label}", proj.parameters()))
-        self._params.update(prefix_params("router", self.router.parameters()))
-        self._params.update(prefix_params("decoder", self.decoder.parameters()))
-
-    # -- parameter plumbing --------------------------------------------------
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self._params
-
     def zero_grad(self) -> None:
-        for p in self._params.values():
+        for p in self.named_parameters().values():
             p.grad = None
 
     def image_slot(self) -> int:
@@ -130,7 +109,7 @@ class FusionModel:
                 raise FusionError(f"image modality with {t} frames")
             slot = self.image_slot()
             feats = self.visual_encoder.encode(batch.frames, np.array([0]))
-            fused = self.projectors[slot](feats)
+            fused = self.projectors[self.labels[slot]](feats)
             gates = one_hot_gates(b, slot, len(self.kinds))
         elif batch.modality == "video":
             if t != self.cfg["video.total_frames"]:
@@ -140,18 +119,18 @@ class FusionModel:
             feats_sampled = None
             feats_full = None
             for i in self.active:
-                kind = self.kinds[i]
+                kind, proj = self.kinds[i], self.projectors[self.labels[i]]
                 if kind in ("image", "stc"):
                     if feats_sampled is None:
                         idx = sample_frames(t, self.cfg["sampler.frames"])
                         feats_sampled = self.visual_encoder.encode(
                             batch.frames[:, idx], idx)
-                    embeddings.append(self.projectors[i](feats_sampled))
+                    embeddings.append(proj(feats_sampled))
                 else:
                     if feats_full is None:
                         feats_full = self.visual_encoder.encode(
                             batch.frames, np.arange(t))
-                    embeddings.append(self.projectors[i](feats_full, instr))
+                    embeddings.append(proj(feats_full, instr))
             fused, gates = fuse_with_strategy(strategy, instr, embeddings,
                                               self.router, active=self.active)
         else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import Config, ConfigError
 from .encoders import InstructionEncoding
-from .layers import linear_params
+from .layers import Linear, Module, linear_params
 from .rng import Rng
 from .tensor import (
     Tensor,
@@ -178,7 +178,7 @@ def _append_separators(grouped: Tensor, sep: Tensor) -> Tensor:
     return reshape(concat([grouped, seps], axis=2), (b, g * (n + 1), d))
 
 
-class ImageProjector:
+class ImageProjector(Module):
     """Frame-local MLP2x-GELU projector; no cross-frame mixing by design."""
 
     kind = "image"
@@ -204,14 +204,8 @@ class ImageProjector:
             x = _append_separators(reshape(x, (b, t, h * w, x.shape[-1])), self.sep)
         return VisualTokens(tokens=x)
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        if self.sep is not None:
-            params["sep"] = self.sep
-        return params
 
-
-class StcProjector:
+class StcProjector(Module):
     """Spatial-temporal 3D-conv connector over the sampled frame grid."""
 
     kind = "stc"
@@ -223,35 +217,25 @@ class StcProjector:
         k = cfg["stc.kernel"]
         self.stride = cfg["stc.stride"]
         self.pad = cfg["stc.pad"]
-        self.kernels: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self.conv: list[dict[str, Tensor]] = []
         cin = d_in
         for _ in range(cfg["stc.blocks"]):
             fan_in = k * k * k * cin
-            self.kernels.append(Tensor(rng.normal((k, k, k, cin, ch),
-                                                  std=1.0 / math.sqrt(fan_in)),
-                                       requires_grad=True))
-            self.biases.append(Tensor(np.zeros(ch), requires_grad=True))
+            self.conv.append({
+                "k": Tensor(rng.normal((k, k, k, cin, ch), std=1.0 / math.sqrt(fan_in)),
+                            requires_grad=True),
+                "b": Tensor(np.zeros(ch), requires_grad=True),
+            })
             cin = ch
-        self.out_w, self.out_b = linear_params(rng, ch, d_out)
+        self.out = Linear(rng, ch, d_out)
 
     def __call__(self, x: Tensor) -> VisualTokens:
-        for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
+        for i, block in enumerate(self.conv):
             if i > 0:
                 x = gelu(x)
-            x = add(conv3d(x, kern, self.stride, self.pad), bias)
+            x = add(conv3d(x, block["k"], self.stride, self.pad), block["b"])
         b, t, h, w, c = x.shape
-        x = linear(reshape(x, (b, t * h * w, c)), self.out_w, self.out_b)
-        return VisualTokens(tokens=x)
-
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
-            params[f"conv{i}.k"] = kern
-            params[f"conv{i}.b"] = bias
-        params["out.w"] = self.out_w
-        params["out.b"] = self.out_b
-        return params
+        return VisualTokens(tokens=self.out(reshape(x, (b, t * h * w, c))))
 
 
 def _bin_layout(count: int) -> tuple[int, int]:
@@ -261,7 +245,7 @@ def _bin_layout(count: int) -> tuple[int, int]:
     return bh, count // bh
 
 
-class ComProjector:
+class ComProjector(Module):
     """Per-frame token compression over the full (unsampled) frame set.
 
     Context tokens: learned query slots, shifted additively by a projection
@@ -283,11 +267,11 @@ class ComProjector:
         if self.n_context > 0:
             self.query = Tensor(rng.normal((self.n_context, d_in), std=0.1),
                                 requires_grad=True)
-            self.cls_w, self.cls_b = linear_params(rng, d_text, d_in)
-            self.ctx_w, self.ctx_b = linear_params(rng, d_in, d_out)
+            self.cls_proj = Linear(rng, d_text, d_in)
+            self.ctx_out = Linear(rng, d_in, d_out)
         if self.n_content > 0:
             self.bins = _bin_layout(self.n_content)
-            self.cnt_w, self.cnt_b = linear_params(rng, d_in, d_out)
+            self.cnt_out = Linear(rng, d_in, d_out)
         self.sep = (Tensor(rng.normal((d_out,), std=0.1), requires_grad=True)
                     if self.sep_period > 0 else None)
 
@@ -296,14 +280,14 @@ class ComProjector:
         parts = []
         if self.n_context > 0:
             flat = reshape(x, (b, t, h * w, d))
-            q = add(reshape(linear(instr.cls, self.cls_w, self.cls_b), (b, 1, 1, d)),
+            q = add(reshape(self.cls_proj(instr.cls), (b, 1, 1, d)),
                     self.query)  # (B, 1, n_ctx, D)
             ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
-            parts.append(linear(ctx, self.ctx_w, self.ctx_b))
+            parts.append(self.ctx_out(ctx))
         if self.n_content > 0:
             pooled = pool(x, even_edges(h, self.bins[0]), even_edges(w, self.bins[1]))
             pooled = reshape(pooled, (b, t, self.n_content, d))
-            parts.append(linear(pooled, self.cnt_w, self.cnt_b))
+            parts.append(self.cnt_out(pooled))
         per_frame = parts[0] if len(parts) == 1 else concat(parts, axis=2)
         c, d_out = per_frame.shape[2:]
         if self.sep is not None:
@@ -313,18 +297,6 @@ class ComProjector:
         else:
             tokens = reshape(per_frame, (b, t * c, d_out))
         return VisualTokens(tokens=tokens)
-
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        if self.n_context > 0:
-            params.update({"query": self.query, "cls_proj.w": self.cls_w,
-                           "cls_proj.b": self.cls_b, "ctx_out.w": self.ctx_w,
-                           "ctx_out.b": self.ctx_b})
-        if self.n_content > 0:
-            params.update({"cnt_out.w": self.cnt_w, "cnt_out.b": self.cnt_b})
-        if self.sep is not None:
-            params["sep"] = self.sep
-        return params
 
 
 PROJECTOR_CLASSES = {"image": ImageProjector, "stc": StcProjector, "com": ComProjector}

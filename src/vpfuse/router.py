@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import Config
 from .encoders import InstructionEncoding
-from .layers import linear_params
+from .layers import Linear, Module
 from .projectors import VisualTokens
 from .rng import Rng
 from .tensor import Tensor, add, concat, linear, reshape, slice_axis, softmax
@@ -51,26 +51,22 @@ class FusionStrategy:
     rng: Optional[Rng] = None  # consumed by the random kinds only
 
 
-class Router:
+class Router(Module):
     """cls -> (linear, GELU) -> linear -> one logit per projector slot."""
 
     def __init__(self, cfg: Config, rng: Rng, n_slots: int):
         d_text = cfg["text.dim"]
         hidden = cfg["router.hidden"]
         self.n_slots = n_slots
-        self.w1, self.b1 = linear_params(rng, d_text, hidden)
+        self.mlp1 = Linear(rng, d_text, hidden)
         # Zero second stage: gates start exactly uniform and symmetric.
-        self.w2 = Tensor(np.zeros((hidden, n_slots)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_slots), requires_grad=True)
+        self.mlp2 = {"w": Tensor(np.zeros((hidden, n_slots)), requires_grad=True),
+                     "b": Tensor(np.zeros(n_slots), requires_grad=True)}
 
     def route(self, instr: InstructionEncoding) -> Tensor:
         """(B, n_slots) logits."""
-        h = linear(instr.cls, self.w1, self.b1, "gelu")
-        return linear(h, self.w2, self.b2)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"mlp1.w": self.w1, "mlp1.b": self.b1,
-                "mlp2.w": self.w2, "mlp2.b": self.b2}
+        h = linear(instr.cls, self.mlp1.w, self.mlp1.b, "gelu")
+        return linear(h, self.mlp2["w"], self.mlp2["b"])
 
 
 def gate(values: Tensor, active: Sequence[int]) -> GateWeights:

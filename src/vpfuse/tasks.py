@@ -37,6 +37,7 @@ FAMILIES = ("detail", "motion", "counting")
 POOL_SIZE = 6
 FAMILY_POOLS = {fam: range(i * POOL_SIZE, (i + 1) * POOL_SIZE)
                 for i, fam in enumerate(FAMILIES)}
+INSTRUCTION_LEN = 6  # four fixed ids of the family's pool, then two drawn
 
 # Four glyphs, six lit pixels each (equal brightness mass per class).
 GLYPHS = [
@@ -81,6 +82,9 @@ class TaskSpec:
             raise TaskError("counting classes exceed available frames")
         if self.family == "motion" and self.total_frames < 2:
             raise TaskError("motion family needs at least 2 frames")
+        if self.family == "counting" and self.noise + FLASH_LIFT > 1.0:
+            raise TaskError(f"task.noise {self.noise} plus the counting flash "
+                            f"{FLASH_LIFT} exceeds the frame range [0, 1]")
 
 
 def spec_from_config(cfg: Config, family: str, total_frames: int | None = None) -> TaskSpec:
@@ -88,6 +92,12 @@ def spec_from_config(cfg: Config, family: str, total_frames: int | None = None) 
     if family == "counting" and t <= cfg["sampler.frames"]:
         raise TaskError("counting family requires more total frames than the "
                         "sampled-frame budget")
+    if cfg["text.vocab"] < len(FAMILIES) * POOL_SIZE:
+        raise TaskError(f"text.vocab {cfg['text.vocab']} holds fewer than the "
+                        f"{len(FAMILIES) * POOL_SIZE} instruction token ids")
+    if cfg["text.max_len"] < INSTRUCTION_LEN:
+        raise TaskError(f"text.max_len {cfg['text.max_len']} is shorter than the "
+                        f"{INSTRUCTION_LEN}-token instructions")
     return TaskSpec(family=family, classes=cfg["model.classes"], total_frames=t,
                     grid=cfg["video.grid"], patch=cfg["video.patch"],
                     noise=cfg["task.noise"], seed=cfg["train.seed"])
@@ -97,7 +107,7 @@ def _instruction(rng: Rng, family: str) -> np.ndarray:
     pool = FAMILY_POOLS[family]
     base = pool.start
     fixed = [base, base + 1, base + 2, base + 3]
-    extra = [base + rng.integers(POOL_SIZE), base + rng.integers(POOL_SIZE)]
+    extra = [base + rng.integers(POOL_SIZE) for _ in range(INSTRUCTION_LEN - len(fixed))]
     return np.array(fixed + extra, dtype=np.int64)
 
 

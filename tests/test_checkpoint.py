@@ -166,17 +166,15 @@ def test_flipped_tensor_value_fails_checksum(tmp_path):
         load_checkpoint(path)
 
 
-def test_version_1_file_loads_unchecked(tmp_path):
-    # A version-1 file is a version-2 file without the trailing CRC.
-    model = FusionModel(small_cfg(), seed=3)
+def test_version_1_file_rejected(tmp_path):
+    # A version-1 file was a version-2 file without the trailing CRC; the
+    # format no longer reads it.
     path = tmp_path / "v1.octo"
-    save_checkpoint(model, path, stage="tune")
+    save_checkpoint(FusionModel(small_cfg(), seed=3), path, stage="tune")
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])
-    loaded, cfg, stage = load_checkpoint(path)
-    assert stage == "tune" and cfg.serialize() == model.cfg.serialize()
-    for name, p in model.named_parameters().items():
-        assert loaded.named_parameters()[name].data.tobytes() == p.data.tobytes(), name
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("junk, message", [(b"\xff", "UTF-8"),

@@ -126,6 +126,24 @@ class TestTrainEval:
         assert capsys.readouterr().err == "error: detail family supports up to 4 classes\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("task.noise = 0.9", "task.noise 0.9 plus the counting flash 0.6 exceeds "
+                             "the frame range [0, 1]"),
+        ("text.vocab = 12", "text.vocab 12 holds fewer than the 18 instruction token ids"),
+        ("text.max_len = 4", "text.max_len 4 is shorter than the 6-token instructions"),
+    ])
+    def test_undrawable_task_config_leaves_no_run_dir(self, tmp_path, capsys,
+                                                      line, message):
+        # Each passes config validation, but no batch of the task families
+        # fits it; that must fail before the run directory exists.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST + line + "\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--steps", "30", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_manifest_records_threads(self, tmp_path, fast_cfg):
         out = tmp_path / "run"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,

@@ -56,7 +56,7 @@ class TestVideoEncoder:
         enc.pos_t.data[:] = 0.0
         enc.pos_h.data[:] = 0.0
         enc.pos_w.data[:] = 0.0
-        enc.patch_b.data[:] = np.arange(32, dtype=float)
+        enc.patch.b.data[:] = np.arange(32, dtype=float)
         out = enc.encode(np.zeros((1, 2, 16, 16)), np.arange(2))
         np.testing.assert_array_equal(
             out.data, np.broadcast_to(np.arange(32.0), (1, 2, 4, 4, 32)))

@@ -142,13 +142,13 @@ class TestStcProjector:
     def test_identity_config_is_linear_remap(self):
         cfg = desk_cfg(stc__kernel=1, stc__stride=(1, 1, 1), stc__pad=(0, 0, 0))
         proj = StcProjector(cfg, Rng(1, "x"))
-        proj.kernels[0].data[0, 0, 0] = np.eye(32)
-        proj.biases[0].data[:] = 0.0
+        proj.named_parameters()["conv0.k"].data[0, 0, 0] = np.eye(32)
+        proj.named_parameters()["conv0.b"].data[:] = 0.0
         feats = encode_batch(cfg, np.random.RandomState(0).rand(1, 8, 16, 16),
                              np.arange(8))
         out = proj(feats)
         assert out.count == 8 * 4 * 4
-        expected = feats.data.reshape(1, 128, 32) @ proj.out_w.data + proj.out_b.data
+        expected = feats.data.reshape(1, 128, 32) @ proj.out.w.data + proj.out.b.data
         np.testing.assert_allclose(out.tokens.data, expected, atol=1e-12)
 
     def test_not_frame_local_with_temporal_kernel(self):
@@ -189,7 +189,7 @@ class TestComProjector:
         out = proj(feats, instr)
         assert out.tokens.shape == (1, 1, 32)
         mean_feat = feats.data.reshape(1, 16, 32).mean(axis=1)
-        expected = mean_feat @ proj.cnt_w.data + proj.cnt_b.data
+        expected = mean_feat @ proj.cnt_out.w.data + proj.cnt_out.b.data
         np.testing.assert_allclose(out.tokens.data[:, 0], expected, atol=1e-12)
 
     def test_instruction_changes_context_tokens(self):
@@ -269,7 +269,7 @@ def test_projector_parameter_gradients(which):
             return tsum(out.tokens * Tensor_like(readout))
     elif which == "stc":
         proj = StcProjector(cfg, Rng(1, "p"))
-        target = proj.kernels[0]
+        target = proj.named_parameters()["conv0.k"]
 
         def f(t):
             feats = enc.encode(frames[:, idx], idx)

@@ -45,7 +45,7 @@ def const_embeddings(batch=2, n=4, d=3, values=(1.0, 2.0, 3.0)):
 class TestRoute:
     def test_zero_cls_zero_router_gives_second_layer_bias(self):
         router = make_router()
-        router.b2.data[:] = [0.5, -0.25, 0.0]
+        router.named_parameters()["mlp2.b"].data[:] = [0.5, -0.25, 0.0]
         out = router.route(fake_instr(np.zeros((2, 32))))
         np.testing.assert_array_equal(out.data, [[0.5, -0.25, 0.0]] * 2)
 
@@ -56,7 +56,8 @@ class TestRoute:
 
     def test_deterministic(self):
         router = make_router()
-        router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.1)
+        w2 = router.named_parameters()["mlp2.w"]
+        w2.data[:] = Rng(1, "w").normal((32, 3), std=0.1)
         cls = np.random.RandomState(1).randn(2, 32)
         a = router.route(fake_instr(cls)).data
         b = router.route(fake_instr(cls)).data
@@ -96,7 +97,7 @@ class TestGate:
     def route_subset(self, logits, active, values):
         # A zero instruction summary makes the logits the second-stage bias.
         router = make_router()
-        router.b2.data[:] = logits
+        router.named_parameters()["mlp2.b"].data[:] = logits
         embs = const_embeddings(batch=1, values=values)
         out, g = fuse_with_strategy(FusionStrategy(kind="router"),
                                     fake_instr(np.zeros((1, 32))), embs, router, active)
@@ -245,14 +246,16 @@ class TestModalityGate:
         cfg = stacked_config(default_config(), "image").replace(
             projectors__active=("image1", "image2"))
         model = FusionModel(cfg, seed=1)
-        model.router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
+        w2 = model.named_parameters()["router.mlp2.w"]
+        w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
         _, g = model.forward(model_batch(cfg, "detail", 3, total_frames=1))
         np.testing.assert_array_equal(g.p.data, [[0.0, 1.0, 0.0]] * 3)
 
     def test_video_uses_router(self):
         cfg = default_config()
         model = FusionModel(cfg, seed=1)
-        model.router.w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
+        w2 = model.named_parameters()["router.mlp2.w"]
+        w2.data[:] = Rng(1, "w").normal((32, 3), std=0.5)
         batch = model_batch(cfg, "motion", 2)
         _, g = model.forward(batch)
         instr = model.instruction_encoder.encode(batch.tokens)
