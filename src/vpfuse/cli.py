@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, tensor
 from .ablations import ARMS, evaluate, gate_columns, run_arms, stage_recipe
@@ -101,6 +103,10 @@ def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
         "config": cfg.serialize(),
         "row_workers": tensor._WORKERS,
         "blas_threads": tensor._BLAS_THREADS,
+        # pool and layer_norm reproduce numpy's summation order bit for bit.
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     _write_atomic(run_dir / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")

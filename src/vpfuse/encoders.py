@@ -109,10 +109,10 @@ class VideoEncoder(Module):
         patches = (frames.reshape(b, t, pg, p, pg, p)
                    .transpose(0, 1, 2, 4, 3, 5)
                    .reshape(b, t, pg, pg, p * p))
-        x = self.patch(Tensor(patches))
-        x = add(x, reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)))
-        x = add(x, reshape(self.pos_h, (pg, 1, self.dim)))
-        return add(x, self.pos_w)
+        return add(self.patch(Tensor(patches)),
+                   reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)),
+                   reshape(self.pos_h, (pg, 1, self.dim)),
+                   self.pos_w)
 
 
 class InstructionEncoder(Module):

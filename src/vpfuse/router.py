@@ -115,12 +115,9 @@ def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
             out = concat(rows, axis=0)
         return VisualTokens(tokens=out)
 
-    total = None
-    for i, emb in enumerate(embeddings):
-        weight = reshape(slice_axis(pv, 1, i, i + 1), (pv.shape[0], 1, 1))
-        term = emb.tokens * weight
-        total = term if total is None else add(total, term)
-    return VisualTokens(tokens=total)
+    terms = [emb.tokens * reshape(slice_axis(pv, 1, i, i + 1), (pv.shape[0], 1, 1))
+             for i, emb in enumerate(embeddings)]
+    return VisualTokens(tokens=add(*terms))
 
 
 def uniform_gates(batch: int, n_slots: int) -> GateWeights:

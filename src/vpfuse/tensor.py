@@ -17,7 +17,10 @@ relies on:
 - ``backward`` accumulates additively into ``.grad``; calling it twice
   without resetting doubles gradients.  ``zero_grad`` is explicit.
 - Every op validates that its output is finite and raises ``NonFiniteError``
-  immediately otherwise, naming the op.
+  immediately otherwise, naming the op.  The ops split into row chunks
+  (below) check each chunk's rows inside the chunk, in parallel and while
+  they are still in cache, and tell ``_emit`` (through ``_output``) not to
+  check again; ``_emit`` checks every other op's output.
 - Only the broadcasting the model actually needs is supported (numpy-style
   elementwise broadcast plus batched matmul).
 - The fused ops ``linear`` (bias and optional GELU folded in) and
@@ -28,8 +31,9 @@ relies on:
   (where the composed ``matmul`` would have raised), before the softmax can
   turn a ``-inf`` score into a silent 0.
 - The forward arithmetic of ``linear``, ``attention``, ``layer_norm``,
-  ``conv3d`` and ``pool`` is split into row chunks of the leading (batch)
-  axis that run on the machine's cores; the numpy kernels release the GIL.  Chunk
+  ``conv3d``, ``pool`` and ``add`` of more than two terms is split into row
+  chunks of the leading (batch) axis that run on the machine's cores; the
+  numpy kernels release the GIL.  Chunk
   boundaries depend only on the op's shape (at most four chunks, each with
   enough work to pay for a hand-off), never on the worker count or on
   timing, and every chunk repeats the unsplit arithmetic on its own rows,
@@ -39,6 +43,11 @@ relies on:
   the caller's ``contextvars`` context (``np.errstate`` applies to them),
   and a chunk's exception is re-raised in the caller.  The tape and ``_emit``
   stay on the calling thread.
+- ``pool`` and ``layer_norm`` reproduce numpy's own summation order, so they
+  are bitwise equal to ``np.add.reduceat`` and to ``np.mean``/``np.var``
+  (checked on numpy 2.4.6).  ``pool`` adds each bin's first cell to numpy's
+  ``pairwise_sum`` of its other cells with slice views; ``layer_norm``
+  takes ``np.var``'s steps but computes ``x - mean`` once.
 - Two backward rules split the same way.  ``attention`` computes its three
   gradients per batch row when ``q``, ``k`` and ``v`` share the scores'
   leading axes (self-attention); a broadcast query sums over rows, so that
@@ -60,6 +69,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import itertools
 import math
 import os
 import threading
@@ -235,6 +245,12 @@ def backward(loss: Tensor) -> None:
 def _emit(name: str, inputs: Sequence[Tensor], data: np.ndarray,
           rule: Callable[[np.ndarray], tuple]) -> Tensor:
     _check_finite(data, name)
+    return _output(name, inputs, data, rule)
+
+
+def _output(name: str, inputs: Sequence[Tensor], data: np.ndarray,
+            rule: Callable[[np.ndarray], tuple]) -> Tensor:
+    """``_emit`` for an op whose row chunks have checked ``data`` already."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(i.requires_grad for i in inputs)
@@ -336,18 +352,38 @@ def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
 
 def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
     """Rows ``sl`` of an operand broadcast against a rank-``ndim`` output."""
-    return a[sl] if a.ndim == ndim and a.shape[0] != 1 else a
+    return a[sl] if a.ndim == ndim > 0 and a.shape[0] != 1 else a
 
 
 # ---------------------------------------------------------------------------
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _emit("add", (a, b), data,
-                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                            _unbroadcast(g, b.shape) if b.requires_grad else None))
+def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
+    """``a + b + ...`` summed left to right into one buffer, as one tape entry.
+
+    Each term's gradient is the output gradient summed down to its shape.
+    When ``a + b`` already has the output's shape, that is bitwise equal to
+    chained two-operand adds, forward and backward.
+    """
+    terms = (a, b) + more
+    data = np.empty(np.broadcast_shapes(*(t.shape for t in terms)))
+
+    def fill(sl):
+        ds = data[sl] if data.ndim else data
+        np.add(_rows(a.data, ds.ndim, sl), _rows(b.data, ds.ndim, sl), out=ds)
+        for t in more:
+            ds += _rows(t.data, ds.ndim, sl)
+        _check_finite(ds, "add")
+
+    # Two-term adds stay on one thread: split, the decoder's residual add
+    # measured slower, since each row is less work than a hand-off costs.
+    split = len(terms) > 2 and data.ndim > 0
+    _over_rows(fill, data.shape[0] if split else 1,
+               math.prod(data.shape[1:]) if split else 0)
+    return _output("add", terms, data,
+                   lambda g: tuple(_unbroadcast(g, t.shape) if t.requires_grad else None
+                                   for t in terms))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -399,6 +435,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
         if act == "gelu":
             ndtr(zs, out=cdf[sl])
             np.multiply(zs, cdf[sl], out=data[sl])
+        _check_finite(data[sl], "linear")
 
     # A 2-D x is a single GEMM; its rows stay whole, because a GEMM's bits
     # may depend on its row count.  Batched x is one GEMM per leading index.
@@ -424,7 +461,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
         gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
         return gx, gw, gb
 
-    return _emit("linear", (x, w, b), data, rule)
+    return _output("linear", (x, w, b), data, rule)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
@@ -454,6 +491,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         np.exp(ps, out=ps)
         ps /= ps.sum(axis=-1, keepdims=True)
         np.matmul(ps, _rows(v.data, data.ndim, sl), out=data[sl])
+        _check_finite(data[sl], "attention")
 
     split = p.ndim == data.ndim > 2 and p.shape[0] == data.shape[0]
     row_work = math.prod(p.shape[1:]) if split else 0
@@ -496,7 +534,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
                 None if gk is None else np.swapaxes(_unbroadcast(gk, kt.shape), -1, -2),
                 None if gv is None else _unbroadcast(gv, v.shape))
 
-    return _emit("attention", (q, k, v), data, rule)
+    return _output("attention", (q, k, v), data, rule)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -602,14 +640,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data = np.empty(np.broadcast_shapes(x.shape, gamma.shape, beta.shape))
 
     def fill(sl):
-        xs = x.data[sl]
+        # np.mean and np.var's own steps, with x - mu computed once: var is
+        # sum(d * d) / n, and d is then scaled in place into xhat.
+        xs, d, ds = x.data[sl], xhat[sl], data[sl]
         mu = xs.mean(axis=-1, keepdims=True)
-        var = xs.var(axis=-1, keepdims=True)
+        np.subtract(xs, mu, out=d)
+        var = np.multiply(d, d, out=ds if ds.shape == d.shape else None
+                          ).sum(axis=-1, keepdims=True)
+        var /= x.shape[-1]
         np.divide(1.0, np.sqrt(var + 1e-5), out=inv[sl])
-        np.multiply(xs - mu, inv[sl], out=xhat[sl])
-        ds = data[sl]
-        np.multiply(xhat[sl], _rows(gamma.data, ds.ndim, sl), out=ds)
+        d *= inv[sl]
+        np.multiply(d, _rows(gamma.data, ds.ndim, sl), out=ds)
         ds += _rows(beta.data, ds.ndim, sl)
+        _check_finite(ds, "layer_norm")
 
     split = x.ndim > 1 and data.shape == x.shape
     _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if split else 0)
@@ -626,7 +669,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgamma, dbeta
 
-    return _emit("layer_norm", (x, gamma, beta), data, rule)
+    return _output("layer_norm", (x, gamma, beta), data, rule)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -748,6 +791,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
         xs, outs = x.data[sl], out[sl]
         for tap, out_sl, in_sl in taps:
             outs[out_sl] += xs[in_sl] @ kernel.data[tap]
+        _check_finite(outs, "conv3d")
 
     _over_rows(fill, out.shape[0], math.prod(out.shape[1:]))
 
@@ -770,7 +814,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
                               ).reshape(g_tap.shape[:-1] + (cin,))
         return dx, dk
 
-    return _emit("conv3d", (x, kernel), out, rule)
+    return _output("conv3d", (x, kernel), out, rule)
 
 
 def grid_edges(extent: int, factor: int) -> np.ndarray:
@@ -810,9 +854,12 @@ def pool(x: Tensor, edges_h, edges_w) -> Tensor:
     data = np.empty(x.shape[:-3] + (len(hs), len(ws), x.shape[-1]))
 
     def fill(sl):
-        summed = np.add.reduceat(x.data[sl], hs, axis=-3)
-        summed = np.add.reduceat(summed, ws, axis=-2)
-        np.divide(summed, counts, out=data[sl])
+        xs, ds = x.data[sl], data[sl]
+        summed = np.empty(xs.shape[:-3] + (len(hs),) + xs.shape[-2:])
+        _bin_sums(xs, hs, hsz, -3, summed)
+        _bin_sums(summed, ws, wsz, -2, ds)
+        ds /= counts
+        _check_finite(ds, "pool")
 
     _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 3 else 0)
 
@@ -820,7 +867,60 @@ def pool(x: Tensor, edges_h, edges_w) -> Tensor:
         gh = np.repeat(g / counts, hsz, axis=-3)
         return (np.repeat(gh, wsz, axis=-2),)
 
-    return _emit("pool", (x,), data, rule)
+    return _output("pool", (x,), data, rule)
+
+
+def _bin_sums(x: np.ndarray, starts, sizes, axis: int, out: np.ndarray) -> None:
+    """``np.add.reduceat(x, starts, axis)`` into ``out``, in reduceat's own
+    order: each bin's first cell plus numpy's pairwise sum of its other
+    cells.  A run of equal-size bins is summed at once through strided views.
+    """
+    tail = (slice(None),) * (-axis - 1)
+    first = 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        start, stop = starts[first], starts[first] + size * count
+        bins = out[(Ellipsis, slice(first, first + count)) + tail]
+
+        def cell(j):  # cell j of every bin in the run
+            return x[(Ellipsis, slice(start + j, stop, size)) + tail]
+
+        if size == 1:
+            np.copyto(bins, cell(0))
+        else:
+            _pairwise_sum(lambda j: cell(j + 1), size - 1, bins)
+            bins += cell(0)
+        first += count
+
+
+def _pairwise_sum(cell: Callable[[int], np.ndarray], n: int, out: np.ndarray) -> None:
+    """``cell(0) + ... + cell(n - 1)`` elementwise into ``out``, in the order
+    of numpy's ``pairwise_sum``: in sequence below 8 terms; up to 128 terms,
+    8 interleaved accumulators folded in pairs before the rest are added;
+    above that, the sums of two halves split at a multiple of 8.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = np.empty_like(out)
+        _pairwise_sum(cell, half, out)
+        _pairwise_sum(lambda j: cell(half + j), n - half, rest)
+        out += rest
+        return
+    np.copyto(out, cell(0))
+    if n < 8:
+        for j in range(1, n):
+            out += cell(j)
+        return
+    acc = [out] + [cell(j).copy() for j in range(1, 8)]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            acc[j] += cell(i + j)
+    for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for j in range(0, 8, 2 * step):
+            acc[j] += acc[j + step]
+    for i in range(stop, n):
+        out += cell(i)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from vpfuse.ablations import stacked_config
 from vpfuse.checkpoint import save_checkpoint
@@ -151,6 +154,15 @@ class TestTrainEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["row_workers"] == tensor._WORKERS >= 1
         assert manifest["blas_threads"] == tensor._BLAS_THREADS
+
+    def test_manifest_records_versions(self, tmp_path, fast_cfg):
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
+                       "--steps", "1", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
 
 
 class TestCountArguments:

@@ -26,9 +26,11 @@ from vpfuse.tensor import (
     NonFiniteError,
     Tape,
     Tensor,
+    add,
     attention,
     conv3d,
     even_edges,
+    grid_edges,
     layer_norm,
     linear,
     pool,
@@ -270,26 +272,130 @@ def test_split_conv3d_taps_at_desk_shape(x_grad):
     assert dk is not None and (dx is not None) == x_grad
 
 
+def reduceat_pool(x, eh, ew):
+    """The pooled mean as ``np.add.reduceat`` sums it, over H then W."""
+    summed = np.add.reduceat(np.add.reduceat(x, eh[:-1], axis=-3), ew[:-1], axis=-2)
+    return summed / np.outer(np.diff(eh), np.diff(ew))[..., None]
+
+
+@st.composite
+def pool_edges(draw):
+    # Bins of 1-7 cells add in sequence, 8-128 in 8 accumulators and wider
+    # ones in halves, so every regime of numpy's pairwise sum is drawn.
+    size = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
+    extent = draw(st.integers(size, 2 * size + 3))
+    if draw(st.booleans()):
+        return grid_edges(extent, size)
+    return even_edges(extent, max(1, extent // size))
+
+
 @st.composite
 def big_pool_cases(draw):
-    h, w = draw(st.integers(3, 6)), draw(st.integers(3, 6))
-    edges = even_edges(h, draw(st.integers(1, h))), even_edges(w, draw(st.integers(1, w)))
-    x = seeded(draw).randn(draw(st.integers(1, 9)), draw(st.integers(16, 48)), h, w, 32)
-    return x, edges
+    eh, ew = draw(pool_edges()), draw(pool_edges())
+    c = 32 if eh[-1] * ew[-1] < 64 else 2
+    # From 1 to 9 rows of 1-48 frames: unsplit, two, three and four chunks.
+    x = seeded(draw).randn(draw(st.integers(1, 9)), draw(st.integers(1, 48)),
+                           eh[-1], ew[-1], c)
+    if draw(st.booleans()):
+        x[x < -1.5] = -0.0  # bins of signed zeros keep their sign
+    return x, (eh, ew)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(big_pool_cases())
 def test_split_pool_bitwise(case):
     x, (eh, ew) = case
     sh, sw = np.diff(eh), np.diff(ew)
-    weight = np.random.RandomState(0).randn(*x.shape[:2], len(sh), len(sw), 32)
+    weight = np.random.RandomState(0).randn(*x.shape[:2], len(sh), len(sw), x.shape[-1])
     out, _, (dx,) = split_and_serial(lambda a: pool(a, eh, ew),
                                      (Tensor(x, requires_grad=True),), weight)
+    want = reduceat_pool(x, eh, ew)
+    assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
     counts = np.outer(sh, sw)[..., None]
-    summed = np.add.reduceat(np.add.reduceat(x, eh[:-1], axis=-3), ew[:-1], axis=-2)
-    assert np.array_equal(out, summed / counts)
     assert np.array_equal(dx, np.repeat(np.repeat(weight / counts, sh, axis=-3), sw, axis=-2))
+
+
+@st.composite
+def add_cases(draw):
+    # The first two terms make the output shape; the others broadcast into it
+    # like the encoder's positional tables, or match it like fused streams.
+    b, t = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    h, w, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(8, 48))
+    rng = seeded(draw)
+    shapes = [(b, t, h, w, d), (t, 1, 1, d), (h, 1, d), (d,), (b, t, h, w, d)]
+    picks = draw(st.lists(st.sampled_from(shapes[1:]), min_size=1, max_size=4))
+    terms = [Tensor(rng.randn(*shape)) for shape in [shapes[0]] + picks]
+    if draw(st.booleans()):  # the first two terms both carry the full shape
+        terms[1] = Tensor(rng.randn(*shapes[0]))
+    require_grads(draw, terms)
+    return terms, rng.randn(*shapes[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(add_cases())
+def test_nary_add_matches_chained_adds(case):
+    terms, weight = case
+
+    def chained(*ts):
+        out = ts[0]
+        for t in ts[1:]:
+            out = add(out, t)
+        return out
+
+    split = split_and_serial(add, terms, weight)
+    assert_bitwise(split, run(chained, terms, weight))
+    assert split[1] == 3  # add, then the loss's mul and sum
+
+
+def last_chunk_rows(rows, row_work):
+    chunks = tensor._row_chunks(rows, row_work)
+    assert len(chunks) > 1
+    return chunks[-1]
+
+
+def _poisoned_cases():
+    """Per split op: a call on one input Tensor, a clean value for that input
+    and the rows of its last chunk, where a poisoned input row makes only that
+    chunk's output non-finite."""
+    rng = np.random.RandomState(6)
+    x = rng.randn(8, 200, 8)
+    w, b = rng.randn(8, 128), rng.randn(128)
+    q, kv = rng.randn(4, 134, 32), rng.randn(4, 134, 32)
+    ln, g = rng.randn(8, 300, 64), rng.randn(64)
+    clip, kern = rng.randn(8, 6, 6, 6, 2), rng.randn(3, 3, 3, 2, 128) * 0.1
+    feats = rng.randn(8, 32, 4, 4, 32)
+    edges = even_edges(4, 1)
+    return {
+        "linear": (lambda a: linear(a, Tensor(w), Tensor(b), "gelu"), x,
+                   last_chunk_rows(8, 200 * 128)),
+        # Poisoning v leaves the scores finite: only the output check sees it.
+        "attention": (lambda v: attention(Tensor(q), Tensor(kv), v, 0.2), kv,
+                      last_chunk_rows(4, 134 * 134)),
+        "layer_norm": (lambda a: layer_norm(a, Tensor(g), Tensor(g)), ln,
+                       last_chunk_rows(8, 300 * 64)),
+        "conv3d": (lambda a: conv3d(a, Tensor(kern), (1, 1, 1), (1, 1, 1)), clip,
+                   last_chunk_rows(8, 6 ** 3 * 128)),
+        "pool": (lambda a: pool(a, edges, edges), feats,
+                 last_chunk_rows(8, 32 * 16 * 32)),
+        "add": (lambda a: add(a, Tensor(feats), Tensor(feats)), feats,
+                last_chunk_rows(8, 32 * 16 * 32)),
+    }
+
+
+@pytest.mark.parametrize("op", ["linear", "attention", "layer_norm", "conv3d", "pool", "add"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_in_last_chunk_raises(op, bad):
+    # Each split op checks its own output inside its row chunks, not again
+    # afterwards, so a value only the last chunk produces must still raise.
+    call, clean, rows = _poisoned_cases()[op]
+    poisoned = Tensor(clean.copy())
+    poisoned.data[rows.start, ..., -1] = bad  # past the constructor's check
+    with threads(3), np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=f"'{op}'"):
+            call(poisoned)
+        after = call(Tensor(clean)).data  # the worker pool still runs the next op
+    with threads(1):
+        assert np.array_equal(after, call(Tensor(clean)).data)
 
 
 def test_non_finite_score_in_one_chunk():

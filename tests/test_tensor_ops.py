@@ -278,6 +278,28 @@ class TestPlumbingOps:
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
+    @pytest.mark.parametrize("x_shape, gamma_shape", [
+        ((7,), (7,)), ((3, 5), (5,)), ((2, 4, 6), (6,)), ((4, 6), (3, 1, 6))],
+        ids=["1d", "2d", "3d", "gamma-broadcasts-x"])
+    def test_layer_norm_matches_numpy_mean_var(self, x_shape, gamma_shape):
+        # layer_norm reuses x - mu for the variance; np.mean and np.var are
+        # the reference form it must equal bit for bit.
+        rng = np.random.RandomState(11)
+        x = rng.randn(*x_shape) * 4.0 + 3.0
+        gamma, beta = rng.randn(*gamma_shape), rng.randn(x_shape[-1])
+        mu = x.mean(axis=-1, keepdims=True)
+        xhat = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert np.array_equal(out, xhat * gamma + beta)
+
+    def test_nary_add_is_one_entry_of_chained_sums(self):
+        a, b, c = (Tensor(np.array(v), requires_grad=True) for v in (0.5, 1e-17, -0.25))
+        with Tape() as tape:
+            out = add(a, b, c)
+            assert len(tape.entries) == 1
+        assert out.data == (0.5 + 1e-17) + -0.25
+        assert out.shape == ()
+
     def test_pool_grid_even_and_uneven(self):
         x = np.arange(16.0).reshape(1, 4, 4, 1)
         out = pool(Tensor(x), grid_edges(4, 2), grid_edges(4, 2)).data

@@ -14,7 +14,7 @@ import pytest
 from vpfuse.ablations import evaluate
 from vpfuse.config import default_config
 from vpfuse.model import FusionModel
-from vpfuse.tasks import batch_stream
+from vpfuse.tasks import batch_stream, eval_batches
 from vpfuse.tensor import Tensor
 from vpfuse.training import (
     Adam,
@@ -231,3 +231,25 @@ def test_subset_model_pin(active, expected):
     # gate still padded inactive slots with zero columns and fusion sliced
     # them back out.
     assert pin_digest(projectors__active=active) == expected
+
+
+@pytest.fixture(scope="module")
+def eval_model():
+    cfg = default_config()
+    return cfg, FusionModel(cfg, 1)
+
+
+@pytest.mark.parametrize("family, expected", [
+    ("detail", "2b24d10db675f4de8feff92bb084efd7b3f3637a2e9aacff72142b3b2f4f7a56"),
+    ("motion", "bb1e8441e854e8a2eec5d5be5876f58f70f32e81faada2fd334e8f7668c1c5a0"),
+    ("counting", "b2b46b151bbd426999267a2ac1a0ea020945ec4c6adb24cda9331c8b7d142f2e"),
+])
+def test_eval_logits_pin(eval_model, family, expected):
+    # The tape-free eval forward on a full 64-sample eval batch, where the
+    # forward ops split into four row chunks; the training pins above run at
+    # B <= 16.  Recorded before finiteness checks moved into the row chunks
+    # and before the n-ary add and the reduceat-free pool.
+    cfg, model = eval_model
+    logits, _ = model.forward(next(eval_batches(cfg, family, 64)))
+    assert logits.shape == (64, cfg["model.classes"])
+    assert hashlib.sha256(logits.data.tobytes()).hexdigest() == expected
