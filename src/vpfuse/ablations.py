@@ -18,8 +18,9 @@ import numpy as np
 
 from .config import PROJECTOR_KINDS, STRATEGIES, Config
 from .model import Batch, FusionModel
+from .router import make_strategy
 from .tasks import FAMILIES, batch_stream, eval_batches
-from .training import TrainConfig, make_strategy, train
+from .training import TrainConfig, train
 
 
 def gate_columns(cfg: Config) -> tuple[str, ...]:

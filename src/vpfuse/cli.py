@@ -7,7 +7,10 @@ CSV + manifest), `eval` (report files), `route` (gates for an instruction),
 Exit codes are a stable scripting contract: 0 success, 1 runtime failure,
 2 validation failure (bad config, misaligned budgets, malformed arguments).
 Every run directory is created exclusively and contains a manifest written
-at run start from which the run is reproducible.
+at run start from which the run is reproducible.  Its ``status`` reads
+``running`` until every artifact is written; it is then rewritten with
+``ok`` and the command's wall time, ``wall_s``.  A run that failed keeps
+``running``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import platform
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +96,10 @@ def _make_run_dir(path: str) -> Path:
 
 
 def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
-                    start_step: int, end_step: int, artifacts: list[str]) -> None:
+                    start_step: int, end_step: int, artifacts: list[str]) -> dict:
+    """Write the run-start manifest, ``status`` running; return it."""
     manifest = {
+        "status": "running",
         "tool_version": __version__,
         "command": command,
         "seed": seed,
@@ -108,6 +114,15 @@ def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
+    _write_atomic(run_dir / "manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
+
+
+def _finish_manifest(run_dir: Path, manifest: dict, started: float) -> None:
+    """Rewrite the manifest once every artifact is written: ``status`` ok and
+    ``wall_s``, the seconds since the command's ``started`` perf counter."""
+    manifest.update(status="ok", wall_s=time.perf_counter() - started)
     _write_atomic(run_dir / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -132,6 +147,7 @@ def cmd_tokens(args) -> int:
 
 
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = cfg.replace(train__seed=args.seed)
@@ -151,18 +167,20 @@ def cmd_train(args) -> int:
     batches, tc = stage_recipe(model, args.stage, args.steps)
 
     run_dir = _make_run_dir(args.out)
-    _write_manifest(run_dir, cfg, tc.seed, f"train --stage {args.stage}",
-                    0, tc.steps, ["model.octo", "loss.csv"])
+    manifest = _write_manifest(run_dir, cfg, tc.seed, f"train --stage {args.stage}",
+                               0, tc.steps, ["model.octo", "loss.csv"])
     result = train(model, batches, tc)
 
     save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
     _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
+    _finish_manifest(run_dir, manifest, started)
     print(f"{args.stage}: {tc.steps} steps, final loss {result.final_loss:.6f}")
     print(f"artifacts in {run_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    started = time.perf_counter()
     model, cfg, _ = load_checkpoint(args.ckpt)
     families = tuple(args.families.split(",")) if args.families else FAMILIES
     bad = [f for f in families if f not in FAMILIES]
@@ -172,8 +190,8 @@ def cmd_eval(args) -> int:
     report = evaluate(model, families=families, n=args.n)
 
     run_dir = _make_run_dir(args.out)
-    _write_manifest(run_dir, cfg, cfg["train.seed"], "eval", 0, 0,
-                    ["accuracy.csv", "gates.csv", "report.txt"])
+    manifest = _write_manifest(run_dir, cfg, cfg["train.seed"], "eval", 0, 0,
+                               ["accuracy.csv", "gates.csv", "report.txt"])
     _write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
     _write_atomic(run_dir / "gates.csv", report.gate_csv())
 
@@ -188,6 +206,7 @@ def cmd_eval(args) -> int:
     lines.append(f"combined accuracy: {report.combined:.3f}")
     text = "\n".join(lines) + "\n"
     _write_atomic(run_dir / "report.txt", text)
+    _finish_manifest(run_dir, manifest, started)
     print(text, end="")
     return EXIT_OK
 
@@ -212,15 +231,17 @@ def cmd_route(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    started = time.perf_counter()
     cfg = _load_config(args.config)
     table = run_arms(args.mode, ARMS[args.mode](cfg), args.seeds,
                      args.pretrain_steps, args.tune_steps, args.n)
 
     run_dir = _make_run_dir(args.out)
-    _write_manifest(run_dir, cfg, args.seeds[0], f"ablate --mode {args.mode}", 0, 0,
-                    ["ablation.csv", "ablation.txt"])
+    manifest = _write_manifest(run_dir, cfg, args.seeds[0], f"ablate --mode {args.mode}",
+                               0, 0, ["ablation.csv", "ablation.txt"])
     _write_atomic(run_dir / "ablation.csv", table.to_csv())
     _write_atomic(run_dir / "ablation.txt", table.to_text())
+    _finish_manifest(run_dir, manifest, started)
     print(table.to_text(), end="")
     return EXIT_OK
 

@@ -29,6 +29,7 @@ from .router import (
     GateWeights,
     Router,
     fuse_with_strategy,
+    make_strategy,
     one_hot_gates,
 )
 from .tensor import Tensor, concat, cross_entropy, tmean
@@ -98,9 +99,13 @@ class FusionModel(Module):
     def forward(self, batch: Batch,
                 strategy: Optional[FusionStrategy] = None,
                 ) -> tuple[Tensor, Optional[GateWeights]]:
-        """Answer logits (B, C) plus the gates used (None under concat)."""
+        """Answer logits (B, C) plus the gates used (None under concat).
+
+        Without ``strategy``, the configured one draws from the stream
+        ``evaluate`` uses: ``make_strategy(kind, 0, "eval")``.
+        """
         if strategy is None:
-            strategy = FusionStrategy(kind=self.cfg["train.strategy"])
+            strategy = make_strategy(self.cfg["train.strategy"], 0, "eval")
         instr = self.instruction_encoder.encode(batch.tokens)
         b, t = batch.frames.shape[0], batch.frames.shape[1]
 

@@ -37,12 +37,13 @@ from .layers import Linear, Module, linear_params
 from .rng import Rng
 from .tensor import (
     Tensor,
+    TensorError,
     add,
     attention,
     broadcast_to,
     concat,
     conv3d,
-    conv3d_out_dim,
+    conv3d_out_dims,
     even_edges,
     gelu,
     grid_edges,
@@ -106,15 +107,10 @@ def _stc_budget(cfg: Config, label: str) -> TokenBudget:
     dims = (cfg["sampler.frames"], pg, pg)
     chain = [dims]
     for _ in range(cfg["stc.blocks"]):
-        nxt = []
-        for d, s, p in zip(dims, stride, pad):
-            if k > d + 2 * p:
-                raise ConfigError(f"stc kernel {k} exceeds padded extent {d + 2 * p}")
-            o = conv3d_out_dim(d, k, s, p)
-            if o <= 0:
-                raise ConfigError(f"stc conv collapses dims {dims} to non-positive size")
-            nxt.append(o)
-        dims = tuple(nxt)
+        try:
+            dims = conv3d_out_dims(dims, k, stride, pad)
+        except TensorError as exc:
+            raise ConfigError(f"stc {exc}") from exc
         chain.append(dims)
     count = dims[0] * dims[1] * dims[2]
     path = " -> ".join("x".join(str(d) for d in c) for c in chain)
@@ -282,6 +278,7 @@ class ComProjector(Module):
             flat = reshape(x, (b, t, h * w, d))
             q = add(reshape(self.cls_proj(instr.cls), (b, 1, 1, d)),
                     self.query)  # (B, 1, n_ctx, D)
+            q = broadcast_to(q, (b, t, self.n_context, d))  # the same query per frame
             ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
             parts.append(self.ctx_out(ctx))
         if self.n_content > 0:

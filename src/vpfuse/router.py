@@ -33,7 +33,7 @@ from .encoders import InstructionEncoding
 from .layers import Linear, Module
 from .projectors import VisualTokens
 from .rng import Rng
-from .tensor import Tensor, add, concat, linear, reshape, slice_axis, softmax
+from .tensor import Tensor, add, concat, linear, mul, reshape, slice_axis, softmax
 
 
 class FusionError(ValueError):
@@ -49,6 +49,14 @@ class GateWeights:
 class FusionStrategy:
     kind: str  # router | average | concat | random-weights | random-choose
     rng: Optional[Rng] = None  # consumed by the random kinds only
+
+
+def make_strategy(kind: str, seed: int, stage: str) -> FusionStrategy:
+    """The strategy ``kind`` with, for the random kinds, the rng stream of
+    ``seed`` and ``stage``."""
+    rng = (Rng(seed, f"fusion/{kind}/{stage}")
+           if kind in ("random-weights", "random-choose") else None)
+    return FusionStrategy(kind=kind, rng=rng)
 
 
 class Router(Module):
@@ -78,7 +86,7 @@ def gate(values: Tensor, active: Sequence[int]) -> GateWeights:
     if len(active) < values.shape[-1]:
         values = concat([slice_axis(values, values.ndim - 1, i, i + 1) for i in active],
                         axis=-1)
-    return GateWeights(p=softmax(values, axis=-1))
+    return GateWeights(p=softmax(values))
 
 
 def _exact_one_hot_rows(p: np.ndarray) -> Optional[np.ndarray]:
@@ -93,9 +101,9 @@ def _exact_one_hot_rows(p: np.ndarray) -> Optional[np.ndarray]:
 def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
     """Convex combination of aligned token streams: sum_i p_i * E_i.
 
-    Exact one-hot gates reduce to a bitwise copy of the selected stream (at a
-    one-hot point the gate gradient through a softmax is identically zero, so
-    the shortcut is gradient-equivalent).
+    Exact one-hot gates select the stream itself, bitwise (at a one-hot point
+    the gate gradient through a softmax is identically zero, so the shortcut
+    is gradient-equivalent; a weighted sum would turn a -0.0 token into +0.0).
     """
     shapes = {e.tokens.shape for e in embeddings}
     if len(shapes) != 1:
@@ -107,15 +115,14 @@ def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
     selected = _exact_one_hot_rows(pv.data)
     if selected is not None:
         if np.all(selected == selected[0]):
-            src = embeddings[int(selected[0])].tokens
-            out = src * 1.0  # identity op keeps the graph connected; bitwise equal
+            out = embeddings[int(selected[0])].tokens
         else:
             rows = [slice_axis(embeddings[int(s)].tokens, 0, b, b + 1)
                     for b, s in enumerate(selected)]
             out = concat(rows, axis=0)
         return VisualTokens(tokens=out)
 
-    terms = [emb.tokens * reshape(slice_axis(pv, 1, i, i + 1), (pv.shape[0], 1, 1))
+    terms = [mul(emb.tokens, reshape(slice_axis(pv, 1, i, i + 1), (pv.shape[0], 1, 1)))
              for i, emb in enumerate(embeddings)]
     return VisualTokens(tokens=add(*terms))
 

@@ -4,9 +4,11 @@ Arrays are numpy float64 throughout; the tape, backward rules and gradient
 checker are implemented here.  Design points that the rest of the project
 relies on:
 
-- Ops record onto the innermost active ``Tape`` (per thread) whenever any
-  input requires grad.  With no active tape, forward math runs tape-free,
-  which is how inference/eval avoids autograd overhead.
+- Ops record onto the thread's open ``Tape`` whenever any input requires
+  grad.  At most one tape is open per thread: entering a second raises
+  ``RuntimeError`` and leaves the first recording.  With no open tape,
+  forward math runs tape-free, which is how inference/eval avoids autograd
+  overhead.
 - The tape owns the graph: its entries hold each op's inputs, output and
   backward rule.  A recorded tensor points back at its tape only through a
   weak reference, so the graph has no reference cycles and is freed by
@@ -21,8 +23,12 @@ relies on:
   (below) check each chunk's rows inside the chunk, in parallel and while
   they are still in cache, and tell ``_emit`` (through ``_output``) not to
   check again; ``_emit`` checks every other op's output.
-- Only the broadcasting the model actually needs is supported (numpy-style
-  elementwise broadcast plus batched matmul).
+- Only ``add`` and ``mul`` broadcast their operands (numpy-style), and
+  ``matmul`` its batch axes; ``broadcast_to`` broadcasts explicitly.  Every
+  other op takes the one layout the model passes it: ``attention`` a q, k
+  and v with equal leading axes, ``layer_norm`` a gamma and beta of shape
+  (D,), ``linear`` a bias of the weight's width, ``softmax`` the last axis,
+  ``tsum`` the whole tensor.  Any other layout raises ``TensorError``.
 - The fused ops ``linear`` (bias and optional GELU folded in) and
   ``attention`` each record one tape entry in place of a chain of composed
   ops.  They repeat the composed ops' arithmetic in the same order, so
@@ -49,9 +55,9 @@ relies on:
   ``pairwise_sum`` of its other cells with slice views; ``layer_norm``
   takes ``np.var``'s steps but computes ``x - mean`` once.
 - Two backward rules split the same way.  ``attention`` computes its three
-  gradients per batch row when ``q``, ``k`` and ``v`` share the scores'
-  leading axes (self-attention); a broadcast query sums over rows, so that
-  layout stays in one chunk.  ``conv3d`` splits its kernel gradient over
+  gradients per batch row, each row's from that row alone (a query shared
+  by several frames is broadcast first, so ``broadcast_to``'s rule sums its
+  gradient over them).  ``conv3d`` splits its kernel gradient over
   kernel taps, each tap's gradient being one GEMM of its own; its input
   gradient adds the taps up in order on the calling thread.  The other
   rules are serial: a weight gradient sums over the rows a split would
@@ -139,11 +145,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
 
 # ---------------------------------------------------------------------------
 # tape
@@ -159,27 +160,19 @@ class _TapeEntry:
         self.rule = rule
 
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_local = threading.local()  # .tape: the tape open on this thread, if any
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_local, "tape", None)
 
 
 class Tape:
     """Ordered record of ops; inputs of every entry precede it.
 
-    Confined to the thread that opened it.  ``backward`` replays entries in
-    reverse, firing each backward rule at most once per call.
+    Confined to the thread that opened it, and at most one is open per
+    thread.  ``backward`` replays entries in reverse, firing each backward
+    rule at most once per call.
     """
 
     def __init__(self):
@@ -187,14 +180,13 @@ class Tape:
         self._ref = weakref.ref(self)  # the back-pointer every output gets
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("a tape is already open on this thread")
+        _local.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape stack corrupted (exit order mismatch)")
-        stack.pop()
+        _local.tape = None
         return False
 
     def record(self, name, inputs, output, rule) -> None:
@@ -393,11 +385,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit("scalar_mul", (a,), a.data * c, lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise TensorError("matmul operands must have rank >= 2")
@@ -421,9 +408,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     """
     if act not in (None, "gelu"):
         raise TensorError(f"unknown linear activation {act!r}")
-    if x.ndim < 2 or w.ndim != 2:
-        raise TensorError(f"linear needs rank >= 2 input and a 2-D weight, "
-                          f"got {x.shape} and {w.shape}")
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise TensorError(f"linear needs rank >= 2 input, a 2-D weight and a bias "
+                          f"of its width, got {x.shape}, {w.shape} and {b.shape}")
     z = np.empty(x.shape[:-1] + w.shape[1:])
     cdf = np.empty(z.shape) if act == "gelu" else None
     data = np.empty(z.shape) if act == "gelu" else z
@@ -431,7 +418,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     def fill(sl):
         zs = z[sl]
         np.matmul(x.data[sl], w.data, out=zs)
-        zs += _rows(b.data, z.ndim, sl)
+        zs += b.data
         if act == "gelu":
             ndtr(zs, out=cdf[sl])
             np.multiply(zs, cdf[sl], out=data[sl])
@@ -454,8 +441,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
             dz *= g
         else:
             dz = g
-        gx = (_unbroadcast(dz @ np.swapaxes(w.data, -1, -2), x.shape)
-              if x.requires_grad else None)
+        gx = dz @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
         gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape)
               if w.requires_grad else None)
         gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
@@ -467,72 +453,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """``softmax(scale * q @ kᵀ) @ v`` over the last axis, as one tape entry.
 
-    The probabilities are computed in place and kept for backward.  Leading
-    axes broadcast as in ``matmul`` (a query shared by every frame works),
-    and ``k`` may be ``v``.  Bitwise equal to the composed
-    ``matmul``/``transpose``/``scalar_mul``/``softmax``/``matmul`` graph.
+    ``q``, ``k`` and ``v`` share their leading axes (a query shared by every
+    frame is broadcast first), and ``k`` may be ``v``.  The probabilities are
+    computed in place and kept for backward.  Bitwise equal to the composed
+    ``matmul``/``transpose``/``mul``/``softmax``/``matmul`` graph.
     """
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise TensorError("attention operands must have rank >= 2")
+    if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise TensorError(f"attention needs rank >= 2 operands with equal leading "
+                          f"axes, got {q.shape}, {k.shape} and {v.shape}")
     scale = float(scale)
     kt = np.swapaxes(k.data, -1, -2)
-    p = np.empty(np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
-                 + (q.shape[-2], k.shape[-2]))
-    data = np.empty(np.broadcast_shapes(p.shape[:-2], v.shape[:-2])
-                    + (q.shape[-2], v.shape[-1]))
+    p = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    data = np.empty(q.shape[:-1] + v.shape[-1:])
 
     def fill(sl):
         ps = p[sl]
-        np.matmul(_rows(q.data, p.ndim, sl), _rows(kt, p.ndim, sl), out=ps)
+        np.matmul(q.data[sl], kt[sl], out=ps)
         ps *= scale
         # exp would map a -inf score to a silent 0, so check before the softmax.
         _check_finite(ps, "attention")
         ps -= ps.max(axis=-1, keepdims=True)
         np.exp(ps, out=ps)
         ps /= ps.sum(axis=-1, keepdims=True)
-        np.matmul(ps, _rows(v.data, data.ndim, sl), out=data[sl])
+        np.matmul(ps, v.data[sl], out=data[sl])
         _check_finite(data[sl], "attention")
 
-    split = p.ndim == data.ndim > 2 and p.shape[0] == data.shape[0]
-    row_work = math.prod(p.shape[1:]) if split else 0
+    row_work = math.prod(p.shape[1:]) if p.ndim > 2 else 0  # 2-D: one chunk
     _over_rows(fill, p.shape[0], row_work)
 
     def rule(g):
-        # Gradients are written per row into buffers of the broadcast shape,
-        # then summed down to each operand.  Only when q, k and v all share
-        # p's leading axes is that sum a no-op, so only then do rows split.
-        lead = data.shape[:-2]
-        gv = np.empty(lead + v.shape[-2:]) if v.requires_grad else None
-        ds = (np.empty(lead + p.shape[-2:])
-              if q.requires_grad or k.requires_grad else None)
-        gq = np.empty(lead + q.shape[-2:]) if q.requires_grad else None
-        gk = np.empty(lead + kt.shape[-2:]) if k.requires_grad else None
+        gv = np.empty(v.shape) if v.requires_grad else None
+        ds = np.empty(p.shape) if q.requires_grad or k.requires_grad else None
+        gq = np.empty(q.shape) if q.requires_grad else None
+        gk = np.empty(kt.shape) if k.requires_grad else None
         vt = np.swapaxes(v.data, -1, -2)
 
         def fill(sl):
-            ps = _rows(p, g.ndim, sl)
+            ps = p[sl]
             if gv is not None:
                 np.matmul(np.swapaxes(ps, -1, -2), g[sl], out=gv[sl])
             if ds is None:
                 return
             dss = ds[sl]
-            np.matmul(g[sl], _rows(vt, g.ndim, sl), out=dss)
+            np.matmul(g[sl], vt[sl], out=dss)
             dss -= (dss * ps).sum(axis=-1, keepdims=True)
             dss *= ps
             dss *= scale
             if gq is not None:
-                np.matmul(dss, _rows(k.data, g.ndim, sl), out=gq[sl])
+                np.matmul(dss, k.data[sl], out=gq[sl])
             if gk is not None:
-                np.matmul(np.swapaxes(_rows(q.data, g.ndim, sl), -1, -2), dss,
-                          out=gk[sl])
+                np.matmul(np.swapaxes(q.data[sl], -1, -2), dss, out=gk[sl])
 
-        shared = q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-        _over_rows(fill, g.shape[0], row_work if shared else 0)
+        _over_rows(fill, g.shape[0], row_work)
         # gk stays a transposed view of its (..., D, Nk) buffer: a contiguous
         # copy would change the summation order of gradients downstream.
-        return (None if gq is None else _unbroadcast(gq, q.shape),
-                None if gk is None else np.swapaxes(_unbroadcast(gk, kt.shape), -1, -2),
-                None if gv is None else _unbroadcast(gv, v.shape))
+        return gq, None if gk is None else np.swapaxes(gk, -1, -2), gv
 
     return _output("attention", (q, k, v), data, rule)
 
@@ -582,16 +557,9 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     return _emit("broadcast", (a,), data, lambda g: (_unbroadcast(g, a.shape),))
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _emit("sum", (a,), data, rule)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every element, a 0-d Tensor."""
+    return _emit("sum", (a,), a.data.sum(), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def tmean(a: Tensor, axis: int) -> Tensor:
@@ -620,24 +588,28 @@ def gelu(a: Tensor) -> Tensor:
     return _emit("gelu", (a,), data, rule)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise TensorError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - dot),)
 
     return _emit("softmax", (a,), data, rule)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis of ``x``, then scale by ``gamma`` and shift by
+    ``beta``, both of shape (D,)."""
+    if not gamma.shape == beta.shape == x.shape[-1:]:
+        raise TensorError(f"layer_norm needs gamma and beta of shape (D,) for x of "
+                          f"shape (..., D), got {gamma.shape}, {beta.shape} and {x.shape}")
     xhat = np.empty(x.shape)
     inv = np.empty(x.shape[:-1] + (1,))
-    data = np.empty(np.broadcast_shapes(x.shape, gamma.shape, beta.shape))
+    data = np.empty(x.shape)
 
     def fill(sl):
         # np.mean and np.var's own steps, with x - mu computed once: var is
@@ -645,17 +617,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         xs, d, ds = x.data[sl], xhat[sl], data[sl]
         mu = xs.mean(axis=-1, keepdims=True)
         np.subtract(xs, mu, out=d)
-        var = np.multiply(d, d, out=ds if ds.shape == d.shape else None
-                          ).sum(axis=-1, keepdims=True)
+        var = np.multiply(d, d, out=ds).sum(axis=-1, keepdims=True)
         var /= x.shape[-1]
         np.divide(1.0, np.sqrt(var + 1e-5), out=inv[sl])
         d *= inv[sl]
-        np.multiply(d, _rows(gamma.data, ds.ndim, sl), out=ds)
-        ds += _rows(beta.data, ds.ndim, sl)
+        np.multiply(d, gamma.data, out=ds)
+        ds += beta.data
         _check_finite(ds, "layer_norm")
 
-    split = x.ndim > 1 and data.shape == x.shape
-    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if split else 0)
+    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 1 else 0)
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -717,8 +687,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # convolution / pooling
 # ---------------------------------------------------------------------------
 
-def conv3d_out_dim(dim: int, k: int, stride: int, pad: int) -> int:
-    return (dim + 2 * pad - k) // stride + 1
+def conv3d_out_dims(dims, k: int, stride, pad) -> tuple[int, ...]:
+    """Output (T, H, W) of ``conv3d`` over input ``dims``: floor((d + 2p - k)
+    / s) + 1 per axis, each at least 1 since k <= d + 2p is required."""
+    if any(s < 1 for s in stride):
+        raise TensorError(f"stride components must be >= 1, got {stride}")
+    if any(p < 0 for p in pad):
+        raise TensorError(f"padding must be non-negative, got {pad}")
+    for d, p in zip(dims, pad):
+        if k > d + 2 * p:
+            raise TensorError(f"kernel {k} exceeds padded extent {d + 2 * p}")
+    return tuple((d + 2 * p - k) // s + 1 for d, s, p in zip(dims, stride, pad))
 
 
 def _tap_ranges(d_in: int, d_out: int, k: int, stride: int,
@@ -758,21 +737,8 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
         raise TensorError(f"input channels {x.shape[-1]} != kernel Cin {cin}")
     stride = tuple(int(s) for s in stride)
     padding = tuple(int(p) for p in padding)
-    if any(s < 1 for s in stride):
-        raise TensorError(f"stride components must be >= 1, got {stride}")
-    if any(p < 0 for p in padding):
-        raise TensorError(f"padding must be non-negative, got {padding}")
-
     dims_in = x.shape[1:4]
-    dims_out = []
-    for d, s, p in zip(dims_in, stride, padding):
-        if k > d + 2 * p:
-            raise TensorError(f"kernel {k} exceeds padded extent {d + 2 * p}")
-        o = conv3d_out_dim(d, k, s, p)
-        if o <= 0:
-            raise TensorError(f"non-positive conv output dim for input {dims_in}")
-        dims_out.append(o)
-    to, ho, wo = dims_out
+    dims_out = conv3d_out_dims(dims_in, k, stride, padding)
 
     # Only taps whose window overlaps the unpadded input contribute; each
     # reads the valid input range and writes the output range it reaches.
@@ -785,7 +751,7 @@ def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Te
             for dh, rh in enumerate(ranges[1]) if rh is not None
             for dw, rw in enumerate(ranges[2]) if rw is not None]
 
-    out = np.zeros(x.shape[:1] + (to, ho, wo, cout), dtype=np.float64)
+    out = np.zeros(x.shape[:1] + dims_out + (cout,), dtype=np.float64)
 
     def fill(sl):
         xs, outs = x.data[sl], out[sl]

@@ -15,8 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .model import Batch, FusionModel
-from .rng import Rng
-from .router import FusionStrategy
+from .router import make_strategy
 from .tensor import NonFiniteError, Tape, Tensor
 
 STAGES = ("pretrain", "tune")
@@ -104,12 +103,6 @@ class TrainResult:
     @property
     def final_loss(self) -> float:
         return self.loss_curve[-1][1]
-
-
-def make_strategy(kind: str, seed: int, stage: str) -> FusionStrategy:
-    rng = (Rng(seed, f"fusion/{kind}/{stage}")
-           if kind in ("random-weights", "random-choose") else None)
-    return FusionStrategy(kind=kind, rng=rng)
 
 
 def train(model: FusionModel, batches: Iterable[Batch], cfg: TrainConfig) -> TrainResult:

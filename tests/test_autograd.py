@@ -1,6 +1,7 @@
 """Backward-pass behavior and finite-difference gradient oracles."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -27,7 +28,6 @@ from vpfuse.tensor import (
     mul,
     pool,
     reshape,
-    scalar_mul,
     slice_axis,
     softmax,
     tmean,
@@ -117,6 +117,35 @@ class TestBackwardContract:
         finally:
             gc.enable()
 
+    def test_second_tape_on_a_thread_is_refused(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(RuntimeError):
+                with Tape():
+                    pass
+            loss = tsum(mul(x, x))  # the first tape keeps recording
+            assert loss._tape() is tape
+            tape.backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0)
+
+    def test_tape_on_another_thread_is_independent(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = {}
+
+        def record_elsewhere():
+            with Tape() as other:
+                out = mul(x, x)
+                seen["own"] = out._tape() is other and len(other.entries) == 1
+
+        with Tape() as tape:
+            y = mul(x, x)
+            worker = threading.Thread(target=record_elsewhere)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive() and seen["own"]
+            z = mul(y, y)
+        assert [e.output for e in tape.entries] == [y, z]
+
     def test_no_grad_through_non_required(self):
         x = Tensor(np.ones(3))
         w = Tensor(np.ones(3), requires_grad=True)
@@ -192,7 +221,7 @@ def _gelu_case(rng):
 @_case("softmax")
 def _softmax_case(rng):
     w = Tensor(rng.randn(3, 6))
-    return Tensor(rng.randn(3, 6)), lambda t: tsum(mul(softmax(t, axis=-1), w))
+    return Tensor(rng.randn(3, 6)), lambda t: tsum(mul(softmax(t), w))
 
 
 @_case("layer_norm")
@@ -317,11 +346,11 @@ def _attention_q_case(rng):
 
 @_case("attention_q_broadcast_over_frames")
 def _attention_q_bcast_case(rng):
-    # One query set per batch row, shared by every frame, as in the com projector.
+    # One query set per batch row, broadcast to every frame, as in the com projector.
     kv = Tensor(rng.randn(2, 3, 5, 4))
     m = Tensor(rng.randn(2, 3, 2, 4))
     return (Tensor(rng.randn(2, 1, 2, 4)),
-            lambda t: tsum(mul(attention(t, kv, kv, 0.5), m)))
+            lambda t: tsum(mul(attention(broadcast_to(t, (2, 3, 2, 4)), kv, kv, 0.5), m)))
 
 
 @_case("attention_k")
@@ -340,7 +369,7 @@ def _attention_v_case(rng):
 
 @_case("attention_k_is_v")
 def _attention_kv_case(rng):
-    q = Tensor(rng.randn(2, 1, 3, 4))
+    q = broadcast_to(Tensor(rng.randn(2, 1, 3, 4)), (2, 2, 3, 4))
     m = Tensor(rng.randn(2, 2, 3, 4))
     return (Tensor(rng.randn(2, 2, 5, 4)),
             lambda t: tsum(mul(attention(q, t, t, 0.5), m)))
@@ -368,8 +397,8 @@ def _attention_graph(params, fused):
             q = add(matmul(h, wq), bq)
             k = add(matmul(h, wk), bk)
             v = add(matmul(h, wv), bv)
-            scores = scalar_mul(matmul(q, transpose(k, (1, 0))), 0.5)
-            ctx = matmul(softmax(scores, axis=-1), v)
+            scores = mul(matmul(q, transpose(k, (1, 0))), Tensor(np.array(0.5)))
+            ctx = matmul(softmax(scores), v)
             out = gelu(add(matmul(ctx, wo), bo))
         return cross_entropy(reshape(tmean(out, axis=0), (1, -1)), [2])
     return f

@@ -38,6 +38,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_finished(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["wall_s"] > 0
+
+
 def untrained_ckpt(tmp_path, cfg):
     path = tmp_path / "model.octo"
     save_checkpoint(FusionModel(cfg, seed=1), path, stage="pretrain")
@@ -65,6 +70,12 @@ class TestTokens:
         bad.write_text("no.such.key = 1\n")
         assert run_cli("tokens", "--config", str(bad)) == 2
 
+    def test_stc_kernel_beyond_padded_extent_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "kernel.cfg"
+        bad.write_text("stc.kernel = 40\n")
+        assert run_cli("tokens", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == "error: stc kernel 40 exceeds padded extent 10\n"
+
 
 class TestTrainEval:
     def test_pipeline_and_artifacts(self, tmp_path, fast_cfg, capsys):
@@ -77,6 +88,7 @@ class TestTrainEval:
         assert manifest["seed"] == 1
         assert manifest["end_step"] == 3
         assert "config" in manifest
+        assert_finished(out1)
 
         out2 = tmp_path / "stage2"
         assert run_cli("train", "--stage", "tune", "--config", fast_cfg,
@@ -88,6 +100,20 @@ class TestTrainEval:
         assert (out3 / "gates.csv").read_text().startswith("family,p_img,p_stc,p_com")
         assert (out3 / "accuracy.csv").exists()
         assert (out3 / "report.txt").exists()
+        assert_finished(out3)
+
+    def test_failed_run_keeps_running_status(self, tmp_path, capsys):
+        # Adam's first step at this rate makes step 1's loss non-finite: the
+        # run dir exists, its artifacts do not, and the manifest says so.
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(FAST + "train.lr = 1e300\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--out", str(out)) == 1
+        assert "at step 1" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "running" and "wall_s" not in manifest
+        assert not (out / "model.octo").exists()
 
     def test_run_dir_collision_is_error(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "dir"
@@ -252,6 +278,7 @@ class TestAblateCommand:
                        "--tune-steps", "2", "--n", "8", "--out", str(out)) == 0
         csv = (out / "ablation.csv").read_text()
         assert len(csv.strip().splitlines()) == 6  # header + 5 strategies
+        assert_finished(out)
 
     def test_subset_mode_rows(self, tmp_path, fast_cfg):
         out = tmp_path / "sub"

@@ -13,11 +13,12 @@ from vpfuse.tensor import (
     TensorError,
     add,
     attention,
+    broadcast_to,
     gelu,
+    layer_norm,
     linear,
     matmul,
     mul,
-    scalar_mul,
     softmax,
     transpose,
     tsum,
@@ -31,8 +32,19 @@ def composed_linear(x, w, b, act=None):
 
 def composed_attention(q, k, v, scale):
     axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = scalar_mul(matmul(q, transpose(k, axes)), scale)
-    return matmul(softmax(scores, axis=-1), v)
+    scores = mul(matmul(q, transpose(k, axes)), Tensor(np.array(scale)))
+    return matmul(softmax(scores), v)
+
+
+def attention_call(op, scale, query_shape):
+    """``op(q, k, v, scale)`` over ``run``'s inputs, (q, k, v) or (q, kv) when
+    k is v.  With ``query_shape`` set, q is broadcast to it first, as the com
+    projector broadcasts one query set to every frame."""
+    def call(q, k, *v):
+        if query_shape is not None:
+            q = broadcast_to(q, query_shape)
+        return op(q, k, *(v or (k,)), scale)
+    return call
 
 
 def run(op, inputs, weight):
@@ -82,7 +94,7 @@ def linear_cases(draw):
 def attention_cases(draw):
     batch = draw(st.integers(1, 3))
     frames = draw(st.integers(1, 3))
-    shared_q = draw(st.booleans())  # one query set broadcast over frames
+    shared_q = draw(st.booleans())  # one query set broadcast to every frame
     n, m, d = (draw(st.integers(1, 6)) for _ in range(3))
     k_is_v = draw(st.booleans())
     dv = d if k_is_v else draw(st.integers(1, 6))
@@ -96,7 +108,7 @@ def attention_cases(draw):
     k.requires_grad = on_k or (k_is_v and on_v)
     v.requires_grad = k.requires_grad if k_is_v else on_v
     weight = rng.randn(batch, frames, n, dv)
-    return (q, k, v), scale, weight
+    return (q, k, v), scale, weight, (batch, frames, n, d) if shared_q else None
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,17 +124,13 @@ def test_linear_bitwise_equals_composed(case):
 @settings(max_examples=60, deadline=None)
 @given(attention_cases())
 def test_attention_bitwise_equals_composed(case):
-    inputs, scale, weight = case
-    q, k, v = inputs
-    if k is v:
-        fused = run(lambda q_, kv: attention(q_, kv, kv, scale), (q, k), weight)
-        composed = run(lambda q_, kv: composed_attention(q_, kv, kv, scale),
-                       (q, k), weight)
-    else:
-        fused = run(lambda *a: attention(*a, scale), inputs, weight)
-        composed = run(lambda *a: composed_attention(*a, scale), inputs, weight)
+    (q, k, v), scale, weight, query_shape = case
+    inputs = (q, k) if k is v else (q, k, v)
+    fused = run(attention_call(attention, scale, query_shape), inputs, weight)
+    composed = run(attention_call(composed_attention, scale, query_shape), inputs, weight)
     assert_bitwise(fused, composed)
-    assert fused[1] == 3  # attention, mul, sum
+    # attention, mul, sum, and the query's broadcast when it is recorded
+    assert fused[1] == 3 + (query_shape is not None and q.requires_grad)
 
 
 def test_attention_raises_on_minus_inf_score():
@@ -147,3 +155,21 @@ def test_bad_arguments_rejected():
         linear(Tensor(np.ones(3)), w, b)
     with pytest.raises(TensorError):
         attention(Tensor(np.ones(3)), x, x, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros((1, 4)))),
+    lambda: attention(Tensor(np.ones((2, 1, 3, 4))), Tensor(np.ones((2, 5, 6, 4))),
+                      Tensor(np.ones((2, 5, 6, 4))), 1.0),
+    lambda: attention(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 6, 4))),
+                      Tensor(np.ones((2, 6, 4))), 1.0),
+    lambda: layer_norm(Tensor(np.ones((4, 6))), Tensor(np.ones((3, 1, 6))), Tensor(np.zeros(6))),
+    lambda: layer_norm(Tensor(np.ones((4, 6))), Tensor(np.ones(6)), Tensor(np.zeros((1, 6)))),
+], ids=["linear-bias-broadcasts", "attention-query-shared-by-frames",
+        "attention-query-shared-by-batch", "layer_norm-gamma-broadcasts-x",
+        "layer_norm-beta-not-1d"])
+def test_broadcast_layouts_rejected(call):
+    # Each op takes the one layout the model passes it; a query shared by
+    # several frames is broadcast before attention, as the com projector does.
+    with pytest.raises(TensorError):
+        call()

@@ -5,7 +5,7 @@ import pytest
 
 from vpfuse.config import ConfigError, default_config
 from vpfuse.model import Batch, FusionModel
-from vpfuse.router import FusionError, FusionStrategy
+from vpfuse.router import FusionError, FusionStrategy, make_strategy
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
 from vpfuse.tensor import Tape, cross_entropy, grad_check
 
@@ -43,6 +43,17 @@ class TestForward:
         logits, gates = model.forward(batch, FusionStrategy(kind="concat"))
         assert logits.shape == (2, 4)
         assert gates is None
+
+    @pytest.mark.parametrize("kind", ["random-weights", "random-choose"])
+    def test_default_random_strategy_draws_the_eval_stream(self, kind):
+        # Without a strategy, forward draws from the stream evaluate uses.
+        cfg = default_config().replace(train__strategy=kind)
+        model = FusionModel(cfg, seed=1)
+        batch = video_batch(cfg, n=3)
+        logits, gates = model.forward(batch)
+        want_logits, want_gates = model.forward(batch, make_strategy(kind, 0, "eval"))
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert gates.p.data.tobytes() == want_gates.p.data.tobytes()
 
     def test_image_modality_bypasses_router(self, model):
         batch = image_batch(model.cfg, n=3)

@@ -15,8 +15,9 @@ arguments and assignment targets are local variables, not uses, and names
 listed in ``__all__`` and import statements are exports.
 
 Likewise every parameter with a default is passed by some call in the
-program or the benchmark, by keyword, by position or through ``*``/``**``;
-a default that no caller overrides is a knob only its default reaches.
+program or the benchmark, by keyword, by position or through ``*``/``**``,
+with an expression other than the default itself; a default that no caller
+overrides is a knob only its default reaches.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ ALLOWED = {
 # the reason given.
 ALLOWED_DEFAULTS = {
     "main": "the console script calls main() to read sys.argv; tests pass argv",
-    "tsum": "its axis and keepdims shape the gradient tests' scalar losses",
     "grad_check": "the testing tool's eps, max_coords and seed are set by tests",
 }
 
@@ -191,9 +191,10 @@ def unused_definitions(package: dict[str, ast.Module],
 def unpassed_defaults(package: dict[str, ast.Module],
                       users: dict[str, ast.Module]) -> list[tuple[str, str | None, str, str]]:
     """(file, owning class or None, function, parameter) of every parameter
-    with a default that no call passes.  A call matches by the callee's last
-    name (the class's name for ``__init__``); a call that spreads ``*`` or
-    ``**`` passes every parameter."""
+    with a default that no call overrides.  A call matches by the callee's
+    last name (the class's name for ``__init__``); a call that spreads ``*``
+    or ``**`` passes every parameter; passing the default's own expression
+    (``f(1, k=1)`` for ``k=1``) overrides nothing."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in users.values():
         for node in ast.walk(tree):
@@ -203,17 +204,24 @@ def unpassed_defaults(package: dict[str, ast.Module],
     for file, owner, fn in _functions(package):
         args = fn.args
         positional = args.posonlyargs + args.args
-        with_default = [(positional.index(a), a.arg)
-                        for a in positional[len(positional) - len(args.defaults):]]
-        with_default += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        with_default = [(positional.index(a), a.arg, d) for a, d in
+                        zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+        with_default += [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                          if d is not None]
         bound = 1 if owner is not None else 0  # ``self`` is not in the call
         sites = calls.get(owner if fn.name == "__init__" else fn.name, [])
-        for index, param in with_default:
-            if not any(any(isinstance(a, ast.Starred) for a in call.args)
-                       or any(k.arg in (None, param) for k in call.keywords)
-                       or (index is not None and bound + len(call.args) > index)
-                       for call in sites):
+
+        def overrides(call, index, param, default):
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                return True
+            given = [k.value for k in call.keywords if k.arg == param]
+            if index is not None and bound + len(call.args) > index:
+                given.append(call.args[index - bound])
+            return any(ast.dump(g) != ast.dump(default) for g in given)
+
+        for index, param, default in with_default:
+            if not any(overrides(call, index, param, default) for call in sites):
                 missing.append((file, owner, fn.name, param))
     return missing
 
@@ -273,6 +281,8 @@ def test_numpy_attribute_is_no_method_use():
     ("Adam(0.1, 0.5)", ("Adam", "__init__"), True),
     ("opt.step(1)", ("Adam", "step"), False),
     ("opt.step(1, 2)", ("Adam", "step"), True),
+    ("f(1, 1)", (None, "f"), False),
+    ("f(1, k=1)", (None, "f"), False),
 ])
 def test_default_passed_by_keyword_position_or_spread(call, target, passed):
     tree = _snippet("def f(a, k=1):\n"

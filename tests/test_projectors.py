@@ -15,7 +15,7 @@ from vpfuse.projectors import (
     validate_alignment,
 )
 from vpfuse.rng import Rng
-from vpfuse.tensor import Tape, grad_check, tsum
+from vpfuse.tensor import Tape, grad_check, mul, tsum
 
 FULL_SCALE = """
 video.total_frames = 128
@@ -266,7 +266,7 @@ def test_projector_parameter_gradients(which):
         def f(t):
             feats = enc.encode(frames[:, idx], idx)
             out = proj(feats)
-            return tsum(out.tokens * Tensor_like(readout))
+            return tsum(mul(out.tokens, Tensor_like(readout)))
     elif which == "stc":
         proj = StcProjector(cfg, Rng(1, "p"))
         target = proj.named_parameters()["conv0.k"]
@@ -274,7 +274,7 @@ def test_projector_parameter_gradients(which):
         def f(t):
             feats = enc.encode(frames[:, idx], idx)
             out = proj(feats)
-            return tsum(out.tokens * Tensor_like(readout))
+            return tsum(mul(out.tokens, Tensor_like(readout)))
     else:
         proj = ComProjector(cfg, Rng(1, "p"))
         target = proj.query
@@ -283,7 +283,7 @@ def test_projector_parameter_gradients(which):
             feats = enc.encode(frames, np.arange(8))
             instr = text.encode(np.array([[12, 13, 14, 15, 16, 17]]))
             out = proj(feats, instr)
-            return tsum(out.tokens * Tensor_like(readout))
+            return tsum(mul(out.tokens, Tensor_like(readout)))
 
     assert grad_check(f, target, max_coords=40) < 1e-4
 

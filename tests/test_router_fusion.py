@@ -259,7 +259,7 @@ class TestModalityGate:
         batch = model_batch(cfg, "motion", 2)
         _, g = model.forward(batch)
         instr = model.instruction_encoder.encode(batch.tokens)
-        expected = softmax(model.router.route(instr), axis=-1).data
+        expected = softmax(model.router.route(instr)).data
         np.testing.assert_array_equal(g.p.data, expected)
         assert np.ptp(expected, axis=1).min() > 1e-3  # the router is not uniform
 

@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_fused_ops import assert_bitwise, composed_attention, composed_linear, flags, run
+from test_fused_ops import (
+    assert_bitwise,
+    attention_call,
+    composed_attention,
+    composed_linear,
+    flags,
+    run,
+)
 from test_tensor_ops import padded_conv3d_reference
 from vpfuse import tensor
 from vpfuse.tensor import (
@@ -127,35 +134,32 @@ def big_attention_cases(draw):
     k_is_v = draw(st.booleans())
     dv = d if k_is_v else draw(st.integers(2, 8))
     rng = seeded(draw)
+    # The query is drawn at q_shape and broadcast to query_shape, if set.
     if layout == "tokens":  # decoder-like self-attention over (B, N, D)
         n = draw(st.integers(150, 260))
-        q_shape, k_shape, out_lead = (b, n, d), (b, n, d), (b, n)
-    elif layout == "frames":  # one query set broadcast over every frame
+        q_shape, k_shape, out_lead, query_shape = (b, n, d), (b, n, d), (b, n), None
+    elif layout == "frames":  # one query set broadcast to every frame
         f, n, m = draw(st.integers(16, 32)), draw(st.integers(1, 4)), draw(st.integers(256, 512))
         q_shape, k_shape, out_lead = (b, 1, n, d), (b, f, m, d), (b, f, n)
-    else:  # one query set shared by the whole batch
+        query_shape = (b, f, n, d)
+    else:  # one query set broadcast to the whole batch
         n, m = draw(st.integers(100, 200)), draw(st.integers(200, 300))
-        q_shape, k_shape, out_lead = (1, n, d), (b, m, d), (b, n)
+        q_shape, k_shape, out_lead, query_shape = (1, n, d), (b, m, d), (b, n), (b, n, d)
     q = Tensor(rng.randn(*q_shape))
     k = Tensor(rng.randn(*k_shape))
     v = k if k_is_v else Tensor(rng.randn(*k_shape[:-1], dv))
     require_grads(draw, (q, k) if k_is_v else (q, k, v))
     scale = draw(st.floats(0.05, 2.0))
-    return (q, k, v), scale, rng.randn(*out_lead, dv)
+    return (q, k, v), scale, rng.randn(*out_lead, dv), query_shape
 
 
 @settings(max_examples=25, deadline=None)
 @given(big_attention_cases())
 def test_split_attention_bitwise(case):
-    (q, k, v), scale, weight = case
-    if k is v:
-        inputs = (q, k)
-        split = split_and_serial(lambda q_, kv: attention(q_, kv, kv, scale), inputs, weight)
-        composed = run(lambda q_, kv: composed_attention(q_, kv, kv, scale), inputs, weight)
-    else:
-        inputs = (q, k, v)
-        split = split_and_serial(lambda *a: attention(*a, scale), inputs, weight)
-        composed = run(lambda *a: composed_attention(*a, scale), inputs, weight)
+    (q, k, v), scale, weight, query_shape = case
+    inputs = (q, k) if k is v else (q, k, v)
+    split = split_and_serial(attention_call(attention, scale, query_shape), inputs, weight)
+    composed = run(attention_call(composed_attention, scale, query_shape), inputs, weight)
     assert_bitwise(split, composed)
 
 
@@ -201,7 +205,7 @@ def big_conv_cases(draw):
     x = Tensor(rng.randn(*lead, *dims, cin))
     kernel = Tensor(rng.randn(k, k, k, cin, cout))
     require_grads(draw, (x, kernel))
-    out_dims = tuple(tensor.conv3d_out_dim(n, k, s, p) for n, s, p in zip(dims, stride, pad))
+    out_dims = tensor.conv3d_out_dims(dims, k, stride, pad)
     return (x, kernel), stride, pad, rng.randn(*lead, *out_dims, cout)
 
 
