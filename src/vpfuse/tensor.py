@@ -37,33 +37,36 @@ relies on:
   (where the composed ``matmul`` would have raised), before the softmax can
   turn a ``-inf`` score into a silent 0.
 - The forward arithmetic of ``linear``, ``attention``, ``layer_norm``,
-  ``conv3d``, ``pool`` and ``add`` of more than two terms is split into row
-  chunks of the leading (batch) axis that run on the machine's cores; the
-  numpy kernels release the GIL.  Chunk
-  boundaries depend only on the op's shape (at most four chunks, each with
-  enough work to pay for a hand-off), never on the worker count or on
-  timing, and every chunk repeats the unsplit arithmetic on its own rows,
-  so results are bitwise equal to one thread on any core count.  The
-  calling thread runs chunks itself and takes back every chunk no worker
-  has started, so it never idles waiting for a busy worker.  Chunks run in
-  the caller's ``contextvars`` context (``np.errstate`` applies to them),
-  and a chunk's exception is re-raised in the caller.  The tape and ``_emit``
-  stay on the calling thread.
+  ``conv3d``, ``pool`` and ``add`` is split into row chunks of the leading
+  (batch) axis that run on the machine's cores; the numpy kernels release
+  the GIL.  Chunk boundaries depend only on the op's shape (at most four
+  chunks, each with enough work to pay for a hand-off), never on the worker
+  count or on timing, and every chunk repeats the unsplit arithmetic on its
+  own rows, so results are bitwise equal to one thread on any core count.
+  The hand-off is a job on a queue that daemon workers serve, costing a few
+  microseconds: the calling thread runs chunk 0 and then claims chunks in
+  turn with the workers, so it waits only for chunks a worker has started.
+  Chunks run in the caller's ``contextvars`` context (``np.errstate``
+  applies to them), and a chunk's exception is re-raised in the caller.  A
+  finished job holds no arrays, and a forked child starts workers of its
+  own.  The tape and ``_emit`` stay on the calling thread.
 - ``pool`` and ``layer_norm`` reproduce numpy's own summation order, so they
   are bitwise equal to ``np.add.reduceat`` and to ``np.mean``/``np.var``
   (checked on numpy 2.4.6).  ``pool`` adds each bin's first cell to numpy's
   ``pairwise_sum`` of its other cells with slice views; ``layer_norm``
   takes ``np.var``'s steps but computes ``x - mean`` once.
-- Two backward rules split the same way.  ``attention`` computes its three
+- Four backward rules split the same way.  ``attention`` computes its three
   gradients per batch row, each row's from that row alone (a query shared
   by several frames is broadcast first, so ``broadcast_to``'s rule sums its
-  gradient over them).  ``conv3d`` splits its kernel gradient over
-  kernel taps, each tap's gradient being one GEMM of its own; its input
-  gradient adds the taps up in order on the calling thread.  The other
-  rules are serial: a weight gradient sums over the rows a split would
-  separate, and the row-local ``linear`` and ``layer_norm`` input
-  gradients were slower split at the desk batch of 16 (each row's work is
-  less than a hand-off costs).
+  gradient over them).  ``linear`` on a batched input computes per row
+  chunk its GELU derivative, its input gradient and one weight-gradient
+  block per leading index; the calling thread then sums the blocks and the
+  bias gradient in the unsplit order.  ``layer_norm`` computes its input
+  gradient per row chunk and sums ``dgamma`` and ``dbeta`` on the calling
+  thread.  ``conv3d`` splits its kernel gradient over kernel taps, each
+  tap's gradient being one GEMM of its own; its input gradient adds the
+  taps up in order on the calling thread.  The other rules are serial: a
+  weight gradient sums over the rows a split would separate.
 - All parallelism comes from those row chunks.  At import, numpy's vendored
   OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
   by thread count, which changes the last bits of weight gradients.  So
@@ -78,9 +81,9 @@ import ctypes
 import itertools
 import math
 import os
+import queue
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -275,8 +278,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MAX_CHUNKS = 4
 _MIN_CHUNK_WORK = 1 << 15  # elements per chunk, enough to pay for a hand-off
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
 
 
 def _pin_blas() -> Optional[int]:
@@ -292,14 +293,6 @@ def _pin_blas() -> Optional[int]:
 _BLAS_THREADS = _pin_blas()
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="vpfuse-rows")
-        return _pool
-
-
 def _row_chunks(rows: int, row_work: int) -> list[slice]:
     """Near-equal slices of ``rows``: at most ``_MAX_CHUNKS``, each with at
     least ``_MIN_CHUNK_WORK`` elements; a function of the shape alone."""
@@ -312,34 +305,114 @@ def _row_chunks(rows: int, row_work: int) -> list[slice]:
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
+class _Job:
+    """The chunks of one ``_over_rows`` call, claimed in order by the caller
+    and by the workers it was posted to.
+
+    ``claim`` hands out chunk indices from 1, as chunk 0 is the caller's;
+    ``finish`` counts finished chunks, and whichever thread finishes the last
+    releases ``done``.  ``next`` on an ``itertools.count`` is atomic under
+    the GIL, so neither counter needs a lock.
+    """
+
+    __slots__ = ("fill", "chunks", "context", "claim", "finish", "done", "error")
+
+    def __init__(self, fill: Callable[[slice], None], chunks: list[slice]):
+        self.fill = fill
+        self.chunks = chunks
+        self.context = contextvars.copy_context()
+        self.claim = itertools.count(1)
+        self.finish = itertools.count(1)
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error: Optional[BaseException] = None
+
+    def run(self, i: int) -> None:
+        """Run chunk ``i``, then each chunk this thread claims, until none is
+        left.  Once a chunk has failed, the chunks after it only count."""
+        fill, chunks = self.fill, self.chunks
+        while i < len(chunks):
+            if self.error is None:
+                try:
+                    fill(chunks[i])
+                except BaseException as exc:  # re-raised on the calling thread
+                    if self.error is None:
+                        self.error = exc
+            if next(self.finish) == len(chunks):
+                self.done.release()
+            i = next(self.claim)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """A worker: claim chunks of each job taken from ``jobs``."""
+    while True:
+        job = jobs.get()
+        i = next(job.claim)
+        if i < len(job.chunks):
+            # Chunk i is unfinished, so the caller has not cleared the job yet.
+            job.context.copy().run(job.run, i)
+        del job  # keep nothing of this job while waiting for the next
+
+
+class _Crew:
+    """Daemon worker threads serving one job queue, started as calls need them."""
+
+    def __init__(self):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def post(self, job: _Job, helpers: int) -> None:
+        """Queue ``job`` once per helper, first starting any missing workers."""
+        if self.size < helpers:
+            with self.lock:
+                for _ in range(self.size, helpers):
+                    threading.Thread(target=_serve, args=(self.jobs,), daemon=True,
+                                     name=f"vpfuse-rows-{self.size}").start()
+                    self.size += 1
+        for _ in range(helpers):
+            self.jobs.put(job)
+
+
+_crew = _Crew()
+
+
+def _fresh_crew() -> None:
+    # A forked child has none of the parent's threads: give it an empty
+    # queue, whose workers start on its first split op.
+    global _crew
+    _crew = _Crew()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_crew)
+
+
 def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
     """Call ``fill(rows_slice)`` on every chunk of the leading axis.
 
     ``fill`` writes its rows of preallocated outputs and touches nothing
-    shared.  Workers take chunks from the front; the caller runs the first
-    chunk, then takes back from the back every chunk not yet started, and
-    only then waits.  A chunk's exception is re-raised here.
+    shared.  The caller runs chunk 0 and claims later chunks in turn with the
+    workers, so it waits only for chunks a worker has started.  The first
+    exception a chunk raises is re-raised here once every chunk is done.
     """
     chunks = _row_chunks(rows, row_work)
-    if len(chunks) == 1 or _WORKERS <= 1:
+    helpers = min(_WORKERS, len(chunks)) - 1
+    if helpers <= 0:
         for sl in chunks:
             fill(sl)
         return
-    pool = _worker_pool()
-    futures = [pool.submit(contextvars.copy_context().run, fill, sl)
-               for sl in chunks[1:]]
-    try:
-        fill(chunks[0])
-        for future, sl in zip(reversed(futures), reversed(chunks[1:])):
-            if future.cancel():
-                fill(sl)
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-    for future in futures:
-        if not future.cancelled():
-            future.result()
+    job = _Job(fill, chunks)
+    _crew.post(job, helpers)
+    job.run(0)
+    job.done.acquire()
+    # Copies of the job may still wait in the queue: they must pin no arrays.
+    job.fill = job.context = None
+    if job.error is not None:
+        try:
+            raise job.error
+        finally:
+            job.error = None  # else the error's traceback would lead back to it
 
 
 def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
@@ -368,11 +441,7 @@ def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
             ds += _rows(t.data, ds.ndim, sl)
         _check_finite(ds, "add")
 
-    # Two-term adds stay on one thread: split, the decoder's residual add
-    # measured slower, since each row is less work than a hand-off costs.
-    split = len(terms) > 2 and data.ndim > 0
-    _over_rows(fill, data.shape[0] if split else 1,
-               math.prod(data.shape[1:]) if split else 0)
+    _over_rows(fill, data.shape[0] if data.ndim else 1, math.prod(data.shape[1:]))
     return _output("add", terms, data,
                    lambda g: tuple(_unbroadcast(g, t.shape) if t.requires_grad else None
                                    for t in terms))
@@ -429,21 +498,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     _over_rows(fill, z.shape[0], math.prod(z.shape[1:]) if x.ndim > 2 else 0)
 
     def rule(g):
-        if act == "gelu":
-            # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only paid
-            # for here, so tape-free eval never computes it.
-            dz = z * -0.5
-            dz *= z
-            np.exp(dz, out=dz)
-            dz *= _INV_SQRT_2PI
-            dz *= z
-            dz += cdf
-            dz *= g
-        else:
-            dz = g
-        gx = dz @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
-        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape)
-              if w.requires_grad else None)
+        dz = np.empty(z.shape) if act == "gelu" else g
+        gx = np.empty(x.shape) if x.requires_grad else None
+        # One weight-gradient block per leading index, summed below.
+        partials = np.empty(x.shape[:-2] + w.shape) if w.requires_grad else None
+        wt = np.swapaxes(w.data, -1, -2)
+
+        def fill(sl):
+            dzs = dz[sl]
+            if act == "gelu":
+                # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only
+                # paid for here, so tape-free eval never computes it.
+                zs = z[sl]
+                np.multiply(zs, -0.5, out=dzs)
+                dzs *= zs
+                np.exp(dzs, out=dzs)
+                dzs *= _INV_SQRT_2PI
+                dzs *= zs
+                dzs += cdf[sl]
+                dzs *= g[sl]
+            if gx is not None:
+                np.matmul(dzs, wt, out=gx[sl])
+            if partials is not None:
+                np.matmul(np.swapaxes(x.data[sl], -1, -2), dzs, out=partials[sl])
+
+        # A row's work: its rows of x and of the gradients, plus one
+        # (Din, Dout) block per leading index.  A 2-D x stays one GEMM.
+        lead = math.prod(x.shape[1:-2])
+        _over_rows(fill, z.shape[0],
+                   lead * (x.shape[-2] * sum(w.shape) + w.data.size) if x.ndim > 2 else 0)
+        gw = _unbroadcast(partials, w.shape) if partials is not None else None
         gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
         return gx, gw, gb
 
@@ -625,7 +709,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         ds += beta.data
         _check_finite(ds, "layer_norm")
 
-    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 1 else 0)
+    row_work = math.prod(x.shape[1:]) if x.ndim > 1 else 0
+    _over_rows(fill, x.shape[0], row_work)
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -633,10 +718,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dbeta = g.sum(axis=lead) if beta.requires_grad else None
         if not x.requires_grad:
             return None, dgamma, dbeta
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = np.empty(x.shape)
+
+        def fill(sl):
+            # dx = inv * (dxhat - m1 - xhat * m2), row by row
+            xs, dxs = xhat[sl], dx[sl]
+            dxhat = g[sl] * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xs).mean(axis=-1, keepdims=True)
+            np.subtract(dxhat, m1, out=dxs)
+            dxs -= np.multiply(xs, m2, out=dxhat)
+            dxs *= inv[sl]
+
+        _over_rows(fill, x.shape[0], row_work)
         return dx, dgamma, dbeta
 
     return _output("layer_norm", (x, gamma, beta), data, rule)

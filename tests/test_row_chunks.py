@@ -1,17 +1,26 @@
 """Kernels split into chunks across threads: every forward named in
-``vpfuse.tensor``'s docstring by rows of the leading axis, attention's
-backward by batch rows and conv3d's kernel gradient by kernel taps.
+``vpfuse.tensor``'s docstring by rows of the leading axis; the backward of
+``attention``, ``linear`` (batched input) and ``layer_norm`` by batch rows;
+and conv3d's kernel gradient by kernel taps.
 
 On shapes large enough to split, outputs and every gradient must be bitwise
 equal to the unsplit reference and to the same op on one thread.  The desk
 shapes must reach the split paths, which is checked from the chunk counts
 (a function of the shape), not from timing.
+
+The hand-off itself (``tensor._over_rows``) keeps a contract of its own:
+chunk 0 runs on the caller, a finished call leaves no job holding its
+arrays, and a forked child gets workers of its own.
 """
 
 import contextlib
 import ctypes
+import os
+import subprocess
 import sys
 import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -228,9 +237,10 @@ def test_split_conv3d_bitwise(case):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def backward_chunk_counts(op, inputs):
-    """Chunk count of every ``_over_rows`` call made by the backward of
-    ``sum(op(*inputs))``; a function of the shapes alone."""
+@contextlib.contextmanager
+def chunk_counts():
+    """Chunk count of every ``_over_rows`` call made inside the block; a
+    function of the shapes alone."""
     counts = []
     over_rows = tensor._over_rows
 
@@ -238,13 +248,20 @@ def backward_chunk_counts(op, inputs):
         counts.append(len(tensor._row_chunks(rows, row_work)))
         over_rows(fill, rows, row_work)
 
+    tensor._over_rows = counted
+    try:
+        yield counts
+    finally:
+        tensor._over_rows = over_rows
+
+
+def backward_chunk_counts(op, inputs):
+    """Chunk count of every ``_over_rows`` call made by the backward of
+    ``sum(op(*inputs))``."""
     with Tape() as tape:
         loss = tsum(op(*inputs))
-        tensor._over_rows = counted
-        try:
+        with chunk_counts() as counts:
             tape.backward(loss)
-        finally:
-            tensor._over_rows = over_rows
     return counts
 
 
@@ -259,6 +276,48 @@ def test_decoder_attention_backward_splits():
     qkv = [Tensor(rng.randn(16, 134, 32), requires_grad=True) for _ in range(3)]
     [count] = backward_chunk_counts(lambda *a: attention(*a, 0.2), qkv)
     assert count > 1
+
+
+# Row-local backward rules at the desk's B=16 shapes: (op, input shapes, the
+# unsplit reference).  The decoder's FFN and projections, com's per-frame
+# projection of its (B, T, 2, D) context tokens, and every pre-LN norm.
+DESK_BACKWARDS = {
+    "linear-gelu": (lambda x, w, b: linear(x, w, b, "gelu"),
+                    [(16, 134, 32), (32, 64), (64,)],
+                    lambda x, w, b: composed_linear(x, w, b, "gelu")),
+    "linear": (linear, [(16, 134, 64), (64, 32), (32,)], composed_linear),
+    "linear-com": (linear, [(16, 32, 2, 32), (32, 32), (32,)], composed_linear),
+    "layer_norm": (layer_norm, [(16, 134, 32), (32,), (32,)], None),
+}
+
+
+@pytest.mark.parametrize("case", DESK_BACKWARDS)
+def test_row_local_backward_splits_at_desk_shape(case):
+    op, shapes, reference = DESK_BACKWARDS[case]
+    rng = np.random.RandomState(4)
+    inputs = [Tensor(rng.randn(*shape), requires_grad=True) for shape in shapes]
+    [count] = backward_chunk_counts(op, inputs)
+    assert count > 1
+    weight = rng.randn(*op(*inputs).shape)
+    out, _, grads = split_and_serial(op, inputs, weight)
+    if reference is not None:
+        assert_bitwise((out, None, grads), run(reference, inputs, weight))
+    else:
+        ref_out, ref_grads = reference_layer_norm(*(i.data for i in inputs), weight)
+        assert_bitwise((out, None, grads), (ref_out, None, ref_grads))
+
+
+def test_two_term_add_splits_at_desk_shape():
+    # The decoder's residual adds at B=16.
+    rng = np.random.RandomState(5)
+    a, b = (Tensor(rng.randn(16, 134, 32), requires_grad=True) for _ in range(2))
+    with chunk_counts() as counts:
+        add(a, b)
+    assert counts[0] > 1
+    weight = rng.randn(16, 134, 32)
+    out, _, grads = split_and_serial(add, (a, b), weight)
+    assert np.array_equal(out, a.data + b.data)
+    assert all(np.array_equal(g, weight) for g in grads)
 
 
 @pytest.mark.parametrize("x_grad", [False, True], ids=["frozen-x", "x-grad"])
@@ -397,7 +456,7 @@ def test_non_finite_in_last_chunk_raises(op, bad):
     with threads(3), np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteError, match=f"'{op}'"):
             call(poisoned)
-        after = call(Tensor(clean)).data  # the worker pool still runs the next op
+        after = call(Tensor(clean)).data  # the workers still run the next op
     with threads(1):
         assert np.array_equal(after, call(Tensor(clean)).data)
 
@@ -418,7 +477,7 @@ def test_non_finite_score_in_one_chunk():
 
 def test_worker_chunk_honours_callers_errstate():
     # The first chunk, on the caller, waits until a worker has run the second,
-    # so the second cannot be taken back by the caller.
+    # so the caller cannot claim the second itself.
     ran = threading.Event()
     seen = {}
 
@@ -466,3 +525,117 @@ def test_concurrent_callers_stress():
         sys.setswitchinterval(interval)
     assert not any(c.is_alive() for c in callers)
     assert not errors and len(results) == 80 and all(results)
+
+
+def test_chunk_zero_runs_on_the_caller():
+    # Tests that make a worker run a chunk (as above) rely on this: a worker
+    # may claim any chunk but the first.
+    seen = []
+
+    def fill(sl):
+        if sl.start == 0:
+            seen.append(threading.get_ident())
+
+    with threads(4):
+        for _ in range(200):
+            tensor._over_rows(fill, 4, tensor._MIN_CHUNK_WORK)
+    assert seen == [threading.get_ident()] * 200
+
+
+def split_call_ref():
+    """Run a split ``_over_rows`` whose ``fill`` alone holds an array, and
+    return a weak reference to that array."""
+    data = np.zeros((4, tensor._MIN_CHUNK_WORK))
+
+    def fill(sl):
+        data[sl] += 1.0
+
+    tensor._over_rows(fill, 4, tensor._MIN_CHUNK_WORK)
+    assert data.min() == 1.0
+    return weakref.ref(data)
+
+
+def test_idle_worker_holds_no_job():
+    with threads(4):
+        ref = split_call_ref()
+    deadline = time.monotonic() + 1.0
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert ref() is None
+
+
+def test_queued_job_holds_no_arrays():
+    # Every worker is busy in another caller's job, so this caller runs all
+    # of its own chunks, and its job's copies wait in the queue: they must
+    # not keep the call's arrays alive.
+    with threads(4):
+        tensor._over_rows(lambda sl: None, 4, tensor._MIN_CHUNK_WORK)  # 3 workers
+        workers_busy = threading.Barrier(4, timeout=30)
+        busy, release = threading.Event(), threading.Event()
+
+        def block(sl):
+            workers_busy.wait()  # chunk 0 on the other caller, 1-3 on workers
+            if sl.start == 0:
+                busy.set()
+            else:
+                release.wait(timeout=30)
+
+        other = threading.Thread(target=tensor._over_rows,
+                                 args=(block, 4, tensor._MIN_CHUNK_WORK))
+        other.start()
+        try:
+            assert busy.wait(timeout=30)
+            ref = split_call_ref()
+            assert ref() is None
+        finally:
+            release.set()
+            other.join(timeout=30)
+    assert not other.is_alive()
+
+
+_FORK_CHILD = """
+import os, signal, sys, threading, time
+import numpy as np
+from vpfuse import tensor
+from vpfuse.tensor import Tensor, linear
+
+tensor._WORKERS = 3  # split even on one core
+rng = np.random.RandomState(6)
+x, w, b = Tensor(rng.randn(8, 200, 8)), Tensor(rng.randn(8, 128)), Tensor(rng.randn(128))
+want = linear(x, w, b, "gelu").data  # starts the parent's workers
+pid = os.fork()
+if pid == 0:
+    same = np.array_equal(linear(x, w, b, "gelu").data, want)
+    ran, seen = threading.Event(), set()
+
+    def fill(sl):  # chunk 0 waits for a worker to run chunk 1
+        seen.add(threading.get_ident())
+        if sl.start == 0:
+            ran.wait(timeout=10)
+        else:
+            ran.set()
+
+    tensor._over_rows(fill, 2, tensor._MIN_CHUNK_WORK)
+    os._exit(0 if same and len(seen) > 1 else 1)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child timed out")
+    time.sleep(0.01)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_split_ops():
+    # A child forked after the parent's workers started (multiprocessing's
+    # default on Linux) must start workers of its own, not wait for chunks
+    # handed to threads the fork did not copy.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FORK_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
