@@ -76,8 +76,8 @@ def _positive_int(text: str) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """argparse type for ``--seeds``: a comma list of integers >= 0, checked
-    before any model is built.  An empty list is left to ``run_arms``."""
+    """argparse type for ``--seeds``: a comma list of distinct integers >= 0,
+    checked before any model is built.  An empty list is left to ``run_arms``."""
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
@@ -85,7 +85,25 @@ def _seed_list(text: str) -> list[int]:
     if seeds is None or any(seed < 0 for seed in seeds):
         raise argparse.ArgumentTypeError(
             f"expected a comma list of non-negative integer seeds, got {text!r}")
+    _reject_repeats(seeds, "seed", text)
     return seeds
+
+
+def _family_list(text: str) -> tuple[str, ...]:
+    """argparse type for ``--families``: a comma list of distinct task
+    families (all of them if empty), checked before the checkpoint is read."""
+    families = tuple(text.split(",")) if text else FAMILIES
+    bad = [f for f in families if f not in FAMILIES]
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown families {bad}")
+    _reject_repeats(families, "family", text)
+    return families
+
+
+def _reject_repeats(items, what: str, text: str) -> None:
+    # A repeated entry would be run twice and reported as two.
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(f"each {what} may be listed once, got {text!r}")
 
 
 def _make_run_dir(path: str) -> Path:
@@ -182,11 +200,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model, cfg, _ = load_checkpoint(args.ckpt)
-    families = tuple(args.families.split(",")) if args.families else FAMILIES
-    bad = [f for f in families if f not in FAMILIES]
-    if bad:
-        print(f"error: unknown families {bad}", file=sys.stderr)
-        return EXIT_VALIDATION
+    families = args.families
     report = evaluate(model, families=families, n=args.n)
 
     run_dir = _make_run_dir(args.out)
@@ -267,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the synthetic families")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--families", help="comma list (default: all)")
+    p.add_argument("--families", type=_family_list, default=FAMILIES,
+                   help="comma list of distinct families (default: all)")
     p.add_argument("--n", type=_positive_int, help="samples per family")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
@@ -282,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--mode", choices=tuple(ARMS), required=True)
     p.add_argument("--seeds", type=_seed_list, default="1,2",
-                   help="comma list of seeds")
+                   help="comma list of distinct seeds")
     p.add_argument("--pretrain-steps", type=_positive_int)
     p.add_argument("--tune-steps", type=_positive_int)
     p.add_argument("--n", type=_positive_int, help="eval samples per family")

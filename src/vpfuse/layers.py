@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .rng import Rng
-from .tensor import Tensor, add, attention, layer_norm, linear
+from .tensor import Tensor, linear, transformer_block
 
 
 class Module:
@@ -64,10 +64,16 @@ def _norm_affine(dim: int) -> dict[str, Tensor]:
 
 
 class TransformerBlock(Module):
-    """Pre-LN single-head self-attention followed by a GELU feed-forward."""
+    """Pre-LN single-head self-attention followed by a GELU feed-forward.
+
+    A call is one ``tensor.transformer_block`` op: every sub-op runs on a
+    chunk of batch rows in turn, in one pass.  With a tape recording, it
+    records the composed ops' entries (layer_norm, three q/k/v linears,
+    attention, the output linear, add, layer_norm, two FFN linears, add);
+    tape-free, it keeps no full-size intermediate.
+    """
 
     def __init__(self, rng: Rng, dim: int, hidden: int):
-        self.dim = dim
         self.ln1 = _norm_affine(dim)
         self.attn: dict[str, Tensor] = {}
         for name in "qkvo":
@@ -79,11 +85,7 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         a, f = self.attn, self.ffn
-        h = layer_norm(x, self.ln1["g"], self.ln1["b"])
-        q = linear(h, a["wq"], a["bq"])
-        k = linear(h, a["wk"], a["bk"])
-        v = linear(h, a["wv"], a["bv"])
-        x = add(x, linear(attention(q, k, v, 1.0 / math.sqrt(self.dim)), a["wo"], a["bo"]))
-        h2 = layer_norm(x, self.ln2["g"], self.ln2["b"])
-        ff = linear(linear(h2, f["w1"], f["b1"], "gelu"), f["w2"], f["b2"])
-        return add(x, ff)
+        return transformer_block(
+            x, (self.ln1["g"], self.ln1["b"]), (a["wq"], a["bq"]), (a["wk"], a["bk"]),
+            (a["wv"], a["bv"]), (a["wo"], a["bo"]), (self.ln2["g"], self.ln2["b"]),
+            (f["w1"], f["b1"]), (f["w2"], f["b2"]))

@@ -32,7 +32,7 @@ from .router import (
     make_strategy,
     one_hot_gates,
 )
-from .tensor import Tensor, concat, cross_entropy, tmean
+from .tensor import Tensor, concat, cross_entropy, embedding, tmean
 
 
 @dataclass
@@ -120,22 +120,19 @@ class FusionModel(Module):
             if t != self.cfg["video.total_frames"]:
                 raise FusionError(f"video batch has {t} frames, config expects "
                                   f"{self.cfg['video.total_frames']}")
-            embeddings = []
-            feats_sampled = None
-            feats_full = None
-            for i in self.active:
-                kind, proj = self.kinds[i], self.projectors[self.labels[i]]
-                if kind in ("image", "stc"):
-                    if feats_sampled is None:
-                        idx = sample_frames(t, self.cfg["sampler.frames"])
-                        feats_sampled = self.visual_encoder.encode(
-                            batch.frames[:, idx], idx)
-                    embeddings.append(proj(feats_sampled))
-                else:
-                    if feats_full is None:
-                        feats_full = self.visual_encoder.encode(
-                            batch.frames, np.arange(t))
-                    embeddings.append(proj(feats_full, instr))
+            # One encoder pass: over the full clip when a slot reads it (com),
+            # with the sampled frames gathered from it; else over those frames.
+            kinds = [self.kinds[i] for i in self.active]
+            full = (self.visual_encoder.encode(batch.frames, np.arange(t))
+                    if "com" in kinds else None)
+            sampled = None
+            if "image" in kinds or "stc" in kinds:
+                idx = sample_frames(t, self.cfg["sampler.frames"])
+                sampled = (self.visual_encoder.encode(batch.frames[:, idx], idx)
+                           if full is None else embedding(full, idx, axis=1))
+            embeddings = [self.projectors[self.labels[i]](full, instr) if kind == "com"
+                          else self.projectors[self.labels[i]](sampled)
+                          for i, kind in zip(self.active, kinds)]
             fused, gates = fuse_with_strategy(strategy, instr, embeddings,
                                               self.router, active=self.active)
         else:

@@ -40,9 +40,10 @@ relies on:
   ``conv3d``, ``pool`` and ``add`` is split into row chunks of the leading
   (batch) axis that run on the machine's cores; the numpy kernels release
   the GIL.  Chunk boundaries depend only on the op's shape (at most four
-  chunks, each with enough work to pay for a hand-off), never on the worker
-  count or on timing, and every chunk repeats the unsplit arithmetic on its
-  own rows, so results are bitwise equal to one thread on any core count.
+  chunks, each with enough work to pay for a hand-off; up to eight larger
+  ones for a transformer block), never on the worker count or on timing,
+  and every chunk repeats the unsplit arithmetic on its own rows, so
+  results are bitwise equal to one thread on any core count.
   The hand-off is a job on a queue that daemon workers serve, costing a few
   microseconds: the calling thread runs chunk 0 and then claims chunks in
   turn with the workers, so it waits only for chunks a worker has started.
@@ -67,6 +68,22 @@ relies on:
   tap's gradient being one GEMM of its own; its input gradient adds the
   taps up in order on the calling thread.  The other rules are serial: a
   weight gradient sums over the rows a split would separate.
+- The row-local arithmetic of ``linear``, ``attention``, ``layer_norm`` and
+  ``add`` lives in one row kernel each (``_linear_rows`` and so on), and
+  their backward rules come from one rule factory each (``_linear_rule`` and
+  so on).  The standalone ops and ``transformer_block`` both call them, so
+  every row is computed the same way whichever op runs it.
+- ``transformer_block`` runs a whole pre-LN block (layer norm, q/k/v,
+  attention, output projection, residual add, layer norm, GELU FFN,
+  residual add) in one row-chunk pass: each chunk of batch rows runs every
+  sub-op's row kernel in turn.  With nothing to record, a chunk writes its
+  intermediates into scratch of its own rows, reusing buffers whose last
+  reader has run, so no full-size intermediate exists; only the output is
+  full-size.  When a tape records, the chunks fill the full-size buffers the
+  composed ops keep, and the op then emits each sub-op's output in the
+  composed order with that op's rule: the tape, and so the backward, is the
+  composed ops' entry for entry.  Either way outputs, gradients and the op
+  named by ``NonFiniteError`` are the composed ops'.
 - All parallelism comes from those row chunks.  At import, numpy's vendored
   OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
   by thread count, which changes the last bits of weight gradients.  So
@@ -244,7 +261,7 @@ def _emit(name: str, inputs: Sequence[Tensor], data: np.ndarray,
 
 
 def _output(name: str, inputs: Sequence[Tensor], data: np.ndarray,
-            rule: Callable[[np.ndarray], tuple]) -> Tensor:
+            rule: Optional[Callable[[np.ndarray], tuple]]) -> Tensor:
     """``_emit`` for an op whose row chunks have checked ``data`` already."""
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -278,6 +295,12 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MAX_CHUNKS = 4
 _MIN_CHUNK_WORK = 1 << 15  # elements per chunk, enough to pay for a hand-off
+# A transformer block's chunk makes some seventy numpy calls where an op's
+# makes a few, so each chunk needs more work to pay for its calls; with that,
+# up to eight chunks share the cores more evenly than four.  Measured on the
+# decoder's (B, 134, 32) rows: chunks of 4 rows at B=16 and 8 rows at B=64.
+_BLOCK_MAX_CHUNKS = 8
+_BLOCK_MIN_CHUNK_WORK = 1 << 16
 
 
 def _pin_blas() -> Optional[int]:
@@ -293,13 +316,14 @@ def _pin_blas() -> Optional[int]:
 _BLAS_THREADS = _pin_blas()
 
 
-def _row_chunks(rows: int, row_work: int) -> list[slice]:
-    """Near-equal slices of ``rows``: at most ``_MAX_CHUNKS``, each with at
-    least ``_MIN_CHUNK_WORK`` elements; a function of the shape alone."""
+def _row_chunks(rows: int, row_work: int, max_chunks: int = _MAX_CHUNKS,
+                min_work: int = _MIN_CHUNK_WORK) -> list[slice]:
+    """Near-equal slices of ``rows``: at most ``max_chunks``, each with at
+    least ``min_work`` elements; a function of the shape alone."""
     if row_work <= 0:
         return [slice(None)]
-    min_rows = -(-_MIN_CHUNK_WORK // row_work)
-    n = min(_MAX_CHUNKS, rows // min_rows)
+    min_rows = -(-min_work // row_work)
+    n = min(max_chunks, rows // min_rows)
     if n <= 1:
         return [slice(None)]
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
@@ -388,15 +412,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_crew)
 
 
-def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
-    """Call ``fill(rows_slice)`` on every chunk of the leading axis.
+def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int,
+               max_chunks: int = _MAX_CHUNKS, min_work: int = _MIN_CHUNK_WORK) -> None:
+    """Call ``fill(rows_slice)`` on every chunk of the leading axis (see
+    ``_row_chunks``).
 
     ``fill`` writes its rows of preallocated outputs and touches nothing
     shared.  The caller runs chunk 0 and claims later chunks in turn with the
     workers, so it waits only for chunks a worker has started.  The first
     exception a chunk raises is re-raised here once every chunk is done.
     """
-    chunks = _row_chunks(rows, row_work)
+    chunks = _row_chunks(rows, row_work, max_chunks, min_work)
     helpers = min(_WORKERS, len(chunks)) - 1
     if helpers <= 0:
         for sl in chunks:
@@ -436,15 +462,23 @@ def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
 
     def fill(sl):
         ds = data[sl] if data.ndim else data
-        np.add(_rows(a.data, ds.ndim, sl), _rows(b.data, ds.ndim, sl), out=ds)
-        for t in more:
-            ds += _rows(t.data, ds.ndim, sl)
-        _check_finite(ds, "add")
+        _add_rows(ds, *(_rows(t.data, ds.ndim, sl) for t in terms))
 
     _over_rows(fill, data.shape[0] if data.ndim else 1, math.prod(data.shape[1:]))
-    return _output("add", terms, data,
-                   lambda g: tuple(_unbroadcast(g, t.shape) if t.requires_grad else None
-                                   for t in terms))
+    return _output("add", terms, data, _add_rule(terms))
+
+
+def _add_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> None:
+    """Row kernel of ``add``: ``a + b + ...`` into ``out``, checked."""
+    np.add(a, b, out=out)
+    for t in more:
+        out += t
+    _check_finite(out, "add")
+
+
+def _add_rule(terms: Sequence[Tensor]) -> Callable[[np.ndarray], tuple]:
+    return lambda g: tuple(_unbroadcast(g, t.shape) if t.requires_grad else None
+                           for t in terms)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -485,20 +519,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     data = np.empty(z.shape) if act == "gelu" else z
 
     def fill(sl):
-        zs = z[sl]
-        np.matmul(x.data[sl], w.data, out=zs)
-        zs += b.data
-        if act == "gelu":
-            ndtr(zs, out=cdf[sl])
-            np.multiply(zs, cdf[sl], out=data[sl])
-        _check_finite(data[sl], "linear")
+        _linear_rows(x.data[sl], w.data, b.data, z[sl],
+                     None if cdf is None else cdf[sl], data[sl])
 
     # A 2-D x is a single GEMM; its rows stay whole, because a GEMM's bits
     # may depend on its row count.  Batched x is one GEMM per leading index.
     _over_rows(fill, z.shape[0], math.prod(z.shape[1:]) if x.ndim > 2 else 0)
+    return _output("linear", (x, w, b), data, _linear_rule(x, w, b, z, cdf))
+
+
+def _linear_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
+                 cdf: Optional[np.ndarray], out: np.ndarray) -> None:
+    """Row kernel of ``linear``: ``z = x @ w + b``, then, with a ``cdf``
+    buffer, GELU ``z * Phi(z)`` into ``out`` (without one, ``out`` is ``z``)."""
+    np.matmul(x, w, out=z)
+    z += b
+    if cdf is not None:
+        ndtr(z, out=cdf)
+        np.multiply(z, cdf, out=out)
+    _check_finite(out, "linear")
+
+
+def _linear_rule(x: Tensor, w: Tensor, b: Tensor, z: np.ndarray,
+                 cdf: Optional[np.ndarray]) -> Callable[[np.ndarray], tuple]:
+    """Backward of ``linear`` given its forward's ``z`` and ``cdf`` buffers."""
 
     def rule(g):
-        dz = np.empty(z.shape) if act == "gelu" else g
+        dz = np.empty(z.shape) if cdf is not None else g
         gx = np.empty(x.shape) if x.requires_grad else None
         # One weight-gradient block per leading index, summed below.
         partials = np.empty(x.shape[:-2] + w.shape) if w.requires_grad else None
@@ -506,7 +553,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
 
         def fill(sl):
             dzs = dz[sl]
-            if act == "gelu":
+            if cdf is not None:
                 # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only
                 # paid for here, so tape-free eval never computes it.
                 zs = z[sl]
@@ -531,7 +578,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
         gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
         return gx, gw, gb
 
-    return _output("linear", (x, w, b), data, rule)
+    return rule
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
@@ -551,25 +598,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     data = np.empty(q.shape[:-1] + v.shape[-1:])
 
     def fill(sl):
-        ps = p[sl]
-        np.matmul(q.data[sl], kt[sl], out=ps)
-        ps *= scale
-        # exp would map a -inf score to a silent 0, so check before the softmax.
-        _check_finite(ps, "attention")
-        ps -= ps.max(axis=-1, keepdims=True)
-        np.exp(ps, out=ps)
-        ps /= ps.sum(axis=-1, keepdims=True)
-        np.matmul(ps, v.data[sl], out=data[sl])
-        _check_finite(data[sl], "attention")
+        _attention_rows(q.data[sl], kt[sl], v.data[sl], scale, p[sl], data[sl])
 
-    row_work = math.prod(p.shape[1:]) if p.ndim > 2 else 0  # 2-D: one chunk
-    _over_rows(fill, p.shape[0], row_work)
+    _over_rows(fill, p.shape[0], _attention_row_work(p))
+    return _output("attention", (q, k, v), data, _attention_rule(q, k, v, scale, p))
+
+
+def _attention_row_work(p: np.ndarray) -> int:
+    return math.prod(p.shape[1:]) if p.ndim > 2 else 0  # 2-D: one chunk
+
+
+def _attention_rows(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+                    p: np.ndarray, out: np.ndarray) -> None:
+    """Row kernel of ``attention``: the probabilities into ``p``, the output
+    into ``out``; ``kt`` is the transposed view of ``k``."""
+    np.matmul(q, kt, out=p)
+    p *= scale
+    # exp would map a -inf score to a silent 0, so check before the softmax.
+    _check_finite(p, "attention")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    np.matmul(p, v, out=out)
+    _check_finite(out, "attention")
+
+
+def _attention_rule(q: Tensor, k: Tensor, v: Tensor, scale: float,
+                    p: np.ndarray) -> Callable[[np.ndarray], tuple]:
+    """Backward of ``attention`` given its forward's probabilities ``p``."""
 
     def rule(g):
         gv = np.empty(v.shape) if v.requires_grad else None
         ds = np.empty(p.shape) if q.requires_grad or k.requires_grad else None
         gq = np.empty(q.shape) if q.requires_grad else None
-        gk = np.empty(kt.shape) if k.requires_grad else None
+        gk = (np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2])) if k.requires_grad
+              else None)
         vt = np.swapaxes(v.data, -1, -2)
 
         def fill(sl):
@@ -588,12 +651,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             if gk is not None:
                 np.matmul(np.swapaxes(q.data[sl], -1, -2), dss, out=gk[sl])
 
-        _over_rows(fill, g.shape[0], row_work)
+        _over_rows(fill, g.shape[0], _attention_row_work(p))
         # gk stays a transposed view of its (..., D, Nk) buffer: a contiguous
         # copy would change the summation order of gradients downstream.
         return gq, None if gk is None else np.swapaxes(gk, -1, -2), gv
 
-    return _output("attention", (q, k, v), data, rule)
+    return rule
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -696,21 +759,39 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data = np.empty(x.shape)
 
     def fill(sl):
-        # np.mean and np.var's own steps, with x - mu computed once: var is
-        # sum(d * d) / n, and d is then scaled in place into xhat.
-        xs, d, ds = x.data[sl], xhat[sl], data[sl]
-        mu = xs.mean(axis=-1, keepdims=True)
-        np.subtract(xs, mu, out=d)
-        var = np.multiply(d, d, out=ds).sum(axis=-1, keepdims=True)
-        var /= x.shape[-1]
-        np.divide(1.0, np.sqrt(var + 1e-5), out=inv[sl])
-        d *= inv[sl]
-        np.multiply(d, gamma.data, out=ds)
-        ds += beta.data
-        _check_finite(ds, "layer_norm")
+        _layer_norm_rows(x.data[sl], gamma.data, beta.data, xhat[sl], inv[sl], data[sl])
 
-    row_work = math.prod(x.shape[1:]) if x.ndim > 1 else 0
-    _over_rows(fill, x.shape[0], row_work)
+    _over_rows(fill, x.shape[0], _layer_norm_row_work(x.shape))
+    return _output("layer_norm", (x, gamma, beta), data,
+                   _layer_norm_rule(x, gamma, beta, xhat, inv))
+
+
+def _layer_norm_row_work(shape: tuple[int, ...]) -> int:
+    return math.prod(shape[1:]) if len(shape) > 1 else 0
+
+
+def _layer_norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                     xhat: np.ndarray, inv: np.ndarray, out: np.ndarray) -> None:
+    """Row kernel of ``layer_norm``: the normalized rows into ``xhat``, their
+    inverse deviations into ``inv`` and the scaled, shifted rows into ``out``.
+
+    These are np.mean and np.var's own steps, with x - mu computed once: var
+    is sum(d * d) / n, and d is then scaled in place into xhat.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    np.subtract(x, mu, out=xhat)
+    var = np.multiply(xhat, xhat, out=out).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    np.divide(1.0, np.sqrt(var + 1e-5), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    _check_finite(out, "layer_norm")
+
+
+def _layer_norm_rule(x: Tensor, gamma: Tensor, beta: Tensor, xhat: np.ndarray,
+                     inv: np.ndarray) -> Callable[[np.ndarray], tuple]:
+    """Backward of ``layer_norm`` given its forward's ``xhat`` and ``inv``."""
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -730,10 +811,112 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             dxs -= np.multiply(xs, m2, out=dxhat)
             dxs *= inv[sl]
 
-        _over_rows(fill, x.shape[0], row_work)
+        _over_rows(fill, x.shape[0], _layer_norm_row_work(x.shape))
         return dx, dgamma, dbeta
 
-    return _output("layer_norm", (x, gamma, beta), data, rule)
+    return rule
+
+
+# ---------------------------------------------------------------------------
+# a whole transformer block
+# ---------------------------------------------------------------------------
+
+# The block's intermediates in the order its sub-ops write them, each with
+# the width of its last axis: the model width "d", the feed-forward width
+# "hidden", the sequence length "n" (attention probabilities) or 1 (a layer
+# norm's inverse deviations).
+_BLOCK_BUFFERS = (("xhat1", "d"), ("inv1", 1), ("h1", "d"), ("q", "d"), ("k", "d"),
+                  ("v", "d"), ("p", "n"), ("att", "d"), ("o", "d"), ("x1", "d"),
+                  ("xhat2", "d"), ("inv2", 1), ("h2", "d"), ("z1", "hidden"),
+                  ("cdf1", "hidden"), ("f1", "hidden"), ("f2", "d"))
+
+# Tape-free, an intermediate takes over the scratch of one whose last reader
+# has run, and GELU writes over its cdf: five (rows, N, D) buffers serve
+# eleven intermediates.
+_BLOCK_REUSE = {"att": "xhat1", "o": "h1", "x1": "q", "xhat2": "k", "inv2": "inv1",
+                "h2": "v", "f1": "cdf1", "f2": "att"}
+
+
+def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
+    """A pre-LN transformer block over (B, N, D) rows, in one row-chunk pass::
+
+        h = layer_norm(x, *ln1)
+        x1 = x + linear(attention(linear(h, *q), linear(h, *k), linear(h, *v)), *o)
+        out = x1 + linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2)
+
+    with attention scaled by 1/sqrt(D).  ``ln1`` and ``ln2`` are (gamma,
+    beta) pairs, the others (weight, bias) pairs.  Each chunk of batch rows
+    runs every sub-op's row kernel in turn.  When a tape records, the chunks
+    fill the full-size buffers the composed ops keep, and each sub-op's
+    output is then emitted in the composed order with that op's backward
+    rule, so the tape is the composed ops' tape entry for entry.  Otherwise
+    each chunk keeps its intermediates in scratch of its own rows, and only
+    the output is full-size.  Either way outputs and gradients are bitwise
+    equal to the composed ops, which raise ``NonFiniteError`` naming the same
+    sub-op.
+    """
+    pairs = (ln1, q, k, v, o, ln2, ffn1, ffn2)
+    d = x.shape[-1]
+    hidden = ffn1[0].shape[-1]
+    want = ([((d,), (d,))] + [((d, d), (d,))] * 4 + [((d,), (d,)),
+            ((d, hidden), (hidden,)), ((hidden, d), (d,))])
+    if x.ndim != 3 or [(w.shape, b.shape) for w, b in pairs] != want:
+        raise TensorError(f"transformer_block needs (B, N, D) rows and parameters "
+                          f"shaped {want}, got {x.shape} and "
+                          f"{[(w.shape, b.shape) for w, b in pairs]}")
+    rows, n = x.shape[:2]
+    scale = 1.0 / math.sqrt(d)
+    inputs = (x,) + tuple(t for pair in pairs for t in pair)
+    widths = {"d": d, "hidden": hidden, "n": n, 1: 1}
+    kept = None
+    if active_tape() is not None and any(t.requires_grad for t in inputs):
+        kept = {name: np.empty((rows, n, widths[w])) for name, w in _BLOCK_BUFFERS}
+    out = np.empty(x.shape)
+    ln1d, qd, kd, vd, od, ln2d, ffn1d, ffn2d = [(w.data, b.data) for w, b in pairs]
+
+    def buffers(sl, count):
+        if kept is not None:
+            return {name: a[sl] for name, a in kept.items()}
+        t = {}
+        for name, w in _BLOCK_BUFFERS:
+            reuse = _BLOCK_REUSE.get(name)
+            t[name] = t[reuse] if reuse else np.empty((count, n, widths[w]))
+        return t
+
+    def fill(sl):
+        xs = x.data[sl]
+        t = buffers(sl, len(xs))
+        _layer_norm_rows(xs, *ln1d, t["xhat1"], t["inv1"], t["h1"])
+        for name, (w, b) in zip("qkv", (qd, kd, vd)):
+            _linear_rows(t["h1"], w, b, t[name], None, t[name])
+        _attention_rows(t["q"], np.swapaxes(t["k"], -1, -2), t["v"], scale, t["p"], t["att"])
+        _linear_rows(t["att"], *od, t["o"], None, t["o"])
+        _add_rows(t["x1"], xs, t["o"])
+        _layer_norm_rows(t["x1"], *ln2d, t["xhat2"], t["inv2"], t["h2"])
+        _linear_rows(t["h2"], *ffn1d, t["z1"], t["cdf1"], t["f1"])
+        _linear_rows(t["f1"], *ffn2d, t["f2"], None, t["f2"])
+        _add_rows(out[sl], t["x1"], t["f2"])
+
+    # A row's work is its widest intermediate's: a chunk's numpy calls must
+    # each be large enough to pay for running beside another chunk.
+    _over_rows(fill, rows, n * max(widths.values()), _BLOCK_MAX_CHUNKS,
+               _BLOCK_MIN_CHUNK_WORK)
+    if kept is None:  # no tape records any of it, so no rule is ever called
+        return _output("transformer_block", inputs, out, None)
+    t = kept
+    h1 = _output("layer_norm", (x, *ln1), t["h1"],
+                 _layer_norm_rule(x, *ln1, t["xhat1"], t["inv1"]))
+    qkv = [_output("linear", (h1, *pair), t[name], _linear_rule(h1, *pair, t[name], None))
+           for name, pair in zip("qkv", (q, k, v))]
+    att = _output("attention", qkv, t["att"], _attention_rule(*qkv, scale, t["p"]))
+    o_out = _output("linear", (att, *o), t["o"], _linear_rule(att, *o, t["o"], None))
+    x1 = _output("add", (x, o_out), t["x1"], _add_rule((x, o_out)))
+    h2 = _output("layer_norm", (x1, *ln2), t["h2"],
+                 _layer_norm_rule(x1, *ln2, t["xhat2"], t["inv2"]))
+    f1 = _output("linear", (h2, *ffn1), t["f1"],
+                 _linear_rule(h2, *ffn1, t["z1"], t["cdf1"]))
+    f2 = _output("linear", (f1, *ffn2), t["f2"], _linear_rule(f1, *ffn2, t["f2"], None))
+    return _output("add", (x1, f2), out, _add_rule((x1, f2)))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -763,15 +946,25 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _emit("cross_entropy", (logits,), data, rule)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+def embedding(table: Tensor, ids: np.ndarray, axis: int = 0) -> Tensor:
+    """Entries ``ids`` of ``table`` along ``axis`` (``np.take``): token rows
+    of an embedding table, or frames of a clip's features.
+
+    The gradient adds each entry's gradient into its slot with ``np.add.at``,
+    repeats in the order of the flattened ``ids``.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
-        raise TensorError(f"token id out of range for table of {table.shape[0]} rows")
-    data = table.data[ids]
+    if np.any(ids < 0) or np.any(ids >= table.shape[axis]):
+        raise TensorError(f"index out of range for {table.shape[axis]} entries "
+                          f"along axis {axis}")
+    data = np.take(table.data, ids, axis=axis)
 
     def rule(g):
         dt = np.zeros(table.shape, dtype=np.float64)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        # ids's axes of g to the front, flattened, against table's axis there
+        g = np.moveaxis(g, tuple(range(axis, axis + ids.ndim)), tuple(range(ids.ndim)))
+        np.add.at(np.moveaxis(dt, axis, 0), ids.reshape(-1),
+                  g.reshape((-1,) + g.shape[ids.ndim:]))
         return (dt,)
 
     return _emit("embedding", (table,), data, rule)

@@ -299,6 +299,15 @@ def _embed_case(rng):
             lambda t: tsum(mul(embedding(t, ids), w)))
 
 
+@_case("embedding_axis")
+def _embed_axis_case(rng):
+    # Frames 2, 0 and 2 of a (B, T, N, D) clip: a repeated frame adds up.
+    ids = np.array([2, 0, 2])
+    w = Tensor(rng.randn(2, 3, 4, 5))
+    return (Tensor(rng.randn(2, 4, 4, 5)),
+            lambda t: tsum(mul(embedding(t, ids, axis=1), w)))
+
+
 @_case("cross_entropy_batched")
 def _ce_case(rng):
     return Tensor(rng.randn(4, 5)), lambda t: cross_entropy(t, [0, 3, 1, 4])

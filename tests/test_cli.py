@@ -17,7 +17,7 @@ from vpfuse.checkpoint import save_checkpoint
 from vpfuse.cli import main
 from vpfuse.config import parse_config
 from vpfuse.model import FusionModel
-from vpfuse import ablations, tensor
+from vpfuse import ablations, cli, tensor
 
 FAST = """
 train.batch = 4
@@ -237,6 +237,27 @@ class TestGateLabels:
         assert capsys.readouterr().out == "p_img=0.500000 p_stc=0.000000 p_com=0.500000\n"
 
 
+@pytest.mark.parametrize("families, message", [
+    ("detail,detail", "each family may be listed once, got 'detail,detail'"),
+    ("motion,counting,motion", "each family may be listed once, got 'motion,counting,motion'"),
+    ("detail,colour", "unknown families ['colour']"),
+])
+def test_bad_family_list_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                families, message):
+    # A repeated family would be evaluated twice and listed twice in
+    # report.txt, but once in accuracy.csv and gates.csv.
+    def no_load(*args, **kwargs):
+        raise AssertionError("checkpoint read for a rejected family list")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    out = tmp_path / "ev"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--ckpt", "unread.octo", "--families", families, "--out", str(out))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --families: {message}\n")
+    assert not out.exists()
+
+
 def test_non_finite_forward_exits_1(tmp_path, capsys):
     model = FusionModel(parse_config(FAST), seed=1)
     model.named_parameters()["decoder.readout.w"].data[...] = 1e308
@@ -312,6 +333,23 @@ class TestAblateCommand:
         assert err.endswith("error: argument --seeds: expected a comma list of "
                             f"non-negative integer seeds, got {seeds!r}\n")
         assert "invalid literal" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1,1", "2,1,2", "1, 1"])
+    def test_repeated_seed_exits_2_before_training(self, tmp_path, fast_cfg, capsys,
+                                                   monkeypatch, seeds):
+        # Two runs of one seed would be reported as a mean and sd over two seeds.
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_two_stage called for a rejected seed list")
+
+        monkeypatch.setattr(ablations, "run_two_stage", no_training)
+        out = tmp_path / "twice"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ablate", "--config", fast_cfg, "--mode", "strategy",
+                    "--seeds", seeds, "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seeds: each seed may be listed once, got {seeds!r}\n")
         assert not out.exists()
 
     def test_rerun_reproduces_csv_byte_for_byte(self, tmp_path, fast_cfg):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from vpfuse.config import ConfigError, default_config
+from vpfuse.encoders import VideoEncoder, sample_frames
+from vpfuse import model as model_module
 from vpfuse.model import Batch, FusionModel
 from vpfuse.router import FusionError, FusionStrategy, make_strategy
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
-from vpfuse.tensor import Tape, cross_entropy, grad_check
+from vpfuse.tensor import Tape, cross_entropy, embedding, grad_check
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,69 @@ def video_batch(cfg, n=2, family="detail", base=0):
 def image_batch(cfg, n=2, base=0):
     spec = spec_from_config(cfg, "detail", total_frames=1)
     return make_batch([generate_sample(spec, base + i) for i in range(n)])
+
+
+class TestOneEncoderPass:
+    @pytest.mark.parametrize("family", ["detail", "motion", "counting"])
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_gathered_frames_equal_a_pass_over_them(self, model, family, n):
+        batch = video_batch(model.cfg, n=n, family=family)
+        t = batch.frames.shape[1]
+        idx = sample_frames(t, model.cfg["sampler.frames"])
+        full = model.visual_encoder.encode(batch.frames, np.arange(t))
+        sampled = model.visual_encoder.encode(batch.frames[:, idx], idx)
+        assert np.array_equal(embedding(full, idx, axis=1).data, sampled.data)
+
+    @pytest.mark.parametrize("active, frames", [
+        (("image", "stc", "com"), [32]), (("stc", "com"), [32]), (("com",), [32]),
+        (("image", "stc"), [8]), (("stc",), [8])])
+    def test_one_pass_per_video_batch(self, monkeypatch, active, frames):
+        # The full clip when com reads it, with the sampled frames gathered
+        # from it; else the sampled frames alone.
+        cfg = default_config().replace(projectors__active=active)
+        model = FusionModel(cfg, seed=1)
+        seen = []
+        encode = VideoEncoder.encode
+
+        def counted(self, clip, frame_indices):
+            seen.append(clip.shape[1])
+            return encode(self, clip, frame_indices)
+
+        monkeypatch.setattr(VideoEncoder, "encode", counted)
+        model.forward(video_batch(cfg, n=2))
+        assert seen == frames
+
+    def test_unfrozen_encoder_gradient_equals_a_separate_pass(self, monkeypatch):
+        # The gather records on the tape, so an encoder that trains gets the
+        # sampled frames' gradient as a second pass over them would give it
+        # (summed in another order).
+        cfg = default_config()
+        model = FusionModel(cfg, seed=1)
+        batch = video_batch(cfg, n=2, family="motion")
+
+        def encoder_grads():
+            model.zero_grad()
+            with Tape() as tape:
+                loss, _, _ = model.loss(batch, FusionStrategy(kind="router"))
+                tape.backward(loss)
+            return {name: p.grad for name, p in model.named_parameters().items()
+                    if name.startswith("visual_encoder.")}
+
+        gathered = encoder_grads()
+        passes = []
+
+        def separate_pass(full, idx, axis):
+            passes.append(idx)
+            return model.visual_encoder.encode(batch.frames[:, idx], idx)
+
+        monkeypatch.setattr(model_module, "embedding", separate_pass)
+        separate = encoder_grads()
+        assert len(passes) == 1  # forward gathers the sampled frames
+        assert gathered.keys() == separate.keys() and len(gathered) == 5
+        for name, grad in gathered.items():
+            np.testing.assert_allclose(grad, separate[name], rtol=1e-10, atol=1e-13)
+        sampled = sample_frames(batch.frames.shape[1], cfg["sampler.frames"])
+        assert np.all(np.any(gathered["visual_encoder.pos_t"][sampled] != 0, axis=1))
 
 
 class TestForward:

@@ -244,9 +244,9 @@ def chunk_counts():
     counts = []
     over_rows = tensor._over_rows
 
-    def counted(fill, rows, row_work):
-        counts.append(len(tensor._row_chunks(rows, row_work)))
-        over_rows(fill, rows, row_work)
+    def counted(fill, rows, row_work, *limits):
+        counts.append(len(tensor._row_chunks(rows, row_work, *limits)))
+        over_rows(fill, rows, row_work, *limits)
 
     tensor._over_rows = counted
     try:
