@@ -139,6 +139,8 @@ def load_checkpoint(path) -> tuple[FusionModel, Config, Optional[str]]:
             dims = tuple(int(d) for d in struct.unpack(f"<{rank}Q", reader.take(8 * rank)))
         if name not in expected:
             raise CheckpointError(f"tensor {name!r} not part of the configured model")
+        if name in seen:
+            raise CheckpointError(f"tensor {name!r} is listed twice")
         target = params[name]
         if dims != target.data.shape:
             raise CheckpointError(f"tensor {name!r} has shape {dims}, config "

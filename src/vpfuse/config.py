@@ -69,6 +69,17 @@ def _fraction(v) -> Optional[str]:
     return None if 0.0 <= v <= 1.0 else f"must be in [0, 1], got {v}"
 
 
+def _beta(v) -> Optional[str]:
+    # Adam's bias correction divides by 1 - beta ** t, which is 0 at beta = 1.
+    return None if 0.0 <= v < 1.0 else f"must be in [0, 1), got {v}"
+
+
+def _distinct(v) -> Optional[str]:
+    if len(set(v)) != len(v):
+        return f"each label may be listed once, got {_fmt(v)!r}"
+    return None
+
+
 def _strategy(v) -> Optional[str]:
     return None if v in STRATEGIES else f"must be one of {STRATEGIES}, got {v!r}"
 
@@ -115,14 +126,14 @@ SCHEMA: dict[str, _Key] = {
     "decoder.blocks": _Key("int", 2, _positive),
     "decoder.hidden": _Key("int", 64, _positive),
     "projectors.kinds": _Key("names", ("image", "stc", "com"), _kinds),
-    "projectors.active": _Key("names", ("image", "stc", "com")),
+    "projectors.active": _Key("names", ("image", "stc", "com"), _distinct),
     "task.noise": _Key("float", 0.1, _fraction),
     "train.batch": _Key("int", 16, _positive),
     "train.pretrain_steps": _Key("int", 1000, _positive),
     "train.tune_steps": _Key("int", 2000, _positive),
     "train.lr": _Key("float", 0.003, _non_negative),
-    "train.beta1": _Key("float", 0.9, _fraction),
-    "train.beta2": _Key("float", 0.999, _fraction),
+    "train.beta1": _Key("float", 0.9, _beta),
+    "train.beta2": _Key("float", 0.999, _beta),
     "train.seed": _Key("int", 1, _non_negative),
     "train.image_ratio": _Key("float", 0.2, _fraction),
     "train.strategy": _Key("str", "router", _strategy),

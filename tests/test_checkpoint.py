@@ -31,24 +31,46 @@ def with_config_blob(raw: bytes, blob: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def header_offsets(raw: bytes) -> list[int]:
-    """Offset of every byte that is not a tensor value: magic, version, the
-    config blob and its length, the tensor count, each tensor's header and
-    the checksum."""
+def tensor_entries(raw: bytes):
+    """The offset, header length, value count and name of each entry of the
+    tensor table."""
     (blob_len,) = struct.unpack_from("<Q", raw, 8)
-    pos = 16 + blob_len
-    offsets = list(range(pos + 8))
-    (count,) = struct.unpack_from("<Q", raw, pos)
-    pos += 8
+    (count,) = struct.unpack_from("<Q", raw, 16 + blob_len)
+    pos = 24 + blob_len
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, pos)
         (rank,) = struct.unpack_from("<I", raw, pos + 4 + name_len + 1)
         head = 4 + name_len + 1 + 4 + 8 * rank
         dims = struct.unpack_from(f"<{rank}Q", raw, pos + head - 8 * rank)
+        size = int(np.prod(dims))
+        yield pos, head, size, raw[pos + 4:pos + 4 + name_len].decode()
+        pos += head + 8 * size
+
+
+def header_offsets(raw: bytes) -> list[int]:
+    """Offset of every byte that is not a tensor value: magic, version, the
+    config blob and its length, the tensor count, each tensor's header and
+    the checksum."""
+    (blob_len,) = struct.unpack_from("<Q", raw, 8)
+    end = 24 + blob_len
+    offsets = list(range(end))
+    for pos, head, size, _ in tensor_entries(raw):
         offsets += range(pos, pos + head)
-        pos += head + 8 * int(np.prod(dims))
-    assert pos == len(raw) - 4
-    return offsets + list(range(pos, len(raw)))
+        end = pos + head + 8 * size
+    assert end == len(raw) - 4
+    return offsets + list(range(end, len(raw)))
+
+
+def with_tensor_repeated(raw: bytes, name: str, value: float) -> bytes:
+    """Checkpoint bytes ``raw`` with tensor ``name`` listed once more at the
+    end of the table, every value ``value``, and the checksum recomputed."""
+    (blob_len,) = struct.unpack_from("<Q", raw, 8)
+    (count,) = struct.unpack_from("<Q", raw, 16 + blob_len)
+    pos, head, size = next((p, h, s) for p, h, s, n in tensor_entries(raw) if n == name)
+    repeat = raw[pos:pos + head] + np.full(size, value, dtype="<f8").tobytes()
+    body = (raw[:16 + blob_len] + struct.pack("<Q", count + 1) + raw[24 + blob_len:-4]
+            + repeat)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -108,6 +130,15 @@ def test_shape_mismatch_detected(tmp_path):
     blob = model.cfg.replace(router__hidden=16).serialize().encode()
     path.write_bytes(with_config_blob(path.read_bytes(), blob))
     with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    # Otherwise the last copy would silently win.
+    path = tmp_path / "r.octo"
+    save_checkpoint(FusionModel(small_cfg(), seed=0), path)
+    path.write_bytes(with_tensor_repeated(path.read_bytes(), "decoder.block0.attn.bk", 7.0))
+    with pytest.raises(CheckpointError, match="'decoder.block0.attn.bk' is listed twice"):
         load_checkpoint(path)
 
 

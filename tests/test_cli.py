@@ -173,6 +173,18 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["train.beta1", "train.beta2"])
+    def test_adam_beta_of_one_leaves_no_run_dir(self, tmp_path, capsys, key):
+        # Adam's bias correction would divide by 1 - 1 ** t = 0 and write a
+        # NaN checkpoint; the config is rejected before the run directory.
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(FAST + f"{key} = 1.0\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--steps", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {key}: must be in [0, 1), got 1.0\n"
+        assert not out.exists()
+
     def test_manifest_records_threads(self, tmp_path, fast_cfg):
         out = tmp_path / "run"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,

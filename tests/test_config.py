@@ -98,6 +98,14 @@ def test_active_subset_must_name_slots():
         default_config().replace(projectors__active=()).active_slots()
 
 
+def test_repeated_active_label_rejected():
+    # A repeat would be dropped by active_slots() but kept by serialize().
+    with pytest.raises(ConfigError, match="each label may be listed once, got 'image,image'"):
+        parse_config("projectors.active = image,image")
+    with pytest.raises(ConfigError, match="listed once"):
+        default_config().replace(projectors__active=("stc", "com", "stc"))
+
+
 @st.composite
 def valid_configs(draw):
     """A config with a random subset of keys set to random in-range values."""
@@ -113,6 +121,8 @@ def valid_configs(draw):
             continue  # drawn below from the slot labels of the drawn kinds
         elif kind == "int":
             value = draw(st.integers(1, 64))
+        elif key in ("train.beta1", "train.beta2"):
+            value = draw(st.floats(0.0, 1.0, exclude_max=True))
         elif kind == "float":
             value = draw(st.floats(0.0, 1.0))
         elif kind == "bool":
