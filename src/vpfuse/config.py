@@ -151,10 +151,17 @@ _PARSERS = {
 
 
 class Config:
-    """Validated key/value view with dict-style access."""
+    """Validated key/value view with dict-style access.
+
+    Construction checks what no single key can: the grid divisibility and
+    the active slots, so every Config, parsed or replaced, serializes to text
+    that parses.
+    """
 
     def __init__(self, values: dict[str, Any]):
         self._values = values
+        self.patch_grid()
+        self.active_slots()
 
     def __getitem__(self, key: str) -> Any:
         return self._values[key]
@@ -209,7 +216,8 @@ def _validate_value(key: str, raw: Any) -> Any:
             raise ConfigError(f"{key}: cannot parse {raw!r} as {spec.kind}: {exc}") from None
     else:
         value = raw
-        if spec.kind == "int" and not isinstance(value, int):
+        # bool is a subclass of int, but serializes as true/false
+        if spec.kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{key}: expected int, got {type(value).__name__}")
         if spec.kind == "float":
             value = float(value)
@@ -247,11 +255,7 @@ def parse_config(text: str) -> Config:
 
     for key, spec in SCHEMA.items():
         values.setdefault(key, spec.default)
-
-    cfg = Config(values)
-    cfg.patch_grid()  # grid divisibility is structural, always enforced
-    cfg.active_slots()
-    return cfg
+    return Config(values)
 
 
 def default_config() -> Config:

@@ -66,12 +66,11 @@ def _norm_affine(dim: int) -> dict[str, Tensor]:
 class TransformerBlock(Module):
     """Pre-LN single-head self-attention followed by a GELU feed-forward.
 
-    A call is one ``tensor.transformer_block``.  When a tape records any of
-    its inputs, that is the composed ops, each recording its own entry
-    (layer_norm, three q/k/v linears, attention, the output linear, add,
-    layer_norm, two FFN linears, add).  Tape-free, every sub-op runs on a
-    chunk of batch rows in turn, in one pass, and no full-size intermediate
-    is kept.
+    A call is one ``tensor.transformer_block``: the composed ops layer_norm,
+    three q/k/v linears, attention, the output linear, add, layer_norm, two
+    FFN linears and add.  When a tape records any of its inputs, each op
+    records its own entry.  Tape-free, the ops run on each chunk of batch
+    rows in turn, and no full-size intermediate is kept.
     """
 
     def __init__(self, rng: Rng, dim: int, hidden: int):

@@ -43,7 +43,9 @@ relies on:
   chunks, each with enough work to pay for a hand-off; up to eight larger
   ones for a transformer block), never on the worker count or on timing,
   and every chunk repeats the unsplit arithmetic on its own rows, so
-  results are bitwise equal to one thread on any core count.
+  results are bitwise equal to one thread on any core count.  An op called
+  inside a chunk runs all of its own chunks on that thread, as the cores
+  are busy with the outer call's chunks.
   The hand-off is a job on a queue that daemon workers serve, costing a few
   microseconds: the calling thread runs chunk 0 and then claims chunks in
   turn with the workers, so it waits only for chunks a worker has started.
@@ -56,29 +58,20 @@ relies on:
   (checked on numpy 2.4.6).  ``pool`` adds each bin's first cell to numpy's
   ``pairwise_sum`` of its other cells with slice views; ``layer_norm``
   takes ``np.var``'s steps but computes ``x - mean`` once.
-- Four backward rules split the same way.  ``attention`` computes its three
+- Two backward rules split the same way.  ``attention`` computes its three
   gradients per batch row, each row's from that row alone (a query shared
   by several frames is broadcast first, so ``broadcast_to``'s rule sums its
-  gradient over them).  ``linear`` on a batched input computes per row
-  chunk its GELU derivative, its input gradient and one weight-gradient
-  block per leading index; the calling thread then sums the blocks and the
-  bias gradient in the unsplit order.  ``layer_norm`` computes its input
-  gradient per row chunk and sums ``dgamma`` and ``dbeta`` on the calling
-  thread.  ``conv3d`` splits its kernel gradient over kernel taps, each
-  tap's gradient being one GEMM of its own; its input gradient adds the
-  taps up in order on the calling thread.  The other rules are serial: a
-  weight gradient sums over the rows a split would separate.
-- The row-local arithmetic of ``linear``, ``attention``, ``layer_norm`` and
-  ``add`` lives in one row kernel each (``_linear_rows`` and so on).  The
-  standalone ops and the tape-free ``transformer_block`` both call them, so
-  every row is computed the same way whichever op runs it.
+  gradient over them).  ``conv3d`` splits its kernel gradient over kernel
+  taps, each tap's gradient being one GEMM of its own; its input gradient
+  adds the taps up in order on the calling thread.  The other rules run on
+  the calling thread: a weight gradient sums over the rows a split would
+  separate, and the row-local gradients of ``linear`` and ``layer_norm``
+  took as long split in two as whole.
 - ``transformer_block`` is a whole pre-LN block (layer norm, q/k/v,
   attention, output projection, residual add, layer norm, GELU FFN,
   residual add).  When a tape records any of its inputs, it is those
-  composed ops, and the tape holds their entries.  Otherwise it runs in one
-  row-chunk pass: each chunk of batch rows runs every sub-op's row kernel
-  in turn and writes its intermediates into scratch of its own rows,
-  reusing buffers whose last reader has run, so only the output is
+  composed ops, and the tape holds their entries.  Otherwise the same ops
+  run on each row chunk of the batch in turn, so only the output is
   full-size.  Either way outputs, gradients and the op named by
   ``NonFiniteError`` are the composed ops'.
 - All parallelism comes from those row chunks.  At import, numpy's vendored
@@ -177,7 +170,9 @@ class _TapeEntry:
         self.rule = rule
 
 
-_local = threading.local()  # .tape: the tape open on this thread, if any
+# .tape: the tape open on this thread, if any; .in_chunk: whether the thread
+# is running a chunk of a split op (see ``_over_rows``).
+_local = threading.local()
 
 
 def active_tape() -> Optional["Tape"]:
@@ -352,16 +347,20 @@ class _Job:
         """Run chunk ``i``, then each chunk this thread claims, until none is
         left.  Once a chunk has failed, the chunks after it only count."""
         fill, chunks = self.fill, self.chunks
-        while i < len(chunks):
-            if self.error is None:
-                try:
-                    fill(chunks[i])
-                except BaseException as exc:  # re-raised on the calling thread
-                    if self.error is None:
-                        self.error = exc
-            if next(self.finish) == len(chunks):
-                self.done.release()
-            i = next(self.claim)
+        _local.in_chunk = True
+        try:
+            while i < len(chunks):
+                if self.error is None:
+                    try:
+                        fill(chunks[i])
+                    except BaseException as exc:  # re-raised on the calling thread
+                        if self.error is None:
+                            self.error = exc
+                if next(self.finish) == len(chunks):
+                    self.done.release()
+                i = next(self.claim)
+        finally:
+            _local.in_chunk = False
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
@@ -418,10 +417,11 @@ def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int,
     shared.  The caller runs chunk 0 and claims later chunks in turn with the
     workers, so it waits only for chunks a worker has started.  The first
     exception a chunk raises is re-raised here once every chunk is done.
+    Called inside another call's chunk, it runs every chunk on this thread.
     """
     chunks = _row_chunks(rows, row_work, max_chunks, min_work)
     helpers = min(_WORKERS, len(chunks)) - 1
-    if helpers <= 0:
+    if helpers <= 0 or getattr(_local, "in_chunk", False):
         for sl in chunks:
             fill(sl)
         return
@@ -459,20 +459,16 @@ def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
 
     def fill(sl):
         ds = data[sl] if data.ndim else data
-        _add_rows(ds, *(_rows(t.data, ds.ndim, sl) for t in terms))
+        first, second, *rest = (_rows(t.data, ds.ndim, sl) for t in terms)
+        np.add(first, second, out=ds)
+        for t in rest:
+            ds += t
+        _check_finite(ds, "add")
 
     _over_rows(fill, data.shape[0] if data.ndim else 1, math.prod(data.shape[1:]))
     return _output("add", terms, data,
                    lambda g: tuple(_unbroadcast(g, t.shape) if t.requires_grad else None
                                    for t in terms))
-
-
-def _add_rows(out: np.ndarray, a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> None:
-    """Row kernel of ``add``: ``a + b + ...`` into ``out``, checked."""
-    np.add(a, b, out=out)
-    for t in more:
-        out += t
-    _check_finite(out, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -513,60 +509,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     data = np.empty(z.shape) if act == "gelu" else z
 
     def fill(sl):
-        _linear_rows(x.data[sl], w.data, b.data, z[sl],
-                     None if cdf is None else cdf[sl], data[sl])
+        zs = z[sl]
+        np.matmul(x.data[sl], w.data, out=zs)
+        zs += b.data
+        if cdf is not None:
+            ndtr(zs, out=cdf[sl])
+            np.multiply(zs, cdf[sl], out=data[sl])
+        _check_finite(data[sl], "linear")
 
     # A 2-D x is a single GEMM; its rows stay whole, because a GEMM's bits
     # may depend on its row count.  Batched x is one GEMM per leading index.
     _over_rows(fill, z.shape[0], math.prod(z.shape[1:]) if x.ndim > 2 else 0)
 
     def rule(g):
-        dz = np.empty(z.shape) if cdf is not None else g
-        gx = np.empty(x.shape) if x.requires_grad else None
-        # One weight-gradient block per leading index, summed below.
-        partials = np.empty(x.shape[:-2] + w.shape) if w.requires_grad else None
-        wt = np.swapaxes(w.data, -1, -2)
-
-        def fill(sl):
-            dzs = dz[sl]
-            if cdf is not None:
-                # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only
-                # paid for here, so tape-free eval never computes it.
-                zs = z[sl]
-                np.multiply(zs, -0.5, out=dzs)
-                dzs *= zs
-                np.exp(dzs, out=dzs)
-                dzs *= _INV_SQRT_2PI
-                dzs *= zs
-                dzs += cdf[sl]
-                dzs *= g[sl]
-            if gx is not None:
-                np.matmul(dzs, wt, out=gx[sl])
-            if partials is not None:
-                np.matmul(np.swapaxes(x.data[sl], -1, -2), dzs, out=partials[sl])
-
-        # A row's work: its rows of x and of the gradients, plus one
-        # (Din, Dout) block per leading index.  A 2-D x stays one GEMM.
-        lead = math.prod(x.shape[1:-2])
-        _over_rows(fill, z.shape[0],
-                   lead * (x.shape[-2] * sum(w.shape) + w.data.size) if x.ndim > 2 else 0)
-        gw = _unbroadcast(partials, w.shape) if partials is not None else None
+        dz = g
+        if cdf is not None:
+            # d/dz [z * Phi(z)] = Phi(z) + z * phi(z); the pdf is only paid
+            # for here, so tape-free eval never computes it.
+            dz = np.multiply(z, -0.5)
+            dz *= z
+            np.exp(dz, out=dz)
+            dz *= _INV_SQRT_2PI
+            dz *= z
+            dz += cdf
+            dz *= g
+        gx = dz @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
+        # One weight-gradient block per leading index, then their sum.
+        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape)
+              if w.requires_grad else None)
         gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
         return gx, gw, gb
 
     return _output("linear", (x, w, b), data, rule)
-
-
-def _linear_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
-                 cdf: Optional[np.ndarray], out: np.ndarray) -> None:
-    """Row kernel of ``linear``: ``z = x @ w + b``, then, with a ``cdf``
-    buffer, GELU ``z * Phi(z)`` into ``out`` (without one, ``out`` is ``z``)."""
-    np.matmul(x, w, out=z)
-    z += b
-    if cdf is not None:
-        ndtr(z, out=cdf)
-        np.multiply(z, cdf, out=out)
-    _check_finite(out, "linear")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
@@ -587,7 +561,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     row_work = math.prod(p.shape[1:]) if p.ndim > 2 else 0  # 2-D: one chunk
 
     def fill(sl):
-        _attention_rows(q.data[sl], kt[sl], v.data[sl], scale, p[sl], data[sl])
+        ps, outs = p[sl], data[sl]
+        np.matmul(q.data[sl], kt[sl], out=ps)
+        ps *= scale
+        # exp would map a -inf score to a silent 0, so check before the softmax.
+        _check_finite(ps, "attention")
+        ps -= ps.max(axis=-1, keepdims=True)
+        np.exp(ps, out=ps)
+        ps /= ps.sum(axis=-1, keepdims=True)
+        np.matmul(ps, v.data[sl], out=outs)
+        _check_finite(outs, "attention")
 
     _over_rows(fill, p.shape[0], row_work)
 
@@ -621,21 +604,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         return gq, None if gk is None else np.swapaxes(gk, -1, -2), gv
 
     return _output("attention", (q, k, v), data, rule)
-
-
-def _attention_rows(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-                    p: np.ndarray, out: np.ndarray) -> None:
-    """Row kernel of ``attention``: the probabilities into ``p``, the output
-    into ``out``; ``kt`` is the transposed view of ``k``."""
-    np.matmul(q, kt, out=p)
-    p *= scale
-    # exp would map a -inf score to a silent 0, so check before the softmax.
-    _check_finite(p, "attention")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    np.matmul(p, v, out=out)
-    _check_finite(out, "attention")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -736,12 +704,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = np.empty(x.shape)
     inv = np.empty(x.shape[:-1] + (1,))
     data = np.empty(x.shape)
-    row_work = math.prod(x.shape[1:]) if x.ndim > 1 else 0
 
     def fill(sl):
-        _layer_norm_rows(x.data[sl], gamma.data, beta.data, xhat[sl], inv[sl], data[sl])
+        # np.mean and np.var's own steps, with x - mu computed once: var is
+        # sum(d * d) / n, and d is then scaled in place into xhat.
+        xs, xhs, invs, ds = x.data[sl], xhat[sl], inv[sl], data[sl]
+        mu = xs.mean(axis=-1, keepdims=True)
+        np.subtract(xs, mu, out=xhs)
+        var = np.multiply(xhs, xhs, out=ds).sum(axis=-1, keepdims=True)
+        var /= x.shape[-1]
+        np.divide(1.0, np.sqrt(var + 1e-5), out=invs)
+        xhs *= invs
+        np.multiply(xhs, gamma.data, out=ds)
+        ds += beta.data
+        _check_finite(ds, "layer_norm")
 
-    _over_rows(fill, x.shape[0], row_work)
+    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 1 else 0)
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -749,62 +727,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dbeta = g.sum(axis=lead) if beta.requires_grad else None
         if not x.requires_grad:
             return None, dgamma, dbeta
-        dx = np.empty(x.shape)
-
-        def fill(sl):
-            # dx = inv * (dxhat - m1 - xhat * m2), row by row
-            xs, dxs = xhat[sl], dx[sl]
-            dxhat = g[sl] * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xs).mean(axis=-1, keepdims=True)
-            np.subtract(dxhat, m1, out=dxs)
-            dxs -= np.multiply(xs, m2, out=dxhat)
-            dxs *= inv[sl]
-
-        _over_rows(fill, x.shape[0], row_work)
+        # dx = inv * (dxhat - m1 - xhat * m2), row by row
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = dxhat - m1
+        dx -= np.multiply(xhat, m2, out=dxhat)
+        dx *= inv
         return dx, dgamma, dbeta
 
     return _output("layer_norm", (x, gamma, beta), data, rule)
 
 
-def _layer_norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                     xhat: np.ndarray, inv: np.ndarray, out: np.ndarray) -> None:
-    """Row kernel of ``layer_norm``: the normalized rows into ``xhat``, their
-    inverse deviations into ``inv`` and the scaled, shifted rows into ``out``.
-
-    These are np.mean and np.var's own steps, with x - mu computed once: var
-    is sum(d * d) / n, and d is then scaled in place into xhat.
-    """
-    mu = x.mean(axis=-1, keepdims=True)
-    np.subtract(x, mu, out=xhat)
-    var = np.multiply(xhat, xhat, out=out).sum(axis=-1, keepdims=True)
-    var /= x.shape[-1]
-    np.divide(1.0, np.sqrt(var + 1e-5), out=inv)
-    xhat *= inv
-    np.multiply(xhat, gamma, out=out)
-    out += beta
-    _check_finite(out, "layer_norm")
-
-
 # ---------------------------------------------------------------------------
 # a whole transformer block
 # ---------------------------------------------------------------------------
-
-# The tape-free block's intermediates in the order its sub-ops write them,
-# each with the width of its last axis: the model width "d", the feed-forward
-# width "hidden", the sequence length "n" (attention probabilities) or 1 (a
-# layer norm's inverse deviations).
-_BLOCK_BUFFERS = (("xhat1", "d"), ("inv1", 1), ("h1", "d"), ("q", "d"), ("k", "d"),
-                  ("v", "d"), ("p", "n"), ("att", "d"), ("o", "d"), ("x1", "d"),
-                  ("xhat2", "d"), ("inv2", 1), ("h2", "d"), ("z1", "hidden"),
-                  ("cdf1", "hidden"), ("f1", "hidden"), ("f2", "d"))
-
-# An intermediate takes over the scratch of one whose last reader has run,
-# and GELU writes over its cdf: five (rows, N, D) buffers serve eleven
-# intermediates.
-_BLOCK_REUSE = {"att": "xhat1", "o": "h1", "x1": "q", "xhat2": "k", "inv2": "inv1",
-                "h2": "v", "f1": "cdf1", "f2": "att"}
-
 
 def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
     """A pre-LN transformer block over (B, N, D) rows::
@@ -816,11 +753,11 @@ def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
     with attention scaled by 1/sqrt(D).  ``ln1`` and ``ln2`` are (gamma,
     beta) pairs, the others (weight, bias) pairs.  When a tape records any
     input, the block is these composed ops, each recording its own entry.
-    Otherwise it runs in one row-chunk pass: each chunk of batch rows runs
-    every sub-op's row kernel in turn, keeping its intermediates in scratch
-    of its own rows, so only the output is full-size.  Its output is bitwise
-    equal to the composed ops', and a non-finite value raises
-    ``NonFiniteError`` naming the sub-op the composed ops would name.
+    Otherwise the same ops run on each row chunk of the batch in turn, so a
+    chunk's intermediates have its rows alone and only the output is
+    full-size.  Either way the output is bitwise equal to the composed ops',
+    and a non-finite value raises ``NonFiniteError`` naming the sub-op the
+    composed ops would name.
     """
     pairs = (ln1, q, k, v, o, ln2, ffn1, ffn2)
     d = x.shape[-1]
@@ -832,37 +769,24 @@ def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
                           f"shaped {want}, got {x.shape} and "
                           f"{[(w.shape, b.shape) for w, b in pairs]}")
     scale = 1.0 / math.sqrt(d)
+
+    def block(xs):
+        h = layer_norm(xs, *ln1)
+        x1 = add(xs, linear(attention(linear(h, *q), linear(h, *k), linear(h, *v), scale), *o))
+        return add(x1, linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2))
+
     inputs = (x,) + tuple(t for pair in pairs for t in pair)
     if active_tape() is not None and any(t.requires_grad for t in inputs):
-        h = layer_norm(x, *ln1)
-        x1 = add(x, linear(attention(linear(h, *q), linear(h, *k), linear(h, *v), scale), *o))
-        return add(x1, linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2))
-    rows, n = x.shape[:2]
-    widths = {"d": d, "hidden": hidden, "n": n, 1: 1}
+        return block(x)
     out = np.empty(x.shape)
-    ln1d, qd, kd, vd, od, ln2d, ffn1d, ffn2d = [(w.data, b.data) for w, b in pairs]
 
     def fill(sl):
-        xs = x.data[sl]
-        t = {}
-        for name, w in _BLOCK_BUFFERS:
-            reuse = _BLOCK_REUSE.get(name)
-            t[name] = t[reuse] if reuse else np.empty((len(xs), n, widths[w]))
-        _layer_norm_rows(xs, *ln1d, t["xhat1"], t["inv1"], t["h1"])
-        for name, (w, b) in zip("qkv", (qd, kd, vd)):
-            _linear_rows(t["h1"], w, b, t[name], None, t[name])
-        _attention_rows(t["q"], np.swapaxes(t["k"], -1, -2), t["v"], scale, t["p"], t["att"])
-        _linear_rows(t["att"], *od, t["o"], None, t["o"])
-        _add_rows(t["x1"], xs, t["o"])
-        _layer_norm_rows(t["x1"], *ln2d, t["xhat2"], t["inv2"], t["h2"])
-        _linear_rows(t["h2"], *ffn1d, t["z1"], t["cdf1"], t["f1"])
-        _linear_rows(t["f1"], *ffn2d, t["f2"], None, t["f2"])
-        _add_rows(out[sl], t["x1"], t["f2"])
+        out[sl] = block(Tensor(x.data[sl])).data
 
     # A row's work is its widest intermediate's: a chunk's numpy calls must
     # each be large enough to pay for running beside another chunk.
-    _over_rows(fill, rows, n * max(widths.values()), _BLOCK_MAX_CHUNKS,
-               _BLOCK_MIN_CHUNK_WORK)
+    rows, n = x.shape[:2]
+    _over_rows(fill, rows, n * max(d, hidden, n), _BLOCK_MAX_CHUNKS, _BLOCK_MIN_CHUNK_WORK)
     # No tape records any of it, so no rule is ever called.
     return _output("transformer_block", inputs, out, None)
 

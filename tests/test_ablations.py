@@ -102,8 +102,9 @@ class TestHarnesses:
             assert p1.data.tobytes() == p2.data.tobytes(), n1
 
     def test_empty_subset_rejected(self):
-        arms = [("", tiny_cfg().replace(projectors__active=()))]
+        # The config itself is rejected, so no arm can be built from it.
         with pytest.raises(ConfigError, match="at least one slot"):
+            arms = [("", tiny_cfg().replace(projectors__active=()))]
             run_arms("subset", arms, seeds=(1,), pretrain_steps=1, tune_steps=1, n_eval=4)
 
     def test_no_seeds_rejected(self):

@@ -78,6 +78,26 @@ def test_replace_override():
         cfg.replace(nope__key=1)
 
 
+def test_replace_rejects_bool_for_int_key():
+    # True would serialize as "train.batch = true", which parse_config rejects.
+    with pytest.raises(ConfigError, match="train.batch: expected int, got bool"):
+        default_config().replace(train__batch=True)
+
+
+@pytest.mark.parametrize("override, line, match", [
+    ({"video__grid": 15}, "video.grid = 15", "not divisible"),
+    ({"projectors__active": ("image", "bogus")}, "projectors.active = image,bogus",
+     "not among slots"),
+], ids=["grid", "active"])
+def test_replace_runs_the_structural_checks(override, line, match):
+    # replace rejects what parse_config rejects, so no Config serializes to
+    # text that does not parse.
+    with pytest.raises(ConfigError, match=match):
+        parse_config(line)
+    with pytest.raises(ConfigError, match=match):
+        default_config().replace(**override)
+
+
 def test_bad_strategy_rejected():
     with pytest.raises(ConfigError, match="one of"):
         parse_config("train.strategy = sometimes")
@@ -130,10 +150,14 @@ def valid_configs(draw):
         else:  # int3
             value = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
         overrides[key.replace(".", "__")] = value
-    cfg = default_config().replace(**overrides)
-    assume(cfg["video.grid"] % cfg["video.patch"] == 0)
-    active = draw(st.lists(st.sampled_from(cfg.slot_labels()), min_size=1, unique=True))
-    return cfg.replace(projectors__active=tuple(active))
+    # replace checks the grid and the active slots, so both are drawn valid.
+    grid, patch = (overrides.get(f"video__{k}", SCHEMA[f"video.{k}"].default)
+                   for k in ("grid", "patch"))
+    assume(grid % patch == 0)
+    kinds = overrides.get("projectors__kinds", SCHEMA["projectors.kinds"].default)
+    labels = [k if kinds.count(k) == 1 else f"{k}{i}" for i, k in enumerate(kinds)]
+    active = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    return default_config().replace(projectors__active=tuple(active), **overrides)
 
 
 @settings(max_examples=200, deadline=None)

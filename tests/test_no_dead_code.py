@@ -1,18 +1,20 @@
-"""Every function, class and method in ``src/vpfuse`` has a caller in the
-program or in the benchmark (``perfbench/``), not only in tests.
+"""Every function, class, method and module-level constant in
+``src/vpfuse`` has a caller or reader in the program or in the benchmark
+(``perfbench/``), not only in tests.
 
 A definition counts as used when its name is referenced outside its own
-body: a module-level function or class as a name, an attribute of one of
-the package's modules (``tasks.batch_stream``) or a string constant; a
-method as an attribute or a string constant (the benchmark's tracer patches
+body: a module-level function, class or constant as a name, an attribute of
+one of the package's modules (``tasks.batch_stream``) or a string constant;
+a method as an attribute or a string constant (the benchmark's tracer patches
 methods by name).  A method reference is attributed to one class when its
 receiver names that class (``tape.backward`` and ``Tape.backward`` call
 ``Tape``'s method, not ``Tensor``'s) or when the string sits in a tuple next
 to the class (``(tensor.Tape, "backward", ...)``); an attribute of
 ``<expr>.data`` is a numpy array's and counts for no class; any other
 reference counts for every class that defines the name.  A function's own
-arguments and assignment targets are local variables, not uses, and names
-listed in ``__all__`` and import statements are exports.
+arguments and assignment targets are local variables, and any assignment
+target is a store, not a use; names listed in ``__all__`` and import
+statements are exports.
 
 Likewise every parameter with a default is passed by some call in the
 program or the benchmark, by keyword, by position or through ``*``/``**``,
@@ -78,11 +80,28 @@ def _functions(package: dict[str, ast.Module]):
                         yield file, node.name, item
 
 
+def _constants(tree: ast.Module):
+    """(name, statement) of every module-level assignment target but dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id, node
+
+
 def _definitions(package: dict[str, ast.Module]) -> list[tuple[str, str | None, str, int, int]]:
     """(name, owning class or None, file, first line, last line)."""
     found = [(node.name, None, file, node.lineno, node.end_lineno)
              for file, tree in package.items() for node in tree.body
              if isinstance(node, ast.ClassDef)]
+    found += [(name, None, file, node.lineno, node.end_lineno)
+              for file, tree in package.items() for name, node in _constants(tree)]
     for file, owner, node in _functions(package):
         if owner is None or not (node.name.startswith("__") and node.name.endswith("__")):
             found.append((node.name, owner, file, node.lineno, node.end_lineno))
@@ -128,6 +147,8 @@ class _References(ast.NodeVisitor):
         self.tuples.pop()
 
     def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Store):
+            return
         if not any(node.id in bound for bound in self.local_names):
             self.add(node.id, None, "name", node)
 
@@ -268,6 +289,21 @@ def test_numpy_attribute_is_no_method_use():
                     "def count(x):\n"
                     "    return x.size\n")
     assert ("snippet.py", "Tensor", "size") not in unused_definitions(tree, tree)
+
+
+def test_unread_module_constant_is_unused():
+    # A table no code reads fails the guard; assigning it again is no read.
+    tree = _snippet("_TABLE = (1, 2)\n"
+                    "_LIMIT: int = 3\n"
+                    "__all__ = ['f']\n"
+                    "\n"
+                    "def f():\n"
+                    "    return _LIMIT\n")
+    users = tree | {"other.py": ast.parse("_TABLE = (3,)\n")}
+    unused = unused_definitions(tree, users)
+    assert ("snippet.py", None, "_TABLE") in unused
+    assert ("snippet.py", None, "_LIMIT") not in unused
+    assert ("snippet.py", None, "__all__") not in unused
 
 
 @pytest.mark.parametrize("call, target, passed", [

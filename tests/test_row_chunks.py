@@ -1,7 +1,6 @@
 """Kernels split into chunks across threads: every forward named in
 ``vpfuse.tensor``'s docstring by rows of the leading axis; the backward of
-``attention``, ``linear`` (batched input) and ``layer_norm`` by batch rows;
-and conv3d's kernel gradient by kernel taps.
+``attention`` by batch rows; and conv3d's kernel gradient by kernel taps.
 
 On shapes large enough to split, outputs and every gradient must be bitwise
 equal to the unsplit reference and to the same op on one thread.  The desk
@@ -9,8 +8,9 @@ shapes must reach the split paths, which is checked from the chunk counts
 (a function of the shape), not from timing.
 
 The hand-off itself (``tensor._over_rows``) keeps a contract of its own:
-chunk 0 runs on the caller, a finished call leaves no job holding its
-arrays, and a forked child gets workers of its own.
+chunk 0 runs on the caller, a call inside a chunk runs all of its chunks
+on that chunk's thread, a finished call leaves no job holding its arrays,
+and a forked child gets workers of its own.
 """
 
 import contextlib
@@ -255,6 +255,24 @@ def chunk_counts():
         tensor._over_rows = over_rows
 
 
+@contextlib.contextmanager
+def posted_chunks():
+    """Chunk count of every job posted to the workers inside the block."""
+    counts = []
+    crew = tensor._crew
+    post = crew.post
+
+    def counted(job, helpers):
+        counts.append(len(job.chunks))
+        post(job, helpers)
+
+    crew.post = counted
+    try:
+        yield counts
+    finally:
+        del crew.post
+
+
 def backward_chunk_counts(op, inputs):
     """Chunk count of every ``_over_rows`` call made by the backward of
     ``sum(op(*inputs))``."""
@@ -276,35 +294,6 @@ def test_decoder_attention_backward_splits():
     qkv = [Tensor(rng.randn(16, 134, 32), requires_grad=True) for _ in range(3)]
     [count] = backward_chunk_counts(lambda *a: attention(*a, 0.2), qkv)
     assert count > 1
-
-
-# Row-local backward rules at the desk's B=16 shapes: (op, input shapes, the
-# unsplit reference).  The decoder's FFN and projections, com's per-frame
-# projection of its (B, T, 2, D) context tokens, and every pre-LN norm.
-DESK_BACKWARDS = {
-    "linear-gelu": (lambda x, w, b: linear(x, w, b, "gelu"),
-                    [(16, 134, 32), (32, 64), (64,)],
-                    lambda x, w, b: composed_linear(x, w, b, "gelu")),
-    "linear": (linear, [(16, 134, 64), (64, 32), (32,)], composed_linear),
-    "linear-com": (linear, [(16, 32, 2, 32), (32, 32), (32,)], composed_linear),
-    "layer_norm": (layer_norm, [(16, 134, 32), (32,), (32,)], None),
-}
-
-
-@pytest.mark.parametrize("case", DESK_BACKWARDS)
-def test_row_local_backward_splits_at_desk_shape(case):
-    op, shapes, reference = DESK_BACKWARDS[case]
-    rng = np.random.RandomState(4)
-    inputs = [Tensor(rng.randn(*shape), requires_grad=True) for shape in shapes]
-    [count] = backward_chunk_counts(op, inputs)
-    assert count > 1
-    weight = rng.randn(*op(*inputs).shape)
-    out, _, grads = split_and_serial(op, inputs, weight)
-    if reference is not None:
-        assert_bitwise((out, None, grads), run(reference, inputs, weight))
-    else:
-        ref_out, ref_grads = reference_layer_norm(*(i.data for i in inputs), weight)
-        assert_bitwise((out, None, grads), (ref_out, None, ref_grads))
 
 
 def test_two_term_add_splits_at_desk_shape():
@@ -540,6 +529,28 @@ def test_chunk_zero_runs_on_the_caller():
         for _ in range(200):
             tensor._over_rows(fill, 4, tensor._MIN_CHUNK_WORK)
     assert seen == [threading.get_ident()] * 200
+
+
+def test_split_inside_a_chunk_runs_on_that_thread():
+    # Two outer chunks, the second on a worker: each makes a split call of
+    # four chunks, which posts no job and runs every chunk on the thread
+    # that runs the outer chunk.
+    ran = threading.Event()
+    inner = {}
+
+    def outer(sl):
+        if sl.start == 0:
+            assert ran.wait(timeout=30)
+        me = threading.get_ident()
+        tensor._over_rows(lambda s: inner.setdefault(sl.start, []).append(
+            (s.start, threading.get_ident() == me)), 4, tensor._MIN_CHUNK_WORK)
+        ran.set()
+
+    with threads(3), posted_chunks() as posted:
+        tensor._over_rows(outer, 2, tensor._MIN_CHUNK_WORK)
+    assert posted == [2]
+    in_order = [(start, True) for start in range(4)]
+    assert inner == {0: in_order, 1: in_order}
 
 
 def split_call_ref():

@@ -1,9 +1,10 @@
-"""The one-pass ``transformer_block`` op against the composed ops it runs.
+"""The ``transformer_block`` op against the composed ops it runs.
 
 Its output, all 17 gradients and the recorded tape must equal the composed
-ops' bit for bit and entry for entry.  Tape-free, the op makes one row-chunk
-pass and keeps no full-size intermediate.  A non-finite value inside the
-block raises naming the sub-op the composed ops name.
+ops' bit for bit and entry for entry.  Tape-free, the op runs the composed
+ops on row chunks in one split and keeps no full-size intermediate.  A
+non-finite value inside the block raises naming the sub-op the composed ops
+name.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_row_chunks import chunk_counts, threads
+from test_row_chunks import chunk_counts, posted_chunks, threads
 from vpfuse import tensor
 from vpfuse.tensor import (
     NonFiniteError,
@@ -150,10 +151,11 @@ def test_open_tape_with_nothing_to_record_stays_empty():
                          ids=["tape-free-16-4", "tape-free-64-8"])
 def test_block_forward_is_one_split_pass(b, chunks):
     # The decoder's rows at the train and eval batch: chunks of 4 and 8 rows.
+    # The block posts one split, and the ops its chunks run split no further.
     x, params = make_block(np.random.RandomState(1), b, 134, 32, 64)
-    with Tape(), chunk_counts() as counts:
+    with threads(2), Tape(), posted_chunks() as posted:
         transformer_block(x, *params)
-    assert counts == [chunks]
+    assert posted == [chunks]
 
 
 def traced_peak(call):
