@@ -25,7 +25,7 @@ from .projectors import (
     validate_alignment,
 )
 from .router import FusionStrategy, GateWeights, Router, fuse, gate
-from .tensor import Tape, Tensor, backward, grad_check
+from .tensor import Tape, Tensor
 from .training import Adam, FreezeMask, TrainConfig, freeze_mask_for, train
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "FusionModel", "FusionStrategy", "GateWeights", "InstructionEncoder",
     "InstructionEncoding", "Router", "Tape", "Tensor",
     "TokenBudget", "TrainConfig", "VideoEncoder", "VideoSample", "VisualTokens",
-    "backward", "compute_token_budget", "default_config", "freeze_mask_for",
-    "fuse", "gate", "grad_check", "parse_config", "sample_frames", "train",
-    "validate_alignment",
+    "compute_token_budget", "default_config", "freeze_mask_for", "fuse", "gate",
+    "parse_config", "sample_frames", "train", "validate_alignment",
 ]

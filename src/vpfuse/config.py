@@ -9,6 +9,7 @@ serialize(parse(text)) idempotent and configs diff-friendly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -34,16 +35,14 @@ def _parse_int3(s: str) -> tuple[int, int, int]:
 
 
 def _parse_names(s: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in s.split(",") if p.strip())
-    if not parts:
-        raise ConfigError(f"expected a comma-separated name list, got {s!r}")
-    return parts
+    # An empty list is left to the checks of the key it is given for.
+    return tuple(p.strip() for p in s.split(",") if p.strip())
 
 
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
@@ -167,13 +166,25 @@ class Config:
         return self._values[key]
 
     def replace(self, **overrides: Any) -> "Config":
-        """New config with dotted keys overridden (underscores map to dots)."""
+        """New config with dotted keys overridden (underscores map to dots).
+
+        Each value goes through the file parser as the text ``serialize``
+        writes for it, and must parse back to itself.
+        """
         vals = dict(self._values)
         for name, value in overrides.items():
             key = name.replace("__", ".")
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = _validate_value(key, value)
+            kind = SCHEMA[key].kind
+            text = _fmt(value)
+            try:
+                parsed = _PARSERS[kind](text)
+            except ValueError:  # ConfigError included
+                parsed = None
+            if parsed is None or parsed != (tuple(value) if isinstance(value, list) else value):
+                raise ConfigError(f"{key}: expected {kind}, got {type(value).__name__} {text!r}")
+            vals[key] = _checked(key, parsed)
         return Config(vals)
 
     def patch_grid(self) -> int:
@@ -205,28 +216,25 @@ class Config:
         return "\n".join(lines) + "\n"
 
 
-def _validate_value(key: str, raw: Any) -> Any:
-    spec = SCHEMA[key]
-    if isinstance(raw, str):
-        try:
-            value = _PARSERS[spec.kind](raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r} as {spec.kind}: {exc}") from None
+def _parse_value(key: str, raw: str) -> Any:
+    kind = SCHEMA[key].kind
+    try:
+        return _PARSERS[kind](raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}: {exc}") from None
+
+
+def _checked(key: str, value: Any) -> Any:
+    """``value`` once it passes ``key``'s checks; every float must be finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        problem = f"must be finite, got {value}"
     else:
-        value = raw
-        # bool is a subclass of int, but serializes as true/false
-        if spec.kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{key}: expected int, got {type(value).__name__}")
-        if spec.kind == "float":
-            value = float(value)
-        if spec.kind in ("int3", "names"):
-            value = tuple(value)
-    if spec.check is not None:
-        problem = spec.check(value)
-        if problem:
-            raise ConfigError(f"{key}: {problem}")
+        check = SCHEMA[key].check
+        problem = check(value) if check is not None else None
+    if problem:
+        raise ConfigError(f"{key}: {problem}")
     return value
 
 
@@ -251,7 +259,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _validate_value(key, raw)
+        values[key] = _checked(key, _parse_value(key, raw))
 
     for key, spec in SCHEMA.items():
         values.setdefault(key, spec.default)

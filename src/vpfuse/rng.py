@@ -104,12 +104,10 @@ class Rng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n] * std
         return z.reshape(shape)
 
-    def integers(self, high: int, shape=()) -> np.ndarray:
-        """Integers in [0, high). Uses floor(u * high); the modulo-style bias
-        is below 2^-50 for desk-scale high and irrelevant here."""
-        if not shape:
-            return min(int(self.uniform() * high), high - 1)
-        return np.minimum((self.uniform(shape) * high).astype(np.int64), high - 1)
+    def integers(self, high: int) -> int:
+        """An integer in [0, high). Uses floor(u * high); the modulo-style
+        bias is below 2^-50 for desk-scale high and irrelevant here."""
+        return min(int(self.uniform() * high), high - 1)
 
     def choice_distinct(self, high: int, k: int) -> np.ndarray:
         """k distinct integers from [0, high), in draw order."""

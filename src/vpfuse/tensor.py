@@ -1,8 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Arrays are numpy float64 throughout; the tape, backward rules and gradient
-checker are implemented here.  Design points that the rest of the project
-relies on:
+Arrays are numpy float64 throughout; the tape and backward rules are
+implemented here.  Design points that the rest of the project relies on:
 
 - Ops record onto the thread's open ``Tape`` whenever any input requires
   grad.  At most one tape is open per thread: entering a second raises
@@ -13,39 +12,37 @@ relies on:
   backward rule.  A recorded tensor points back at its tape only through a
   weak reference, so the graph has no reference cycles and is freed by
   reference counting as soon as the caller drops the tape and the tensors
-  it produced.  The caller must therefore keep the tape alive until
-  ``backward``; backward on a tensor whose tape is gone raises
-  ``TensorError``.
-- ``backward`` accumulates additively into ``.grad``; calling it twice
+  it produced.  ``Tape.backward`` takes a loss recorded on that tape and
+  raises ``TensorError`` for any other (detached) tensor.
+- ``Tape.backward`` accumulates additively into ``.grad``; calling it twice
   without resetting doubles gradients.  ``zero_grad`` is explicit.
 - Every op validates that its output is finite and raises ``NonFiniteError``
   immediately otherwise, naming the op.  The ops split into row chunks
   (below) check each chunk's rows inside the chunk, in parallel and while
   they are still in cache, and tell ``_emit`` (through ``_output``) not to
   check again; ``_emit`` checks every other op's output.
-- Only ``add`` and ``mul`` broadcast their operands (numpy-style), and
-  ``matmul`` its batch axes; ``broadcast_to`` broadcasts explicitly.  Every
-  other op takes the one layout the model passes it: ``attention`` a q, k
-  and v with equal leading axes, ``layer_norm`` a gamma and beta of shape
-  (D,), ``linear`` a bias of the weight's width, ``softmax`` the last axis,
-  ``tsum`` the whole tensor.  Any other layout raises ``TensorError``.
+- Only ``add`` and ``mul`` broadcast their operands (numpy-style);
+  ``broadcast_to`` broadcasts explicitly.  Every other op takes the one
+  layout the model passes it: ``attention`` a q, k and v with equal leading
+  axes, ``layer_norm`` a gamma and beta of shape (D,), ``linear`` a bias of
+  the weight's width, ``softmax`` the last axis.  Any other layout raises
+  ``TensorError``.
 - The fused ops ``linear`` (bias and optional GELU folded in) and
   ``attention`` each record one tape entry in place of a chain of composed
   ops.  They repeat the composed ops' arithmetic in the same order, so
   outputs and gradients are bitwise equal to the composed graph.  They check
   finiteness of their output, and ``attention`` also of its scaled scores
-  (where the composed ``matmul`` would have raised), before the softmax can
-  turn a ``-inf`` score into a silent 0.
-- The forward arithmetic of ``linear``, ``attention``, ``layer_norm``,
-  ``conv3d``, ``pool`` and ``add`` is split into row chunks of the leading
+  (where the composed matrix product would have raised), before the softmax
+  can turn a ``-inf`` score into a silent 0.
+- The forward arithmetic of ``linear``, ``attention``, ``conv3d``, ``pool``,
+  ``add`` and ``transformer_block`` is split into row chunks of the leading
   (batch) axis that run on the machine's cores; the numpy kernels release
   the GIL.  Chunk boundaries depend only on the op's shape (at most four
-  chunks, each with enough work to pay for a hand-off; up to eight larger
-  ones for a transformer block), never on the worker count or on timing,
-  and every chunk repeats the unsplit arithmetic on its own rows, so
-  results are bitwise equal to one thread on any core count.  An op called
-  inside a chunk runs all of its own chunks on that thread, as the cores
-  are busy with the outer call's chunks.
+  chunks, each with enough work to pay for a hand-off), never on the worker
+  count or on timing, and every chunk repeats the unsplit arithmetic on its
+  own rows, so results are bitwise equal to one thread on any core count.
+  An op called inside a chunk runs all of its own chunks on that thread, as
+  the cores are busy with the outer call's chunks.
   The hand-off is a job on a queue that daemon workers serve, costing a few
   microseconds: the calling thread runs chunk 0 and then claims chunks in
   turn with the workers, so it waits only for chunks a worker has started.
@@ -96,8 +93,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF, vectorized
-
-from .rng import Rng
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -235,17 +230,6 @@ class Tape:
                     inp.grad = g.copy() if inp.grad is None else inp.grad + g
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into all requires_grad ancestors."""
-    if loss._tape is None:
-        raise TensorError("tensor was not recorded on any tape (detached tensor)")
-    tape = loss._tape()
-    if tape is None:
-        raise TensorError("the tape that recorded this tensor has been freed; "
-                          "keep it alive until backward")
-    tape.backward(loss)
-
-
 def _emit(name: str, inputs: Sequence[Tensor], data: np.ndarray,
           rule: Callable[[np.ndarray], tuple]) -> Tensor:
     _check_finite(data, name)
@@ -287,12 +271,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MAX_CHUNKS = 4
 _MIN_CHUNK_WORK = 1 << 15  # elements per chunk, enough to pay for a hand-off
-# A transformer block's chunk makes some seventy numpy calls where an op's
-# makes a few, so each chunk needs more work to pay for its calls; with that,
-# up to eight chunks share the cores more evenly than four.  Measured on the
-# decoder's (B, 134, 32) rows: chunks of 4 rows at B=16 and 8 rows at B=64.
-_BLOCK_MAX_CHUNKS = 8
-_BLOCK_MIN_CHUNK_WORK = 1 << 16
 
 
 def _pin_blas() -> Optional[int]:
@@ -308,14 +286,13 @@ def _pin_blas() -> Optional[int]:
 _BLAS_THREADS = _pin_blas()
 
 
-def _row_chunks(rows: int, row_work: int, max_chunks: int = _MAX_CHUNKS,
-                min_work: int = _MIN_CHUNK_WORK) -> list[slice]:
-    """Near-equal slices of ``rows``: at most ``max_chunks``, each with at
-    least ``min_work`` elements; a function of the shape alone."""
+def _row_chunks(rows: int, row_work: int) -> list[slice]:
+    """Near-equal slices of ``rows``: at most ``_MAX_CHUNKS``, each with at
+    least ``_MIN_CHUNK_WORK`` elements; a function of the shape alone."""
     if row_work <= 0:
         return [slice(None)]
-    min_rows = -(-min_work // row_work)
-    n = min(max_chunks, rows // min_rows)
+    min_rows = -(-_MIN_CHUNK_WORK // row_work)
+    n = min(_MAX_CHUNKS, rows // min_rows)
     if n <= 1:
         return [slice(None)]
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
@@ -408,8 +385,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_crew)
 
 
-def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int,
-               max_chunks: int = _MAX_CHUNKS, min_work: int = _MIN_CHUNK_WORK) -> None:
+def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
     """Call ``fill(rows_slice)`` on every chunk of the leading axis (see
     ``_row_chunks``).
 
@@ -419,7 +395,7 @@ def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int,
     exception a chunk raises is re-raised here once every chunk is done.
     Called inside another call's chunk, it runs every chunk on this thread.
     """
-    chunks = _row_chunks(rows, row_work, max_chunks, min_work)
+    chunks = _row_chunks(rows, row_work)
     helpers = min(_WORKERS, len(chunks)) - 1
     if helpers <= 0 or getattr(_local, "in_chunk", False):
         for sl in chunks:
@@ -476,21 +452,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", (a, b), data,
                  lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                             _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise TensorError("matmul operands must have rank >= 2")
-    data = a.data @ b.data
-
-    def rule(g):
-        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-              if a.requires_grad else None)
-        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-              if b.requires_grad else None)
-        return ga, gb
-
-    return _emit("matmul", (a, b), data, rule)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor:
@@ -612,13 +573,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _emit("reshape", (a,), data, lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    data = a.data.transpose(axes)
-    return _emit("transpose", (a,), data, lambda g: (g.transpose(inv),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -649,11 +603,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = np.broadcast_to(a.data, shape).copy()
     return _emit("broadcast", (a,), data, lambda g: (_unbroadcast(g, a.shape),))
-
-
-def tsum(a: Tensor) -> Tensor:
-    """The sum of every element, a 0-d Tensor."""
-    return _emit("sum", (a,), a.data.sum(), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def tmean(a: Tensor, axis: int) -> Tensor:
@@ -701,25 +650,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if not gamma.shape == beta.shape == x.shape[-1:]:
         raise TensorError(f"layer_norm needs gamma and beta of shape (D,) for x of "
                           f"shape (..., D), got {gamma.shape}, {beta.shape} and {x.shape}")
-    xhat = np.empty(x.shape)
-    inv = np.empty(x.shape[:-1] + (1,))
-    data = np.empty(x.shape)
-
-    def fill(sl):
-        # np.mean and np.var's own steps, with x - mu computed once: var is
-        # sum(d * d) / n, and d is then scaled in place into xhat.
-        xs, xhs, invs, ds = x.data[sl], xhat[sl], inv[sl], data[sl]
-        mu = xs.mean(axis=-1, keepdims=True)
-        np.subtract(xs, mu, out=xhs)
-        var = np.multiply(xhs, xhs, out=ds).sum(axis=-1, keepdims=True)
-        var /= x.shape[-1]
-        np.divide(1.0, np.sqrt(var + 1e-5), out=invs)
-        xhs *= invs
-        np.multiply(xhs, gamma.data, out=ds)
-        ds += beta.data
-        _check_finite(ds, "layer_norm")
-
-    _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 1 else 0)
+    # np.mean and np.var's own steps, with x - mu computed once: var is
+    # sum(d * d) / n, and d is then scaled in place into xhat.
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x.data, mu)
+    data = np.multiply(xhat, xhat)
+    var = data.sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    inv = np.divide(1.0, np.sqrt(var + 1e-5))
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=data)
+    data += beta.data
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
@@ -736,7 +677,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dx *= inv
         return dx, dgamma, dbeta
 
-    return _output("layer_norm", (x, gamma, beta), data, rule)
+    return _emit("layer_norm", (x, gamma, beta), data, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +727,7 @@ def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
     # A row's work is its widest intermediate's: a chunk's numpy calls must
     # each be large enough to pay for running beside another chunk.
     rows, n = x.shape[:2]
-    _over_rows(fill, rows, n * max(d, hidden, n), _BLOCK_MAX_CHUNKS, _BLOCK_MIN_CHUNK_WORK)
+    _over_rows(fill, rows, n * max(d, hidden, n))
     # No tape records any of it, so no rule is ever called.
     return _output("transformer_block", inputs, out, None)
 
@@ -1047,49 +988,3 @@ def _pairwise_sum(cell: Callable[[int], np.ndarray], n: int, out: np.ndarray) ->
     for i in range(stop, n):
         out += cell(i)
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5,
-               max_coords: Optional[int] = None, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must build a fresh scalar graph from ``x`` on every call.  Error per
-    coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).  With
-    ``max_coords`` set, a deterministic subset of coordinates is probed, which
-    keeps whole-model checks affordable.
-    """
-    if eps <= 0:
-        raise TensorError("eps must be positive")
-    x.requires_grad = True
-    x.zero_grad()
-    with Tape() as tape:
-        out = f(x)
-        if out.data.shape != ():
-            raise TensorError(f"grad_check needs a scalar-valued f, got shape {out.shape}")
-        tape.backward(out)
-    analytic = x.grad.copy() if x.grad is not None else np.zeros(x.shape)
-
-    n = x.data.size
-    if max_coords is not None and max_coords < n:
-        rng = Rng(seed, "grad_check")
-        coords = sorted(set(int(v) for v in rng.integers(n, (max_coords,))))
-    else:
-        coords = range(n)
-
-    flat = x.data.reshape(-1)
-    aflat = analytic.reshape(-1)
-    worst = 0.0
-    for i in coords:
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x).item()
-        flat[i] = orig - eps
-        fm = f(x).item()
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * eps)
-        err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]), abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -185,6 +185,16 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {key}: must be in [0, 1), got 1.0\n"
         assert not out.exists()
 
+    def test_non_finite_learning_rate_leaves_no_run_dir(self, tmp_path, capsys):
+        # train.lr = inf would train to a checkpoint of non-finite parameters.
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(FAST + "train.lr = inf\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--steps", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: train.lr: must be finite, got inf\n"
+        assert not out.exists()
+
     def test_manifest_records_threads(self, tmp_path, fast_cfg):
         out = tmp_path / "run"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,

@@ -84,11 +84,19 @@ def test_replace_rejects_bool_for_int_key():
         default_config().replace(train__batch=True)
 
 
+@pytest.mark.parametrize("text", ["inf", "1e400"])
+def test_non_finite_float_rejected(text):
+    with pytest.raises(ConfigError, match="train.lr: must be finite, got inf"):
+        parse_config(f"train.lr = {text}")
+
+
 @pytest.mark.parametrize("override, line, match", [
     ({"video__grid": 15}, "video.grid = 15", "not divisible"),
     ({"projectors__active": ("image", "bogus")}, "projectors.active = image,bogus",
      "not among slots"),
-], ids=["grid", "active"])
+    ({"img__separator": 1}, "img.separator = 1", "expected"),
+    ({"stc__stride": (1.5, 1, 1)}, "stc.stride = 1.5,1,1", "int3"),
+], ids=["grid", "active", "separator", "stride"])
 def test_replace_runs_the_structural_checks(override, line, match):
     # replace rejects what parse_config rejects, so no Config serializes to
     # text that does not parse.

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from reference_ops import grad_check
 from vpfuse.config import ConfigError, default_config
 from vpfuse.encoders import VideoEncoder, sample_frames
 from vpfuse import model as model_module
 from vpfuse.model import Batch, FusionModel
 from vpfuse.router import FusionError, FusionStrategy, make_strategy
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
-from vpfuse.tensor import Tape, cross_entropy, embedding, grad_check
+from vpfuse.tensor import Tape, cross_entropy, embedding
 
 
 @pytest.fixture(scope="module")

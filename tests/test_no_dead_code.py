@@ -42,20 +42,10 @@ def _parse(paths, prefix: str = "") -> dict[str, ast.Module]:
 PACKAGE_TREES = _parse(PACKAGE.glob("*.py"))
 USER_TREES = PACKAGE_TREES | _parse((ROOT / "perfbench").glob("*.py"), "perfbench/")
 
-# Kept without a caller in the program, each for the reason given.
-ALLOWED = {
-    "matmul": "composed reference the bitwise fused linear and attention tests run",
-    "transpose": "composed reference the bitwise fused attention tests run",
-    "tsum": "reduction the gradient tests build scalar losses with",
-    "grad_check": "the finite-difference gradient checker, a public testing tool",
-    "backward": "the only call that reports a freed tape for a recorded tensor",
-}
-
 # Functions whose defaults no call in the program overrides, each kept for
 # the reason given.
 ALLOWED_DEFAULTS = {
     "main": "the console script calls main() to read sys.argv; tests pass argv",
-    "grad_check": "the testing tool's eps, max_coords and seed are set by tests",
 }
 
 
@@ -249,8 +239,7 @@ def unpassed_defaults(package: dict[str, ast.Module],
 
 def test_every_definition_has_a_non_test_caller():
     unused = [f"{file}: {owner + '.' if owner else ''}{name}"
-              for file, owner, name in unused_definitions(PACKAGE_TREES, USER_TREES)
-              if owner is not None or name not in ALLOWED]
+              for file, owner, name in unused_definitions(PACKAGE_TREES, USER_TREES)]
     assert unused == []
 
 
@@ -262,8 +251,6 @@ def test_every_default_is_overridden_by_a_non_test_caller():
 
 
 def test_allowlist_names_exist():
-    functions = {name for name, owner, *_ in _definitions(PACKAGE_TREES) if owner is None}
-    assert set(ALLOWED) <= functions
     assert set(ALLOWED_DEFAULTS) <= {fn for _, _, fn, _ in
                                      unpassed_defaults(PACKAGE_TREES, USER_TREES)}
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from reference_ops import grad_check, tsum
 from vpfuse.config import ConfigError, default_config, parse_config
 from vpfuse.encoders import InstructionEncoder, VideoEncoder
 from vpfuse.projectors import (
@@ -15,7 +16,7 @@ from vpfuse.projectors import (
     validate_alignment,
 )
 from vpfuse.rng import Rng
-from vpfuse.tensor import Tape, grad_check, mul, tsum
+from vpfuse.tensor import Tape, mul
 
 FULL_SCALE = """
 video.total_frames = 128

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_ops import tsum
 from vpfuse.ablations import stacked_config
 from vpfuse.config import default_config
 from vpfuse.encoders import InstructionEncoder, InstructionEncoding
@@ -23,7 +24,7 @@ from vpfuse.router import (
     one_hot_gates,
 )
 from vpfuse.tasks import generate_sample, make_batch, spec_from_config
-from vpfuse.tensor import Tape, Tensor, softmax, tsum
+from vpfuse.tensor import Tape, Tensor, softmax
 
 
 ALL_SLOTS = (0, 1, 2)

@@ -1,6 +1,8 @@
-"""Kernels split into chunks across threads: every forward named in
-``vpfuse.tensor``'s docstring by rows of the leading axis; the backward of
-``attention`` by batch rows; and conv3d's kernel gradient by kernel taps.
+"""Kernels split into chunks across threads: the forwards of ``linear``,
+``attention``, ``conv3d``, ``pool``, ``add`` and ``transformer_block`` by rows
+of the leading axis; the backward of ``attention`` by batch rows; and
+conv3d's kernel gradient by kernel taps.  ``layer_norm`` runs unsplit on the
+calling thread and is held to the same checks.
 
 On shapes large enough to split, outputs and every gradient must be bitwise
 equal to the unsplit reference and to the same op on one thread.  The desk
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import tsum
 from test_fused_ops import (
     assert_bitwise,
     attention_call,
@@ -50,7 +53,6 @@ from vpfuse.tensor import (
     layer_norm,
     linear,
     pool,
-    tsum,
 )
 
 
@@ -90,6 +92,12 @@ def test_chunks_depend_on_shape_only():
     assert tensor._row_chunks(7, 10_000) == [slice(None)]
     assert tensor._row_chunks(1, 10 ** 6) == [slice(None)]
     assert tensor._row_chunks(64, 100) == [slice(None)]
+    # A transformer block's decoder rows, whose widest intermediate is the
+    # (134, 134) attention probabilities: four chunks at B=16 and at B=64.
+    assert tensor._row_chunks(16, 134 * 134) == [
+        slice(0, 4), slice(4, 8), slice(8, 12), slice(12, 16)]
+    assert tensor._row_chunks(64, 134 * 134) == [
+        slice(0, 16), slice(16, 32), slice(32, 48), slice(48, 64)]
     for rows in range(1, 70):
         for work in (1_000, 5_000, 40_000):
             chunks = tensor._row_chunks(rows, work)
@@ -244,9 +252,9 @@ def chunk_counts():
     counts = []
     over_rows = tensor._over_rows
 
-    def counted(fill, rows, row_work, *limits):
-        counts.append(len(tensor._row_chunks(rows, row_work, *limits)))
-        over_rows(fill, rows, row_work, *limits)
+    def counted(fill, rows, row_work):
+        counts.append(len(tensor._row_chunks(rows, row_work)))
+        over_rows(fill, rows, row_work)
 
     tensor._over_rows = counted
     try:
