@@ -16,6 +16,7 @@ at run start from which the run is reproducible.  Its ``status`` reads
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import platform
@@ -104,6 +105,12 @@ def _reject_repeats(items, what: str, text: str) -> None:
     # A repeated entry would be run twice and reported as two.
     if len(set(items)) < len(items):
         raise argparse.ArgumentTypeError(f"each {what} may be listed once, got {text!r}")
+
+
+def _reject_taken_out(path: str) -> None:
+    """Stop on an existing ``--out`` before the command's work starts."""
+    if os.path.lexists(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 
 def _make_run_dir(path: str) -> Path:
@@ -200,6 +207,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model, cfg, _ = load_checkpoint(args.ckpt)
+    _reject_taken_out(args.out)
     families = args.families
     report = evaluate(model, families=families, n=args.n)
 
@@ -247,8 +255,9 @@ def cmd_route(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
-    table = run_arms(args.mode, ARMS[args.mode](cfg), args.seeds,
-                     args.pretrain_steps, args.tune_steps, args.n)
+    arms = ARMS[args.mode](cfg)
+    _reject_taken_out(args.out)
+    table = run_arms(args.mode, arms, args.seeds, args.pretrain_steps, args.tune_steps, args.n)
 
     run_dir = _make_run_dir(args.out)
     manifest = _write_manifest(run_dir, cfg, args.seeds[0], f"ablate --mode {args.mode}",

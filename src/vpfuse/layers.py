@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .rng import Rng
-from .tensor import Tensor, linear, transformer_block
+from .tensor import Tensor, add, attention, layer_norm, linear, rowwise
 
 
 class Module:
@@ -66,11 +66,10 @@ def _norm_affine(dim: int) -> dict[str, Tensor]:
 class TransformerBlock(Module):
     """Pre-LN single-head self-attention followed by a GELU feed-forward.
 
-    A call is one ``tensor.transformer_block``: the composed ops layer_norm,
-    three q/k/v linears, attention, the output linear, add, layer_norm, two
-    FFN linears and add.  When a tape records any of its inputs, each op
-    records its own entry.  Tape-free, the ops run on each chunk of batch
-    rows in turn, and no full-size intermediate is kept.
+    A call runs the block's ops (``composed``) through ``tensor.rowwise``:
+    when a tape records any of its inputs, each op records its own entry;
+    tape-free, the ops run on each chunk of batch rows in turn, and no
+    full-size intermediate is kept.
     """
 
     def __init__(self, rng: Rng, dim: int, hidden: int):
@@ -84,8 +83,20 @@ class TransformerBlock(Module):
         self.ffn["w2"], self.ffn["b2"] = linear_params(rng, hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        a, f = self.attn, self.ffn
-        return transformer_block(
-            x, (self.ln1["g"], self.ln1["b"]), (a["wq"], a["bq"]), (a["wk"], a["bk"]),
-            (a["wv"], a["bv"]), (a["wo"], a["bo"]), (self.ln2["g"], self.ln2["b"]),
-            (f["w1"], f["b1"]), (f["w2"], f["b2"]))
+        # A row's work is its widest intermediate's: a chunk's numpy calls
+        # must each be large enough to pay for running beside another chunk.
+        _, n, d = x.shape
+        return rowwise(self.composed, x, list(self.named_parameters().values()),
+                       n * max(d, self.ffn["w1"].shape[1], n))
+
+    def composed(self, x: Tensor) -> Tensor:
+        """The block's ops on (B, N, D) rows ``x``."""
+        ln1, a, ln2, f = self.ln1, self.attn, self.ln2, self.ffn
+        h = layer_norm(x, ln1["g"], ln1["b"])
+        # Each intermediate but h and x1 stays unnamed, so that tape-free it
+        # is freed as soon as the next op has read it.
+        x1 = add(x, linear(attention(linear(h, a["wq"], a["bq"]), linear(h, a["wk"], a["bk"]),
+                                     linear(h, a["wv"], a["bv"]), 1.0 / math.sqrt(x.shape[-1])),
+                           a["wo"], a["bo"]))
+        return add(x1, linear(linear(layer_norm(x1, ln2["g"], ln2["b"]),
+                                     f["w1"], f["b1"], "gelu"), f["w2"], f["b2"]))

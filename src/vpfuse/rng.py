@@ -105,8 +105,10 @@ class Rng:
         return z.reshape(shape)
 
     def integers(self, high: int) -> int:
-        """An integer in [0, high). Uses floor(u * high); the modulo-style
-        bias is below 2^-50 for desk-scale high and irrelevant here."""
+        """An integer in [0, high), high >= 1. Uses floor(u * high); the
+        modulo-style bias is below 2^-50 for desk-scale high and irrelevant here."""
+        if high < 1:
+            raise ValueError(f"cannot draw an integer from the empty range [0, {high})")
         return min(int(self.uniform() * high), high - 1)
 
     def choice_distinct(self, high: int, k: int) -> np.ndarray:

@@ -76,8 +76,16 @@ class TaskSpec:
             raise TaskError(f"unknown family {self.family!r}")
         if self.family in ("detail",) and self.classes > len(GLYPHS):
             raise TaskError(f"detail family supports up to {len(GLYPHS)} classes")
+        extent = 1 + max(max(pixel) for glyph in GLYPHS for pixel in glyph)
+        if self.family == "detail" and self.patch < extent:
+            raise TaskError(f"detail glyphs span {extent}x{extent} pixels, more than "
+                            f"a video.patch of {self.patch}")
         if self.family == "motion" and self.classes != 4:
             raise TaskError("motion family encodes exactly 4 directions")
+        if self.family == "motion" and self.grid < 2 * self.patch:
+            # The camouflage keeps a patch of distance on each side of the mover.
+            raise TaskError(f"motion family needs a video.grid of at least two "
+                            f"patches ({2 * self.patch}), got {self.grid}")
         if self.family == "counting" and self.classes > self.total_frames:
             raise TaskError("counting classes exceed available frames")
         if self.family == "motion" and self.total_frames < 2:

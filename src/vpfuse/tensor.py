@@ -15,7 +15,8 @@ implemented here.  Design points that the rest of the project relies on:
   it produced.  ``Tape.backward`` takes a loss recorded on that tape and
   raises ``TensorError`` for any other (detached) tensor.
 - ``Tape.backward`` accumulates additively into ``.grad``; calling it twice
-  without resetting doubles gradients.  ``zero_grad`` is explicit.
+  without resetting doubles gradients.  Resetting is explicit: the caller
+  sets ``.grad`` to None.
 - Every op validates that its output is finite and raises ``NonFiniteError``
   immediately otherwise, naming the op.  The ops split into row chunks
   (below) check each chunk's rows inside the chunk, in parallel and while
@@ -35,7 +36,7 @@ implemented here.  Design points that the rest of the project relies on:
   (where the composed matrix product would have raised), before the softmax
   can turn a ``-inf`` score into a silent 0.
 - The forward arithmetic of ``linear``, ``attention``, ``conv3d``, ``pool``,
-  ``add`` and ``transformer_block`` is split into row chunks of the leading
+  ``add`` and tape-free ``rowwise`` is split into row chunks of the leading
   (batch) axis that run on the machine's cores; the numpy kernels release
   the GIL.  Chunk boundaries depend only on the op's shape (at most four
   chunks, each with enough work to pay for a hand-off), never on the worker
@@ -64,13 +65,11 @@ implemented here.  Design points that the rest of the project relies on:
   the calling thread: a weight gradient sums over the rows a split would
   separate, and the row-local gradients of ``linear`` and ``layer_norm``
   took as long split in two as whole.
-- ``transformer_block`` is a whole pre-LN block (layer norm, q/k/v,
-  attention, output projection, residual add, layer norm, GELU FFN,
-  residual add).  When a tape records any of its inputs, it is those
-  composed ops, and the tape holds their entries.  Otherwise the same ops
-  run on each row chunk of the batch in turn, so only the output is
-  full-size.  Either way outputs, gradients and the op named by
-  ``NonFiniteError`` are the composed ops'.
+- ``rowwise`` runs a row-local composite of these ops (a transformer block,
+  ``layers.TransformerBlock``): the composed ops when a tape records, else
+  the same ops on each row chunk in turn, so only the output is full-size.
+  Outputs, gradients and the op named by ``NonFiniteError`` are the
+  composed ops' either way.
 - All parallelism comes from those row chunks.  At import, numpy's vendored
   OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
   by thread count, which changes the last bits of weight gradients.  So
@@ -143,9 +142,6 @@ class Tensor:
         if self.data.size != 1:
             raise TensorError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -419,6 +415,29 @@ def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
     return a[sl] if a.ndim == ndim > 0 and a.shape[0] != 1 else a
 
 
+def rowwise(f: Callable[[Tensor], Tensor], x: Tensor, others: Sequence[Tensor],
+            row_work: int) -> Tensor:
+    """``f(x)`` for an ``f`` that is row-local and shape-preserving on the
+    leading axis of ``x``; ``others`` are the other tensors it reads.
+
+    When a tape records ``x`` or any of ``others``, this is ``f(x)``, and the
+    tape holds the entries of ``f``'s ops.  Otherwise ``f`` runs on each
+    ``_row_chunks`` chunk of ``x`` (``row_work`` elements a row), so only the
+    output is full-size; it is ``f(x)``'s bit for bit.
+    """
+    inputs = (x, *others)
+    if active_tape() is not None and any(t.requires_grad for t in inputs):
+        return f(x)
+    out = np.empty(x.shape)
+
+    def fill(sl):
+        out[sl] = f(Tensor(x.data[sl])).data
+
+    _over_rows(fill, x.shape[0], row_work)
+    # No tape records any of it, so no rule is ever called.
+    return _output("rowwise", inputs, out, None)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / linear algebra
 # ---------------------------------------------------------------------------
@@ -678,58 +697,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return dx, dgamma, dbeta
 
     return _emit("layer_norm", (x, gamma, beta), data, rule)
-
-
-# ---------------------------------------------------------------------------
-# a whole transformer block
-# ---------------------------------------------------------------------------
-
-def transformer_block(x: Tensor, ln1, q, k, v, o, ln2, ffn1, ffn2) -> Tensor:
-    """A pre-LN transformer block over (B, N, D) rows::
-
-        h = layer_norm(x, *ln1)
-        x1 = x + linear(attention(linear(h, *q), linear(h, *k), linear(h, *v)), *o)
-        out = x1 + linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2)
-
-    with attention scaled by 1/sqrt(D).  ``ln1`` and ``ln2`` are (gamma,
-    beta) pairs, the others (weight, bias) pairs.  When a tape records any
-    input, the block is these composed ops, each recording its own entry.
-    Otherwise the same ops run on each row chunk of the batch in turn, so a
-    chunk's intermediates have its rows alone and only the output is
-    full-size.  Either way the output is bitwise equal to the composed ops',
-    and a non-finite value raises ``NonFiniteError`` naming the sub-op the
-    composed ops would name.
-    """
-    pairs = (ln1, q, k, v, o, ln2, ffn1, ffn2)
-    d = x.shape[-1]
-    hidden = ffn1[0].shape[-1]
-    want = ([((d,), (d,))] + [((d, d), (d,))] * 4 + [((d,), (d,)),
-            ((d, hidden), (hidden,)), ((hidden, d), (d,))])
-    if x.ndim != 3 or [(w.shape, b.shape) for w, b in pairs] != want:
-        raise TensorError(f"transformer_block needs (B, N, D) rows and parameters "
-                          f"shaped {want}, got {x.shape} and "
-                          f"{[(w.shape, b.shape) for w, b in pairs]}")
-    scale = 1.0 / math.sqrt(d)
-
-    def block(xs):
-        h = layer_norm(xs, *ln1)
-        x1 = add(xs, linear(attention(linear(h, *q), linear(h, *k), linear(h, *v), scale), *o))
-        return add(x1, linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2))
-
-    inputs = (x,) + tuple(t for pair in pairs for t in pair)
-    if active_tape() is not None and any(t.requires_grad for t in inputs):
-        return block(x)
-    out = np.empty(x.shape)
-
-    def fill(sl):
-        out[sl] = block(Tensor(x.data[sl])).data
-
-    # A row's work is its widest intermediate's: a chunk's numpy calls must
-    # each be large enough to pay for running beside another chunk.
-    rows, n = x.shape[:2]
-    _over_rows(fill, rows, n * max(d, hidden, n))
-    # No tape records any of it, so no rule is ever called.
-    return _output("transformer_block", inputs, out, None)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

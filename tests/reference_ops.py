@@ -54,7 +54,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5,
     if eps <= 0:
         raise TensorError("eps must be positive")
     x.requires_grad = True
-    x.zero_grad()
+    x.grad = None
     with Tape() as tape:
         out = f(x)
         if out.data.shape != ():

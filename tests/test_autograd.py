@@ -426,7 +426,7 @@ def test_composed_graph_fused_equals_composed():
     for fused in (True, False):
         for t in [x, *params]:
             t.requires_grad = True
-            t.zero_grad()
+            t.grad = None
         with Tape() as tape:
             loss = _attention_graph(params, fused)(x)
             tape.backward(loss)

@@ -160,11 +160,17 @@ class TestTrainEval:
                              "the frame range [0, 1]"),
         ("text.vocab = 12", "text.vocab 12 holds fewer than the 18 instruction token ids"),
         ("text.max_len = 4", "text.max_len 4 is shorter than the 6-token instructions"),
+        ("video.patch = 2\ncom.context = 0\ncom.content = 16\ncom.sep_period = 0",
+         "detail glyphs span 4x4 pixels, more than a video.patch of 2"),
+        ("video.grid = 4\nprojectors.kinds = com,com,com\n"
+         "projectors.active = com0,com1,com2",
+         "motion family needs a video.grid of at least two patches (8), got 4"),
     ])
     def test_undrawable_task_config_leaves_no_run_dir(self, tmp_path, capsys,
                                                       line, message):
-        # Each passes config validation, but no batch of the task families
-        # fits it; that must fail before the run directory exists.
+        # Each passes config validation and aligns its token budgets, but no
+        # batch of the task families fits it; that must fail before the run
+        # directory exists.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FAST + line + "\n")
         out = tmp_path / "run"
@@ -172,6 +178,24 @@ class TestTrainEval:
                        "--steps", "30", "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_taken_out_stops_before_any_work(self, tmp_path, fast_cfg, capsys,
+                                             monkeypatch, command):
+        # A taken --out would otherwise be found only after every arm is
+        # trained or every family evaluated, and their results thrown away.
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} worked toward a taken --out")
+
+        monkeypatch.setattr(ablations, "run_two_stage", no_work)
+        monkeypatch.setattr(cli, "evaluate", no_work)
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = {"eval": ["--ckpt", untrained_ckpt(tmp_path, parse_config(FAST))],
+                "ablate": ["--config", fast_cfg, "--mode", "subset", "--seeds", "1"]}
+        assert run_cli(command, *argv[command], "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["train.beta1", "train.beta2"])
     def test_adam_beta_of_one_leaves_no_run_dir(self, tmp_path, capsys, key):

@@ -49,7 +49,7 @@ def run(op, inputs, weight):
     """Forward value, tape length and the gradient of sum(op(...) * weight)
     with respect to every input (None where the input is frozen)."""
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     with Tape() as tape:
         out = op(*inputs)
         tape.backward(tsum(mul(out, Tensor(weight))))

@@ -1,6 +1,7 @@
 """Determinism and distribution sanity of the portable generator."""
 
 import numpy as np
+import pytest
 
 from vpfuse.rng import Rng, fnv1a64, stream_seed
 
@@ -53,6 +54,14 @@ def test_integers_cover_range():
     r = Rng(0, "i")
     v = [r.integers(5) for _ in range(5000)]
     assert set(np.unique(v)) == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("high", [0, -3])
+def test_integers_rejects_an_empty_range(high):
+    # A bound below 1 has no integer to draw; floor(u * high) would return
+    # one outside [0, high) anyway.
+    with pytest.raises(ValueError, match="empty range"):
+        Rng(0, "i").integers(high)
 
 
 def test_choice_distinct():

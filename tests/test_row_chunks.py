@@ -1,6 +1,6 @@
 """Kernels split into chunks across threads: the forwards of ``linear``,
-``attention``, ``conv3d``, ``pool``, ``add`` and ``transformer_block`` by rows
-of the leading axis; the backward of ``attention`` by batch rows; and
+``attention``, ``conv3d``, ``pool``, ``add`` and tape-free ``rowwise`` (which
+runs ``layers.TransformerBlock``) by rows of the leading axis; the backward of ``attention`` by batch rows; and
 conv3d's kernel gradient by kernel taps.  ``layer_norm`` runs unsplit on the
 calling thread and is held to the same checks.
 

@@ -1,10 +1,10 @@
-"""The ``transformer_block`` op against the composed ops it runs.
+"""``layers.TransformerBlock`` against the composed ops it runs.
 
 Its output, all 17 gradients and the recorded tape must equal the composed
-ops' bit for bit and entry for entry.  Tape-free, the op runs the composed
-ops on row chunks in one split and keeps no full-size intermediate.  A
-non-finite value inside the block raises naming the sub-op the composed ops
-name.
+ops' bit for bit and entry for entry.  Tape-free, the block runs the
+composed ops on row chunks in one split (``tensor.rowwise``) and keeps no
+full-size intermediate.  A non-finite value inside the block raises naming
+the sub-op the composed ops name.
 """
 
 import math
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from reference_ops import tsum
 from test_row_chunks import chunk_counts, posted_chunks, threads
-from vpfuse import tensor
+from vpfuse.layers import TransformerBlock
+from vpfuse.rng import Rng
 from vpfuse.tensor import (
     NonFiniteError,
     Tape,
@@ -27,35 +28,43 @@ from vpfuse.tensor import (
     layer_norm,
     linear,
     mul,
-    transformer_block,
 )
 
 
-def composed_block(x, ln1, q, k, v, o, ln2, ffn1, ffn2):
-    """The block as separate ops, each recording its own tape entry."""
-    h = layer_norm(x, *ln1)
-    att = attention(linear(h, *q), linear(h, *k), linear(h, *v),
-                    1.0 / math.sqrt(x.shape[-1]))
-    x1 = add(x, linear(att, *o))
-    return add(x1, linear(linear(layer_norm(x1, *ln2), *ffn1, "gelu"), *ffn2))
+def composed_block(x, block):
+    """The block as separate ops on its parameters, each recording its own
+    tape entry."""
+    p = block.named_parameters()
+    h = layer_norm(x, p["ln1.g"], p["ln1.b"])
+    att = attention(linear(h, p["attn.wq"], p["attn.bq"]),
+                    linear(h, p["attn.wk"], p["attn.bk"]),
+                    linear(h, p["attn.wv"], p["attn.bv"]), 1.0 / math.sqrt(x.shape[-1]))
+    x1 = add(x, linear(att, p["attn.wo"], p["attn.bo"]))
+    ffn = linear(layer_norm(x1, p["ln2.g"], p["ln2.b"]), p["ffn.w1"], p["ffn.b1"], "gelu")
+    return add(x1, linear(ffn, p["ffn.w2"], p["ffn.b2"]))
+
+
+def call(x, block):
+    return block(x)
 
 
 def make_block(rng, b, n, d, hidden):
-    """Frozen rows x and the block's (gamma, beta) and (weight, bias) pairs."""
-    def affine(fan_in, fan_out):
-        return (Tensor(rng.randn(fan_in, fan_out) / math.sqrt(fan_in)),
-                Tensor(0.1 * rng.randn(fan_out)))
+    """Frozen rows x and a block of frozen parameters: gains near 1, small
+    shifts and biases, and weights scaled by 1/sqrt(fan-in)."""
+    block = TransformerBlock(Rng(0, "test/block"), d, hidden)
+    for name, t in block.named_parameters().items():
+        if t.ndim == 2:
+            t.data = rng.randn(*t.shape) / math.sqrt(t.shape[0])
+        elif name.endswith(".g"):
+            t.data = 1.0 + 0.1 * rng.randn(*t.shape)
+        else:
+            t.data = 0.1 * rng.randn(*t.shape)
+        t.requires_grad = False
+    return Tensor(rng.randn(b, n, d)), block
 
-    def norm():
-        return Tensor(1.0 + 0.1 * rng.randn(d)), Tensor(0.1 * rng.randn(d))
 
-    params = (norm(), affine(d, d), affine(d, d), affine(d, d), affine(d, d), norm(),
-              affine(d, hidden), affine(hidden, d))
-    return Tensor(rng.randn(b, n, d)), params
-
-
-def leaves(x, params):
-    return [x] + [t for pair in params for t in pair]
+def leaves(x, block):
+    return [x] + list(block.named_parameters().values())
 
 
 def graph(tape, inputs):
@@ -67,16 +76,16 @@ def graph(tape, inputs):
             for e in tape.entries]
 
 
-def run(op, x, params, weight, tape):
-    """Output, tape graph and the 17 gradients of sum(op(...) * weight), None
-    where frozen; without a tape, the output alone."""
-    inputs = leaves(x, params)
+def run(op, x, block, weight, tape):
+    """Output, tape graph and the 17 gradients of sum(op(x, block) * weight),
+    None where frozen; without a tape, the output alone."""
+    inputs = leaves(x, block)
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     if not tape:
-        return op(x, *params).data, None, None
+        return op(x, block).data, None, None
     with Tape() as t:
-        out = op(x, *params)
+        out = op(x, block)
         entries = graph(t, inputs)
         if out.requires_grad:
             t.backward(tsum(mul(out, Tensor(weight))))
@@ -101,24 +110,24 @@ def block_cases(draw):
     d = draw(st.sampled_from([4, 8, 32]))
     hidden = draw(st.sampled_from([3, 2 * d]))
     rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
-    x, params = make_block(rng, b, n, d, hidden)
+    x, block = make_block(rng, b, n, d, hidden)
     mode = draw(st.sampled_from(["all", "x", "params", "some", "none"]))
     flags = {"all": [True] * 17, "x": [True] + [False] * 16,
              "params": [False] + [True] * 16, "none": [False] * 17,
              "some": draw(st.lists(st.booleans(), min_size=17, max_size=17))}[mode]
-    for t, on in zip(leaves(x, params), flags):
+    for t, on in zip(leaves(x, block), flags):
         t.requires_grad = on
-    return x, params, rng.randn(b, n, d), draw(st.booleans())
+    return x, block, rng.randn(b, n, d), draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_cases())
 def test_block_bitwise_equals_composed(case):
-    x, params, weight, tape = case
-    block = run(transformer_block, x, params, weight, tape)
-    assert_same(block, run(composed_block, x, params, weight, tape))
-    if tape and not any(t.requires_grad for t in leaves(x, params)):
-        assert block[1] == []  # a tape open with nothing to record
+    x, block, weight, tape = case
+    called = run(call, x, block, weight, tape)
+    assert_same(called, run(composed_block, x, block, weight, tape))
+    if tape and not any(t.requires_grad for t in leaves(x, block)):
+        assert called[1] == []  # a tape open with nothing to record
 
 
 @pytest.mark.parametrize("shape", [(1, 7, 8), (5, 134, 32), (16, 134, 32)],
@@ -126,13 +135,13 @@ def test_block_bitwise_equals_composed(case):
 def test_training_block_records_the_composed_tape(shape):
     # The recording path with every input requiring grad, at the decoder's
     # shape among others: eleven entries in the composed order.
-    x, params = make_block(np.random.RandomState(3), *shape, 2 * shape[-1])
-    for t in leaves(x, params):
+    x, block = make_block(np.random.RandomState(3), *shape, 2 * shape[-1])
+    for t in leaves(x, block):
         t.requires_grad = True
     weight = np.random.RandomState(4).randn(*shape)
-    block = run(transformer_block, x, params, weight, True)
-    assert_same(block, run(composed_block, x, params, weight, True))
-    assert [name for name, _ in block[1]] == [
+    called = run(call, x, block, weight, True)
+    assert_same(called, run(composed_block, x, block, weight, True))
+    assert [name for name, _ in called[1]] == [
         "layer_norm", "linear", "linear", "linear", "attention", "linear", "add",
         "layer_norm", "linear", "linear", "add"]
 
@@ -140,11 +149,11 @@ def test_training_block_records_the_composed_tape(shape):
 def test_open_tape_with_nothing_to_record_stays_empty():
     # Eval with a tape open (perfbench counts records this way): the block
     # takes its tape-free path and records nothing, like the composed ops.
-    x, params = make_block(np.random.RandomState(6), 3, 134, 32, 64)
+    x, block = make_block(np.random.RandomState(6), 3, 134, 32, 64)
     weight = np.zeros(x.shape)
-    block = run(transformer_block, x, params, weight, True)
-    assert_same(block, run(composed_block, x, params, weight, True))
-    assert block[1] == [] and not any(g is not None for g in block[2])
+    called = run(call, x, block, weight, True)
+    assert_same(called, run(composed_block, x, block, weight, True))
+    assert called[1] == [] and not any(g is not None for g in called[2])
 
 
 @pytest.mark.parametrize("b, chunks", [(16, 4), (64, 4)],
@@ -152,9 +161,9 @@ def test_open_tape_with_nothing_to_record_stays_empty():
 def test_block_forward_is_one_split_pass(b, chunks):
     # The decoder's rows at the train and eval batch: chunks of 4 and 16 rows.
     # The block posts one split, and the ops its chunks run split no further.
-    x, params = make_block(np.random.RandomState(1), b, 134, 32, 64)
+    x, block = make_block(np.random.RandomState(1), b, 134, 32, 64)
     with threads(2), Tape(), posted_chunks() as posted:
-        transformer_block(x, *params)
+        block(x)
     assert posted == [chunks]
 
 
@@ -172,12 +181,12 @@ def test_tape_free_block_keeps_no_full_size_intermediate():
     # The decoder's eval shape.  Two threads, so that two chunks' scratch is
     # in flight on any machine.
     b, n, d, hidden = 64, 134, 32, 64
-    x, params = make_block(np.random.RandomState(2), b, n, d, hidden)
+    x, block = make_block(np.random.RandomState(2), b, n, d, hidden)
     with threads(2):
-        block = traced_peak(lambda: transformer_block(x, *params))
-        composed = traced_peak(lambda: composed_block(x, *params))
+        called = traced_peak(lambda: block(x))
+        composed = traced_peak(lambda: composed_block(x, block))
         with chunk_counts() as counts:
-            transformer_block(x, *params)
+            block(x)
     # A chunk's scratch: five (rows, N, D) buffers, the probabilities, the
     # FFN's pre-activation and cdf (GELU writes over the cdf) and the inverse
     # deviations.  Its (rows, N, 1) temporaries and numpy's own buffers are
@@ -188,16 +197,18 @@ def test_tape_free_block_keeps_no_full_size_intermediate():
     allowance = rows * n * d * 8
     output = b * n * d * 8
     assert 2 * allowance < output
-    assert block < output + 2 * (scratch + allowance)
-    assert block < composed
+    assert called < output + 2 * (scratch + allowance)
+    assert called < composed
 
 
 def poisoned(case):
     """Rows and parameters of a block at the decoder's B=16 shape, made to
     produce a non-finite value first in the sub-op ``case`` names (the
     residual case only in the last batch row, so in the last chunk)."""
-    x, params = make_block(np.random.RandomState(5), 16, 134, 32, 64)
-    (g1, _), _, _, _, (_, bo), (g2, _), (w1, _), (w2, _) = params
+    x, block = make_block(np.random.RandomState(5), 16, 134, 32, 64)
+    p = block.named_parameters()
+    g1, bo, g2, w1, w2 = (p[name] for name in ("ln1.g", "attn.bo", "ln2.g", "ffn.w1",
+                                                "ffn.w2"))
     if case == "scores":  # q . k overflows
         g1.data[0] = 1e200
     elif case == "ffn-weight-nan":
@@ -209,7 +220,7 @@ def poisoned(case):
     else:  # the first residual add overflows; layer_norm stays finite
         x.data[-1, :, 0] = 1e308
         bo.data[0] = 1e308
-    return x, params
+    return x, block
 
 
 @pytest.mark.parametrize("case, op", [
@@ -217,18 +228,10 @@ def poisoned(case):
     ("ln2-gamma", "layer_norm"), ("residual", "add")])
 @pytest.mark.parametrize("recording", [False, True], ids=["tape-free", "recording"])
 def test_non_finite_inside_block_names_the_composed_op(case, op, recording):
-    x, params = poisoned(case)
+    x, block = poisoned(case)
     x.requires_grad = recording
     with Tape(), np.errstate(all="ignore"):
         with pytest.raises(NonFiniteError, match=f"'{op}'"):
-            composed_block(x, *params)
+            composed_block(x, block)
         with pytest.raises(NonFiniteError, match=f"'{op}'"):
-            transformer_block(x, *params)
-
-
-def test_bad_shapes_rejected():
-    x, params = make_block(np.random.RandomState(0), 2, 3, 4, 6)
-    with pytest.raises(tensor.TensorError):
-        transformer_block(Tensor(x.data[0]), *params)
-    with pytest.raises(tensor.TensorError):
-        transformer_block(x, *params[:6], params[7], params[6])
+            block(x)
