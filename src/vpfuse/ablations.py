@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PROJECTOR_KINDS, STRATEGIES, Config
 from .model import Batch, FusionModel
-from .router import make_strategy
+from .router import make_strategy, scatter_gates
 from .tasks import FAMILIES, batch_stream, eval_batches
 from .training import TrainConfig, train
 
@@ -70,7 +70,11 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
 
     accuracy: dict[str, float] = {}
     mean_gates: dict[str, np.ndarray] = {}
-    n_slots = len(cfg["projectors.kinds"])
+    n_slots = len(model.labels)
+    # Concat reports no gates; its streams weigh the same, inactive ones 0.
+    active = model.active
+    uniform = scatter_gates(np.full((1, len(active)), 1.0 / len(active)),
+                            active, n_slots).p.data[0]
     for family in families:
         correct = 0
         total = 0
@@ -85,8 +89,7 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
                 gate_sum += gates.p.data.sum(axis=0)
                 gate_rows += batch.size
         accuracy[family] = correct / total
-        mean_gates[family] = (gate_sum / gate_rows if gate_rows
-                              else np.full(n_slots, 1.0 / n_slots))
+        mean_gates[family] = gate_sum / gate_rows if gate_rows else uniform
     return EvalReport(accuracy=accuracy, mean_gates=mean_gates,
                       n_per_family=n, strategy=kind, gate_columns=gate_columns(cfg))
 
@@ -174,14 +177,12 @@ def strategy_arms(cfg: Config) -> list[tuple[str, Config]]:
     return [(kind, cfg.replace(train__strategy=kind)) for kind in STRATEGIES]
 
 
-SUBSETS = (("image",), ("stc",), ("com",), ("image", "stc", "com"))
-
-
 def subset_arms(cfg: Config) -> list[tuple[str, Config]]:
-    """Each singleton projector subset, then the full set: excluded slots get
-    gate weight 0."""
+    """Each of ``cfg.slot_labels()`` alone, then all of them: excluded slots
+    get gate weight 0."""
+    labels = cfg.slot_labels()
     return [("+".join(subset), cfg.replace(projectors__active=subset))
-            for subset in SUBSETS]
+            for subset in [(label,) for label in labels] + [labels]]
 
 
 def stacked_config(cfg: Config, kind: str) -> Config:

@@ -211,6 +211,12 @@ class Config:
             raise ConfigError(f"projectors.active names {bad} not among slots {labels}")
         return tuple(i for i, lbl in enumerate(labels) if lbl in active)
 
+    def image_slot(self) -> Optional[int]:
+        """The first active image-based slot, which single-frame image
+        batches go through; None when no such slot is active."""
+        kinds = self["projectors.kinds"]
+        return next((i for i in self.active_slots() if kinds[i] == "image"), None)
+
     def serialize(self) -> str:
         lines = [f"{k} = {_fmt(self._values[k])}" for k in sorted(self._values)]
         return "\n".join(lines) + "\n"

@@ -17,8 +17,8 @@ from .config import Config, ConfigError
 from .encoders import InstructionEncoder, VideoEncoder, sample_frames
 from .layers import Linear, Module, TransformerBlock
 from .projectors import (
+    PROJECTOR_CLASSES,
     VisualTokens,
-    build_projector,
     compute_token_budget,
     validate_alignment,
 )
@@ -70,7 +70,6 @@ class FusionModel(Module):
 
     def __init__(self, cfg: Config, seed: int):
         self.cfg = cfg
-        self.kinds = cfg["projectors.kinds"]
         self.labels = cfg.slot_labels()
         self.active = cfg.active_slots()
 
@@ -80,20 +79,14 @@ class FusionModel(Module):
 
         self.visual_encoder = VideoEncoder(cfg, Rng(seed, "init/visual"))
         self.instruction_encoder = InstructionEncoder(cfg, Rng(seed, "init/text"))
-        self.projectors = {label: build_projector(kind, cfg, Rng(seed, f"init/proj/{label}"))
-                           for kind, label in zip(self.kinds, self.labels)}
-        self.router = Router(cfg, Rng(seed, "init/router"), n_slots=len(self.kinds))
+        self.projectors = {label: PROJECTOR_CLASSES[kind](cfg, Rng(seed, f"init/proj/{label}"))
+                           for kind, label in zip(cfg["projectors.kinds"], self.labels)}
+        self.router = Router(cfg, Rng(seed, "init/router"), n_slots=len(self.labels))
         self.decoder = Decoder(cfg, Rng(seed, "init/decoder"))
 
     def zero_grad(self) -> None:
         for p in self.named_parameters().values():
             p.grad = None
-
-    def image_slot(self) -> int:
-        for i in self.active:
-            if self.kinds[i] == "image":
-                return i
-        raise FusionError("no active image-based projector slot")
 
     # -- forward -------------------------------------------------------------
     def forward(self, batch: Batch,
@@ -112,27 +105,29 @@ class FusionModel(Module):
         if batch.modality == "image":
             if t != 1:
                 raise FusionError(f"image modality with {t} frames")
-            slot = self.image_slot()
+            slot = self.cfg.image_slot()
+            if slot is None:
+                raise FusionError("no active image-based projector slot")
             feats = self.visual_encoder.encode(batch.frames, np.array([0]))
             fused = self.projectors[self.labels[slot]](feats)
-            gates = one_hot_gates(b, slot, len(self.kinds))
+            gates = one_hot_gates(b, slot, len(self.labels))
         elif batch.modality == "video":
             if t != self.cfg["video.total_frames"]:
                 raise FusionError(f"video batch has {t} frames, config expects "
                                   f"{self.cfg['video.total_frames']}")
-            # One encoder pass: over the full clip when a slot reads it (com),
-            # with the sampled frames gathered from it; else over those frames.
-            kinds = [self.kinds[i] for i in self.active]
+            # One encoder pass: over the full clip when a slot reads it, with
+            # the sampled frames gathered from it; else over those frames.
+            projectors = [self.projectors[self.labels[i]] for i in self.active]
+            reads_clip = [p.reads_clip for p in projectors]
             full = (self.visual_encoder.encode(batch.frames, np.arange(t))
-                    if "com" in kinds else None)
+                    if any(reads_clip) else None)
             sampled = None
-            if "image" in kinds or "stc" in kinds:
+            if not all(reads_clip):
                 idx = sample_frames(t, self.cfg["sampler.frames"])
                 sampled = (self.visual_encoder.encode(batch.frames[:, idx], idx)
                            if full is None else embedding(full, idx, axis=1))
-            embeddings = [self.projectors[self.labels[i]](full, instr) if kind == "com"
-                          else self.projectors[self.labels[i]](sampled)
-                          for i, kind in zip(self.active, kinds)]
+            embeddings = [p(full, instr) if clip else p(sampled)
+                          for p, clip in zip(projectors, reads_clip)]
             fused, gates = fuse_with_strategy(strategy, instr, embeddings,
                                               self.router, active=self.active)
         else:

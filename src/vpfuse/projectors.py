@@ -7,10 +7,14 @@ running the network), and ``FusionModel`` refuses to build unless every slot's
 budget is the same.  The test suite separately asserts that each network's
 actual output count equals its arithmetic count.
 
-Every projector takes the visual encoder's (B, T, H, W, D) feature Tensor
-(com also takes the instruction encoding) and returns ``VisualTokens`` around
-a (B, N, D_model) Tensor.  ``SOURCE_TAGS`` names each family in the token
-budget report.
+Each projector class carries what the program needs to know of its kind:
+``kind`` (its ``projectors.kinds`` name and ``PROJECTOR_CLASSES`` key),
+``tag`` (its name in the token budget report), ``budget(cfg)`` (its
+closed-form token count and how it is derived) and ``reads_clip``.  A
+projector takes the visual encoder's (B, T, H, W, D) feature Tensor, over the
+whole clip with the instruction encoding when ``reads_clip`` is set and over
+the sampled frames otherwise, and returns ``VisualTokens`` around a
+(B, N, D_model) Tensor.
 
 Projector families:
 
@@ -52,12 +56,6 @@ from .tensor import (
     reshape,
 )
 
-SOURCE_TAGS = {
-    "image": "image-based",
-    "stc": "spatial-temporal",
-    "com": "token-compress",
-}
-
 
 @dataclass
 class VisualTokens:
@@ -86,77 +84,17 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _image_budget(cfg: Config, label: str) -> TokenBudget:
-    t = cfg["sampler.frames"]
-    pg = cfg.patch_grid()
-    pre = cfg["img.prepool"]
-    g = _ceil_div(pg, pre)
-    seps = t if cfg["img.separator"] else 0
-    count = t * g * g + seps
-    pool_note = f" (pre-pooled {pg}->{g})" if pre > 1 else ""
-    sep_note = f" + {seps} separators" if seps else ""
-    return TokenBudget(label, "image",
-                       count, f"{t} frames x {g}x{g} grid{pool_note}{sep_note} = {count}")
-
-
-def _stc_budget(cfg: Config, label: str) -> TokenBudget:
-    k = cfg["stc.kernel"]
-    stride = cfg["stc.stride"]
-    pad = cfg["stc.pad"]
-    pg = cfg.patch_grid()
-    dims = (cfg["sampler.frames"], pg, pg)
-    chain = [dims]
-    for _ in range(cfg["stc.blocks"]):
-        try:
-            dims = conv3d_out_dims(dims, k, stride, pad)
-        except TensorError as exc:
-            raise ConfigError(f"stc {exc}") from exc
-        chain.append(dims)
-    count = dims[0] * dims[1] * dims[2]
-    path = " -> ".join("x".join(str(d) for d in c) for c in chain)
-    return TokenBudget(label, "stc",
-                       count, f"conv k={k} stride={stride} pad={pad}: {path} = {count}")
-
-
-def _com_budget(cfg: Config, label: str) -> TokenBudget:
-    t = cfg["video.total_frames"]
-    c = cfg["com.context"] + cfg["com.content"]
-    m = cfg["com.sep_period"]
-    if c == 0:
-        raise ConfigError("com projector needs at least one context or content token")
-    if cfg["com.content"]:
-        (bh, bw), pg = _bin_layout(cfg["com.content"]), cfg.patch_grid()
-        if max(bh, bw) > pg:
-            raise ConfigError(f"com.content {cfg['com.content']} pools into {bh}x{bw} "
-                              f"bins, more than the {pg}x{pg} patch grid holds")
-    if m == 0:
-        count = t * c
-        return TokenBudget(label, "com",
-                           count, f"{t} frames x {c} tokens, no separators = {count}")
-    if t % m != 0:
-        raise ConfigError(f"com.sep_period {m} must divide video.total_frames {t}")
-    groups = t // m
-    per_group = m * c + 1
-    count = groups * per_group
-    return TokenBudget(label, "com",
-                       count, f"{groups} groups x ({m} frames x {c} tokens + 1 sep) "
-                              f"= {groups} x {per_group} = {count}")
-
-
-_BUDGET_FNS = {"image": _image_budget, "stc": _stc_budget, "com": _com_budget}
-
-
 def compute_token_budget(cfg: Config) -> list[TokenBudget]:
     """Closed-form token count per projector slot."""
-    labels = cfg.slot_labels()
-    kinds = cfg["projectors.kinds"]
-    return [_BUDGET_FNS[kind](cfg, label) for label, kind in zip(labels, kinds)]
+    return [TokenBudget(label, kind, *PROJECTOR_CLASSES[kind].budget(cfg))
+            for label, kind in zip(cfg.slot_labels(), cfg["projectors.kinds"])]
 
 
 def validate_alignment(budgets: list[TokenBudget]) -> AlignmentReport:
     """ok iff all counts are equal; otherwise a report naming the offenders."""
     counts = [b.count for b in budgets]
-    lines = [f"  {b.label} ({SOURCE_TAGS[b.kind]}): {b.derivation}" for b in budgets]
+    lines = [f"  {b.label} ({PROJECTOR_CLASSES[b.kind].tag}): {b.derivation}"
+             for b in budgets]
     if len(set(counts)) == 1:
         return AlignmentReport(True, "\n".join(lines))
     majority = max(set(counts), key=counts.count)
@@ -178,6 +116,20 @@ class ImageProjector(Module):
     """Frame-local MLP2x-GELU projector; no cross-frame mixing by design."""
 
     kind = "image"
+    tag = "image-based"
+    reads_clip = False
+
+    @staticmethod
+    def budget(cfg: Config) -> tuple[int, str]:
+        t = cfg["sampler.frames"]
+        pg = cfg.patch_grid()
+        pre = cfg["img.prepool"]
+        g = _ceil_div(pg, pre)
+        seps = t if cfg["img.separator"] else 0
+        count = t * g * g + seps
+        pool_note = f" (pre-pooled {pg}->{g})" if pre > 1 else ""
+        sep_note = f" + {seps} separators" if seps else ""
+        return count, f"{t} frames x {g}x{g} grid{pool_note}{sep_note} = {count}"
 
     def __init__(self, cfg: Config, rng: Rng):
         d_in = cfg["encoder.dim"]
@@ -205,6 +157,26 @@ class StcProjector(Module):
     """Spatial-temporal 3D-conv connector over the sampled frame grid."""
 
     kind = "stc"
+    tag = "spatial-temporal"
+    reads_clip = False
+
+    @staticmethod
+    def budget(cfg: Config) -> tuple[int, str]:
+        k = cfg["stc.kernel"]
+        stride = cfg["stc.stride"]
+        pad = cfg["stc.pad"]
+        pg = cfg.patch_grid()
+        dims = (cfg["sampler.frames"], pg, pg)
+        chain = [dims]
+        for _ in range(cfg["stc.blocks"]):
+            try:
+                dims = conv3d_out_dims(dims, k, stride, pad)
+            except TensorError as exc:
+                raise ConfigError(f"stc {exc}") from exc
+            chain.append(dims)
+        count = dims[0] * dims[1] * dims[2]
+        path = " -> ".join("x".join(str(d) for d in c) for c in chain)
+        return count, f"conv k={k} stride={stride} pad={pad}: {path} = {count}"
 
     def __init__(self, cfg: Config, rng: Rng):
         d_in = cfg["encoder.dim"]
@@ -252,6 +224,31 @@ class ComProjector(Module):
     """
 
     kind = "com"
+    tag = "token-compress"
+    reads_clip = True
+
+    @staticmethod
+    def budget(cfg: Config) -> tuple[int, str]:
+        t = cfg["video.total_frames"]
+        c = cfg["com.context"] + cfg["com.content"]
+        m = cfg["com.sep_period"]
+        if c == 0:
+            raise ConfigError("com projector needs at least one context or content token")
+        if cfg["com.content"]:
+            (bh, bw), pg = _bin_layout(cfg["com.content"]), cfg.patch_grid()
+            if max(bh, bw) > pg:
+                raise ConfigError(f"com.content {cfg['com.content']} pools into {bh}x{bw} "
+                                  f"bins, more than the {pg}x{pg} patch grid holds")
+        if m == 0:
+            count = t * c
+            return count, f"{t} frames x {c} tokens, no separators = {count}"
+        if t % m != 0:
+            raise ConfigError(f"com.sep_period {m} must divide video.total_frames {t}")
+        groups = t // m
+        per_group = m * c + 1
+        count = groups * per_group
+        return count, (f"{groups} groups x ({m} frames x {c} tokens + 1 sep) "
+                       f"= {groups} x {per_group} = {count}")
 
     def __init__(self, cfg: Config, rng: Rng):
         d_in = cfg["encoder.dim"]
@@ -296,8 +293,4 @@ class ComProjector(Module):
         return VisualTokens(tokens=tokens)
 
 
-PROJECTOR_CLASSES = {"image": ImageProjector, "stc": StcProjector, "com": ComProjector}
-
-
-def build_projector(kind: str, cfg: Config, rng: Rng):
-    return PROJECTOR_CLASSES[kind](cfg, rng)
+PROJECTOR_CLASSES = {cls.kind: cls for cls in (ImageProjector, StcProjector, ComProjector)}

@@ -217,9 +217,7 @@ def batch_stream(cfg: Config, stage: str, seed: int) -> Iterator[Batch]:
     """
     video_specs = {fam: spec_from_config(cfg, fam) for fam in FAMILIES}
     image_spec = spec_from_config(cfg, "detail", total_frames=1)
-    kinds = cfg["projectors.kinds"]
-    has_image_slot = any(kinds[i] == "image" for i in cfg.active_slots())
-    image_ratio = cfg["train.image_ratio"] if has_image_slot else 0.0
+    image_ratio = cfg["train.image_ratio"] if cfg.image_slot() is not None else 0.0
     batch_size = cfg["train.batch"]
     base = 0 if stage == "pretrain" else TUNE_INDEX_BASE
 

@@ -47,6 +47,12 @@ class TestEvaluate:
             assert abs(report.mean_gates[fam].sum() - 1.0) < 1e-12
         assert 0.0 <= report.combined <= 1.0
 
+    def test_concat_reports_uniform_gates_over_active_slots_only(self):
+        cfg = default_config().replace(train__strategy="concat",
+                                       projectors__active=("image", "stc"))
+        report = evaluate(FusionModel(cfg, seed=3), families=("detail",), n=4)
+        np.testing.assert_array_equal(report.mean_gates["detail"], [0.5, 0.5, 0.0])
+
     def test_csv_renderings(self):
         model = FusionModel(default_config(), seed=3)
         report = evaluate(model, n=8)

@@ -76,6 +76,21 @@ class TestTokens:
         assert run_cli("tokens", "--config", str(bad)) == 2
         assert capsys.readouterr().err == "error: stc kernel 40 exceeds padded extent 10\n"
 
+    # Digests of the full stdout, so every budget derivation, the report
+    # tags and the mismatch lines are checked byte for byte.
+    @pytest.mark.parametrize("config, code, digest", [
+        ("configs/desk.cfg", 0,
+         "61a4e9005fecd9435ecb3469e15e3d319ae72661a9d90178a8c6720b5c7a5186"),
+        ("configs/full_scale.cfg", 0,
+         "a5e5a8d6af67010a31dc0a6b633a71c622705c3b7e07a5155f7eee5a310024fd"),
+        ("configs/stc_unmodified.cfg", 2,
+         "8eb816f46da5f8cf0b19e66c732c0f3da8bbe8bacfeeade55d51be31de715e5f"),
+    ])
+    def test_report_pinned(self, capsys, config, code, digest):
+        assert run_cli("tokens", "--config", config) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTrainEval:
     def test_pipeline_and_artifacts(self, tmp_path, fast_cfg, capsys):
@@ -354,6 +369,18 @@ class TestAblateCommand:
                        "--tune-steps", "2", "--n", "8", "--out", str(out)) == 0
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 3 singletons + full set
+
+    def test_subset_mode_on_stacked_slots(self, tmp_path):
+        cfg = tmp_path / "stacked.cfg"
+        cfg.write_text(FAST + "projectors.kinds = stc,stc,stc\n"
+                              "projectors.active = stc0,stc1,stc2\n")
+        out = tmp_path / "sub"
+        assert run_cli("ablate", "--config", str(cfg), "--mode", "subset",
+                       "--seeds", "1", "--pretrain-steps", "1",
+                       "--tune-steps", "1", "--n", "4", "--out", str(out)) == 0
+        rows = (out / "ablation.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["stc0", "stc1", "stc2",
+                                                   "stc0+stc1+stc2"]
 
     @pytest.mark.parametrize("seeds", ["", ",", " , "])
     def test_empty_seed_list_exits_2(self, tmp_path, fast_cfg, capsys, seeds):

@@ -8,10 +8,12 @@ one of the package's modules (``tasks.batch_stream``) or a string constant;
 a method as an attribute or a string constant (the benchmark's tracer patches
 methods by name).  A method reference is attributed to one class when its
 receiver names that class (``tape.backward`` and ``Tape.backward`` call
-``Tape``'s method, not ``Tensor``'s) or when the string sits in a tuple next
-to the class (``(tensor.Tape, "backward", ...)``); an attribute of
-``<expr>.data`` is a numpy array's and counts for no class; any other
-reference counts for every class that defines the name.  A function's own
+``Tape``'s method, not ``Tensor``'s), when the receiver is a local name that
+only a call of one package class binds (``m = FusionModel(...)``) or a
+parameter annotated with one (``model: FusionModel``), or when the string
+sits in a tuple next to the class (``(tensor.Tape, "backward", ...)``); an
+attribute of ``<expr>.data`` is a numpy array's and counts for no class; any
+other reference counts for every class that defines the name.  A function's own
 arguments and assignment targets are local variables, and any assignment
 target is a store, not a use; names listed in ``__all__`` and import
 statements are exports.
@@ -98,15 +100,41 @@ def _definitions(package: dict[str, ast.Module]) -> list[tuple[str, str | None, 
     return found
 
 
-class _References(ast.NodeVisitor):
-    """Collects (name, receiver or None, kind, file, line) for one file."""
+def _class_names(package: dict[str, ast.Module]) -> set[str]:
+    return {node.name for tree in package.values() for node in tree.body
+            if isinstance(node, ast.ClassDef)}
 
-    def __init__(self, file: str, out: list):
+
+def _typed_names(fn: ast.FunctionDef, classes: set[str]) -> dict[str, str]:
+    """Local name -> class for each name of ``fn`` whose every binding is a
+    parameter annotated with that class or a call of it."""
+    calls = {id(target): _last_name(node.value.func) for node in ast.walk(fn)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             for target in node.targets if isinstance(target, ast.Name)}
+    bindings: dict[str, set] = {}
+    for arg in ast.walk(fn.args):
+        if isinstance(arg, ast.arg):
+            bindings.setdefault(arg.arg, set()).add(_last_name(arg.annotation)
+                                                    if arg.annotation else None)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bindings.setdefault(node.id, set()).add(calls.get(id(node)))
+    return {name: cls for name, found in bindings.items() if len(found) == 1
+            for cls in found if cls in classes}
+
+
+class _References(ast.NodeVisitor):
+    """Collects (name, receiver or None, kind, file, line) for one file;
+    ``package_classes`` are the classes a local name's binding can name."""
+
+    def __init__(self, file: str, out: list, package_classes: set[str]):
         self.file = file
         self.out = out
+        self.package_classes = package_classes
         self.classes: list[str] = []
         self.tuples: list[ast.Tuple] = []
         self.local_names: list[set[str]] = []
+        self.typed_names: list[dict[str, str]] = []
 
     def add(self, name, receiver, kind, node):
         self.out.append((name, receiver, kind, self.file, node.lineno))
@@ -123,8 +151,10 @@ class _References(ast.NodeVisitor):
         bound |= {n.id for n in ast.walk(node)
                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
         self.local_names.append(bound)
+        self.typed_names.append(_typed_names(node, self.package_classes))
         self.generic_visit(node)
         self.local_names.pop()
+        self.typed_names.pop()
 
     def visit_Assign(self, node):
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -146,6 +176,12 @@ class _References(ast.NodeVisitor):
         receiver = _last_name(node.value)
         if receiver == "self" and self.classes:
             receiver = self.classes[-1]
+        elif isinstance(node.value, ast.Name):
+            # The innermost function binding the name decides its class.
+            for bound, typed in zip(reversed(self.local_names), reversed(self.typed_names)):
+                if receiver in bound:
+                    receiver = typed.get(receiver, receiver)
+                    break
         if receiver == "data" and isinstance(node.value, ast.Attribute):
             receiver = NUMPY
         self.add(node.attr, receiver, "attr", node)
@@ -157,10 +193,10 @@ class _References(ast.NodeVisitor):
             self.add(node.value, owners, "str", node)
 
 
-def _references(users: dict[str, ast.Module]) -> list:
+def _references(users: dict[str, ast.Module], package_classes: set[str]) -> list:
     out: list = []
     for file, tree in users.items():
-        _References(file, out).visit(tree)
+        _References(file, out, package_classes).visit(tree)
     return out
 
 
@@ -178,7 +214,7 @@ def unused_definitions(package: dict[str, ast.Module],
                        users: dict[str, ast.Module]) -> list[tuple[str, str | None, str]]:
     """(file, owning class or None, name) of every definition without a use."""
     defs = _definitions(package)
-    refs = _references(users)
+    refs = _references(users, _class_names(package))
     classes_by_method: dict[str, set[str]] = {}
     for name, owner, *_ in defs:
         if owner is not None:
@@ -276,6 +312,31 @@ def test_numpy_attribute_is_no_method_use():
                     "def count(x):\n"
                     "    return x.size\n")
     assert ("snippet.py", "Tensor", "size") not in unused_definitions(tree, tree)
+
+
+def test_receiver_bound_to_a_class_reaches_only_its_method():
+    # ``m = Model()`` and ``m: Model`` name the class a call on ``m`` reaches,
+    # so another class's method of the same name stays unused; a receiver
+    # bound otherwise still reaches every class defining the name.
+    source = ("class Model:\n"
+              "    def reset(self):\n"
+              "        return 0\n"
+              "\n"
+              "class Tensor:\n"
+              "    def reset(self):\n"
+              "        return 1\n"
+              "\n")
+    for use in ("def f():\n    m = Model()\n    return m.reset()\n",
+                "def f(m: Model):\n    return m.reset()\n"):
+        unused = unused_definitions(_snippet(source + use), _snippet(source + use))
+        assert ("snippet.py", "Tensor", "reset") in unused
+        assert ("snippet.py", "Model", "reset") not in unused
+    for use in ("def f(m):\n    return m.reset()\n",
+                "def f(load):\n    m = load()\n    return m.reset()\n",
+                "def f(m: Model):\n    m = Tensor()\n    return m.reset()\n"):
+        unused = unused_definitions(_snippet(source + use), _snippet(source + use))
+        assert ("snippet.py", "Tensor", "reset") not in unused
+        assert ("snippet.py", "Model", "reset") not in unused
 
 
 def test_unread_module_constant_is_unused():

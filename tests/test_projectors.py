@@ -6,9 +6,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from reference_ops import grad_check, tsum
-from vpfuse.config import ConfigError, default_config, parse_config
+from vpfuse.config import PROJECTOR_KINDS, ConfigError, default_config, parse_config
 from vpfuse.encoders import InstructionEncoder, VideoEncoder
 from vpfuse.projectors import (
+    PROJECTOR_CLASSES,
     ComProjector,
     ImageProjector,
     StcProjector,
@@ -35,6 +36,11 @@ STC_UNMODIFIED = FULL_SCALE + "stc.pad = 1,0,0\n"
 def desk_cfg(**overrides):
     cfg = default_config()
     return cfg.replace(**overrides) if overrides else cfg
+
+
+def test_one_class_per_config_kind():
+    assert tuple(PROJECTOR_CLASSES) == PROJECTOR_KINDS
+    assert all(cls.kind == kind for kind, cls in PROJECTOR_CLASSES.items())
 
 
 class TestTokenBudget:
