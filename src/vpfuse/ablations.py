@@ -5,8 +5,8 @@ list per mode (fusion strategy, projector subset, stacked projectors), and
 one loop, ``run_arms``, that trains a two-stage model per (arm, seed) from
 scratch and evaluates it.  Runs that share a seed consume identical data
 streams, so cross-arm comparisons differ only in the component under
-ablation.  Reports come back both as structured objects and as deterministic
-CSV/plain-text renderings.
+ablation.  Each table row keeps its arm's report per seed; the deterministic
+CSV and plain-text renderings compute each mean and sd from those reports.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import PROJECTOR_KINDS, STRATEGIES, Config
+from .config import PROJECTOR_KINDS, STRATEGIES, Config, slot_labels
 from .model import Batch, FusionModel
 from .router import make_strategy, scatter_gates
 from .tasks import FAMILIES, batch_stream, eval_batches
@@ -122,8 +122,13 @@ def run_two_stage(cfg: Config, seed: int,
 @dataclass
 class AblationRow:
     name: str
-    per_family: dict[str, tuple[float, float]]  # family -> (mean, sd)
-    combined: tuple[float, float]
+    reports: list[EvalReport]  # one per seed, in seed order
+
+    def stats(self, column: str) -> tuple[float, float]:
+        """Mean and population sd over seeds of a family's or the combined accuracy."""
+        vals = [r.combined if column == "combined" else r.accuracy[column]
+                for r in self.reports]
+        return float(np.mean(vals)), float(np.std(vals))
 
 
 @dataclass
@@ -131,45 +136,30 @@ class AblationTable:
     mode: str
     rows: list[AblationRow]
 
+    def columns(self) -> list[str]:
+        """The reports' families, then "combined"."""
+        return list(self.rows[0].reports[0].accuracy) + ["combined"]
+
     def to_csv(self) -> str:
-        header = ["mode", "name"]
-        for fam in FAMILIES:
-            header += [f"{fam}_mean", f"{fam}_sd"]
-        header += ["combined_mean", "combined_sd"]
+        columns = self.columns()
+        header = ["mode", "name"] + [f"{c}_{s}" for c in columns for s in ("mean", "sd")]
         lines = [",".join(header)]
         for row in self.rows:
-            cells = [self.mode, row.name]
-            for fam in FAMILIES:
-                m, s = row.per_family[fam]
-                cells += [f"{m:.6f}", f"{s:.6f}"]
-            cells += [f"{row.combined[0]:.6f}", f"{row.combined[1]:.6f}"]
+            cells = [self.mode, row.name] + [f"{v:.6f}" for c in columns for v in row.stats(c)]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        names = ["arm"] + [f[:7] for f in FAMILIES] + ["combined"]
+        columns = self.columns()
+        names = ["arm"] + [c[:7] for c in columns[:-1]] + ["combined"]
         widths = [max(len(names[0]), max(len(r.name) for r in self.rows))]
-        widths += [12] * (len(FAMILIES) + 1)
+        widths += [12] * len(columns)
         out = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
         for row in self.rows:
             cells = [row.name.ljust(widths[0])]
-            for fam in FAMILIES:
-                m, s = row.per_family[fam]
-                cells.append(f"{m:.3f}±{s:.3f}".ljust(12))
-            m, s = row.combined
-            cells.append(f"{m:.3f}±{s:.3f}".ljust(12))
+            cells += [f"{m:.3f}±{s:.3f}".ljust(12) for m, s in map(row.stats, columns)]
             out.append("  ".join(cells))
         return "\n".join(out) + "\n"
-
-
-def _aggregate(name: str, reports: list[EvalReport]) -> AblationRow:
-    per_family = {}
-    for fam in FAMILIES:
-        vals = [r.accuracy[fam] for r in reports]
-        per_family[fam] = (float(np.mean(vals)), float(np.std(vals)))
-    combined = [r.combined for r in reports]
-    return AblationRow(name=name, per_family=per_family,
-                       combined=(float(np.mean(combined)), float(np.std(combined))))
 
 
 def strategy_arms(cfg: Config) -> list[tuple[str, Config]]:
@@ -186,9 +176,10 @@ def subset_arms(cfg: Config) -> list[tuple[str, Config]]:
 
 
 def stacked_config(cfg: Config, kind: str) -> Config:
-    """Config for three independently initialized projectors of one kind."""
-    return cfg.replace(projectors__kinds=(kind,) * 3,
-                       projectors__active=tuple(f"{kind}{i}" for i in range(3)))
+    """Config for independently initialized projectors of one kind, one per
+    slot of ``cfg``, all active."""
+    kinds = (kind,) * len(cfg["projectors.kinds"])
+    return cfg.replace(projectors__kinds=kinds, projectors__active=slot_labels(kinds))
 
 
 def stacked_arms(cfg: Config) -> list[tuple[str, Config]]:
@@ -208,9 +199,7 @@ def run_arms(mode: str, arms: Sequence[tuple[str, Config]], seeds: Sequence[int]
     """One trained and evaluated model per (arm, seed); one row per arm."""
     if len(seeds) < 1:
         raise ValueError("at least one seed required")
-    rows = []
-    for name, cfg in arms:
-        reports = [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps), n=n_eval)
-                   for seed in seeds]
-        rows.append(_aggregate(name, reports))
+    rows = [AblationRow(name, [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps),
+                                        n=n_eval) for seed in seeds])
+            for name, cfg in arms]
     return AblationTable(mode=mode, rows=rows)

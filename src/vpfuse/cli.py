@@ -6,11 +6,13 @@ CSV + manifest), `eval` (report files), `route` (gates for an instruction),
 
 Exit codes are a stable scripting contract: 0 success, 1 runtime failure,
 2 validation failure (bad config, misaligned budgets, malformed arguments).
-Every run directory is created exclusively and contains a manifest written
-at run start from which the run is reproducible.  Its ``status`` reads
+Every run directory is created exclusively and contains a manifest from
+which the run is reproducible: `train` creates its directory before
+training, `eval` and `ablate` only once evaluation has finished, so a failed
+eval or ablation leaves no directory.  The manifest's ``status`` reads
 ``running`` until every artifact is written; it is then rewritten with
-``ok`` and the command's wall time, ``wall_s``.  A run that failed keeps
-``running``.
+``ok`` and the command's wall time, ``wall_s``.  A train run that failed
+keeps ``running``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import platform
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy
@@ -113,22 +117,21 @@ def _reject_taken_out(path: str) -> None:
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
 
 
-def _make_run_dir(path: str) -> Path:
+@contextmanager
+def _run_dir(path: str, started: float, cfg: Config, seed: int, command: str,
+             end_step: int, artifacts: list[str]) -> Iterator[Path]:
+    """Create the run directory exclusively and write its manifest, ``status``
+    running; once the block has written every artifact, rewrite it with
+    ``ok`` and ``wall_s``, the seconds since the command's ``started`` perf
+    counter.  A block that raises leaves ``running``."""
     run_dir = Path(path)
     run_dir.parent.mkdir(parents=True, exist_ok=True)
     run_dir.mkdir(exist_ok=False)  # collisions are an error by contract
-    return run_dir
-
-
-def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
-                    start_step: int, end_step: int, artifacts: list[str]) -> dict:
-    """Write the run-start manifest, ``status`` running; return it."""
     manifest = {
-        "status": "running",
         "tool_version": __version__,
         "command": command,
         "seed": seed,
-        "start_step": start_step,
+        "start_step": 0,
         "end_step": end_step,
         "artifacts": artifacts,
         "config": cfg.serialize(),
@@ -139,17 +142,15 @@ def _write_manifest(run_dir: Path, cfg: Config, seed: int, command: str,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    _write_atomic(run_dir / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
+    def write(**fields) -> None:
+        manifest.update(fields)
+        _write_atomic(run_dir / "manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-def _finish_manifest(run_dir: Path, manifest: dict, started: float) -> None:
-    """Rewrite the manifest once every artifact is written: ``status`` ok and
-    ``wall_s``, the seconds since the command's ``started`` perf counter."""
-    manifest.update(status="ok", wall_s=time.perf_counter() - started)
-    _write_atomic(run_dir / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write(status="running")
+    yield run_dir
+    write(status="ok", wall_s=time.perf_counter() - started)
 
 
 def _loss_csv(curve) -> str:
@@ -191,14 +192,11 @@ def cmd_train(args) -> int:
     # Every check on the config runs before the run directory exists.
     batches, tc = stage_recipe(model, args.stage, args.steps)
 
-    run_dir = _make_run_dir(args.out)
-    manifest = _write_manifest(run_dir, cfg, tc.seed, f"train --stage {args.stage}",
-                               0, tc.steps, ["model.octo", "loss.csv"])
-    result = train(model, batches, tc)
-
-    save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
-    _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
-    _finish_manifest(run_dir, manifest, started)
+    with _run_dir(args.out, started, cfg, tc.seed, f"train --stage {args.stage}",
+                  tc.steps, ["model.octo", "loss.csv"]) as run_dir:
+        result = train(model, batches, tc)
+        save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
+        _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
     print(f"{args.stage}: {tc.steps} steps, final loss {result.final_loss:.6f}")
     print(f"artifacts in {run_dir}")
     return EXIT_OK
@@ -211,12 +209,6 @@ def cmd_eval(args) -> int:
     families = args.families
     report = evaluate(model, families=families, n=args.n)
 
-    run_dir = _make_run_dir(args.out)
-    manifest = _write_manifest(run_dir, cfg, cfg["train.seed"], "eval", 0, 0,
-                               ["accuracy.csv", "gates.csv", "report.txt"])
-    _write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
-    _write_atomic(run_dir / "gates.csv", report.gate_csv())
-
     width = max(len(f) for f in families)
     names = [col.removeprefix("p_") for col in report.gate_columns]
     lines = [f"strategy: {report.strategy}   n per family: {report.n_per_family}"]
@@ -227,8 +219,11 @@ def cmd_eval(args) -> int:
                      f"gates {gates}")
     lines.append(f"combined accuracy: {report.combined:.3f}")
     text = "\n".join(lines) + "\n"
-    _write_atomic(run_dir / "report.txt", text)
-    _finish_manifest(run_dir, manifest, started)
+    with _run_dir(args.out, started, cfg, cfg["train.seed"], "eval", 0,
+                  ["accuracy.csv", "gates.csv", "report.txt"]) as run_dir:
+        _write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
+        _write_atomic(run_dir / "gates.csv", report.gate_csv())
+        _write_atomic(run_dir / "report.txt", text)
     print(text, end="")
     return EXIT_OK
 
@@ -259,12 +254,10 @@ def cmd_ablate(args) -> int:
     _reject_taken_out(args.out)
     table = run_arms(args.mode, arms, args.seeds, args.pretrain_steps, args.tune_steps, args.n)
 
-    run_dir = _make_run_dir(args.out)
-    manifest = _write_manifest(run_dir, cfg, args.seeds[0], f"ablate --mode {args.mode}",
-                               0, 0, ["ablation.csv", "ablation.txt"])
-    _write_atomic(run_dir / "ablation.csv", table.to_csv())
-    _write_atomic(run_dir / "ablation.txt", table.to_text())
-    _finish_manifest(run_dir, manifest, started)
+    with _run_dir(args.out, started, cfg, args.seeds[0], f"ablate --mode {args.mode}", 0,
+                  ["ablation.csv", "ablation.txt"]) as run_dir:
+        _write_atomic(run_dir / "ablation.csv", table.to_csv())
+        _write_atomic(run_dir / "ablation.txt", table.to_text())
     print(table.to_text(), end="")
     return EXIT_OK
 

@@ -149,6 +149,12 @@ _PARSERS = {
 }
 
 
+def slot_labels(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    """Unique label per projector slot; index-suffixed when kinds repeat."""
+    return tuple(kind if kinds.count(kind) == 1 else f"{kind}{i}"
+                 for i, kind in enumerate(kinds))
+
+
 class Config:
     """Validated key/value view with dict-style access.
 
@@ -194,12 +200,7 @@ class Config:
         return g // p
 
     def slot_labels(self) -> tuple[str, ...]:
-        """Unique label per projector slot; index-suffixed when kinds repeat."""
-        kinds = self["projectors.kinds"]
-        labels = []
-        for i, kind in enumerate(kinds):
-            labels.append(kind if kinds.count(kind) == 1 else f"{kind}{i}")
-        return tuple(labels)
+        return slot_labels(self["projectors.kinds"])
 
     def active_slots(self) -> tuple[int, ...]:
         labels = self.slot_labels()

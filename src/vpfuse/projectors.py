@@ -84,6 +84,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _sampled_frames(cfg: Config) -> int:
+    """``sampler.frames``, which cannot exceed the frames a video holds."""
+    t, total = cfg["sampler.frames"], cfg["video.total_frames"]
+    if t > total:
+        raise ConfigError(f"sampler.frames {t} exceeds video.total_frames {total}")
+    return t
+
+
 def compute_token_budget(cfg: Config) -> list[TokenBudget]:
     """Closed-form token count per projector slot."""
     return [TokenBudget(label, kind, *PROJECTOR_CLASSES[kind].budget(cfg))
@@ -121,7 +129,7 @@ class ImageProjector(Module):
 
     @staticmethod
     def budget(cfg: Config) -> tuple[int, str]:
-        t = cfg["sampler.frames"]
+        t = _sampled_frames(cfg)
         pg = cfg.patch_grid()
         pre = cfg["img.prepool"]
         g = _ceil_div(pg, pre)
@@ -166,7 +174,7 @@ class StcProjector(Module):
         stride = cfg["stc.stride"]
         pad = cfg["stc.pad"]
         pg = cfg.patch_grid()
-        dims = (cfg["sampler.frames"], pg, pg)
+        dims = (_sampled_frames(cfg), pg, pg)
         chain = [dims]
         for _ in range(cfg["stc.blocks"]):
             try:

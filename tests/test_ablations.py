@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from vpfuse.ablations import (
+    AblationRow,
+    AblationTable,
+    EvalReport,
     evaluate,
     run_arms,
     run_two_stage,
@@ -12,7 +15,7 @@ from vpfuse.ablations import (
     strategy_arms,
     subset_arms,
 )
-from vpfuse.config import STRATEGIES, ConfigError, default_config
+from vpfuse.config import PROJECTOR_KINDS, STRATEGIES, ConfigError, default_config
 from vpfuse.model import FusionModel
 
 pytestmark = pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
@@ -60,6 +63,21 @@ class TestEvaluate:
         assert report.accuracy_csv().splitlines()[-1].startswith("combined,")
 
 
+def test_table_is_computed_from_its_reports():
+    # Two seeds' reports over one family: the table has that family's
+    # columns and the combined ones, each a mean and population sd.
+    def report(acc):
+        return EvalReport(accuracy={"detail": acc}, mean_gates={"detail": np.ones(3) / 3},
+                          n_per_family=8, strategy="router",
+                          gate_columns=("p_img", "p_stc", "p_com"))
+
+    table = AblationTable("strategy", [AblationRow("router", [report(0.25), report(0.625)])])
+    m, s = np.mean([0.25, 0.625]), np.std([0.25, 0.625])
+    assert table.to_csv() == ("mode,name,detail_mean,detail_sd,combined_mean,combined_sd\n"
+                              f"strategy,router,{m:.6f},{s:.6f},{m:.6f},{s:.6f}\n")
+    assert table.to_text().splitlines()[0].split() == ["arm", "detail", "combined"]
+
+
 class TestHarnesses:
     def test_strategy_table_has_row_per_strategy(self):
         table = run_arms("strategy", strategy_arms(tiny_cfg()), seeds=(1,),
@@ -87,6 +105,9 @@ class TestHarnesses:
                                               "stacked-com", "fusion"]
         assert arms[1][1].serialize() == cfg.serialize()
         assert arms[-1][1].serialize() == tiny_cfg().serialize()
+        for kind in PROJECTOR_KINDS:
+            stacked = stacked_config(tiny_cfg(), kind)
+            assert stacked["projectors.active"] == stacked.slot_labels()
 
     def test_determinism_same_seeds_same_csv(self):
         cfg = tiny_cfg()

@@ -15,7 +15,7 @@ import scipy
 from vpfuse.ablations import stacked_config
 from vpfuse.checkpoint import save_checkpoint
 from vpfuse.cli import main
-from vpfuse.config import parse_config
+from vpfuse.config import ConfigError, parse_config
 from vpfuse.model import FusionModel
 from vpfuse import ablations, cli, tensor
 
@@ -75,6 +75,18 @@ class TestTokens:
         bad.write_text("stc.kernel = 40\n")
         assert run_cli("tokens", "--config", str(bad)) == 2
         assert capsys.readouterr().err == "error: stc kernel 40 exceeds padded extent 10\n"
+
+    def test_more_sampled_than_total_frames_exits_2(self, tmp_path, capsys):
+        # Every slot counts 640 tokens here, but no video can be sampled.
+        text = ("sampler.frames = 40\ncom.context = 20\ncom.content = 0\n"
+                "com.sep_period = 0\n")
+        bad = tmp_path / "frames.cfg"
+        bad.write_text(text)
+        assert run_cli("tokens", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == ("error: sampler.frames 40 exceeds "
+                                           "video.total_frames 32\n")
+        with pytest.raises(ConfigError, match="sampler.frames 40"):
+            FusionModel(parse_config(text), seed=1)
 
     # Digests of the full stdout, so every budget derivation, the report
     # tags and the mismatch lines are checked byte for byte.
@@ -327,6 +339,24 @@ def test_non_finite_forward_exits_1(tmp_path, capsys):
     assert run_cli("eval", "--ckpt", str(ckpt), "--out", str(tmp_path / "ev")) == 1
     # The error line alone: no numpy overflow warning ahead of it.
     assert capsys.readouterr().err == "error: op 'linear' produced non-finite values\n"
+    # eval creates its run directory only after evaluating.
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "train --stage pretrain --config {cfg} --steps 1",
+    "eval --ckpt {ckpt} --n 4",
+    "ablate --config {cfg} --mode strategy --seeds 1 --pretrain-steps 1 --tune-steps 1 --n 4",
+])
+def test_manifest_keys(tmp_path, fast_cfg, command):
+    ckpt = untrained_ckpt(tmp_path, parse_config(FAST))
+    out = tmp_path / "run"
+    assert run_cli(*command.format(cfg=fast_cfg, ckpt=ckpt).split(), "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"status", "tool_version", "command", "seed", "start_step",
+                             "end_step", "artifacts", "config", "row_workers",
+                             "blas_threads", "python", "numpy", "scipy", "wall_s"}
+    assert manifest["status"] == "ok"
 
 
 class TestRoute:
