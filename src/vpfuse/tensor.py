@@ -75,23 +75,61 @@ implemented here.  Design points that the rest of the project relies on:
   by thread count, which changes the last bits of weight gradients.  So
   results do not depend on ``OPENBLAS_NUM_THREADS`` or on the core count.
   ``_BLAS_THREADS`` is 1, or ``None`` on a numpy build without that library.
+- GELU's standard normal CDF is scipy's ``ndtr`` ufunc, which ``_load_ndtr``
+  loads from its extension module ``scipy/special/_special_ufuncs`` alone.
+  ``from scipy.special import ndtr`` would import the whole package, whose
+  array-API layer pulls in ``numpy.f2py``, ``numpy.testing`` and more: about
+  0.3 s and 20 MiB of every process's start-up.  It is the same ufunc object
+  as ``scipy.special.ndtr`` in either import order, so results are unchanged;
+  where that private module is missing or has no ``ndtr``, the package
+  import is the fallback.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
 import queue
+import sys
 import threading
 import weakref
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF, vectorized
+
+
+def _load_ndtr() -> np.ufunc:
+    """scipy's ``ndtr`` ufunc without the ``scipy.special`` package import."""
+    name = "scipy.special._special_ufuncs"
+    spec = importlib.util.find_spec("scipy")  # imports nothing
+    roots = spec.submodule_search_locations if spec else ()
+    paths = [Path(root, "special", "_special_ufuncs" + suffix)
+             for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is not None:
+        module = sys.modules.get(name)
+        if module is None:
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            # The load registers the module.  Unregistered again, it is
+            # imported by a later ``import scipy.special`` as usual, with the
+            # same ufunc objects, and bound as that package's attribute.
+            sys.modules.pop(name, None)
+        if hasattr(module, "ndtr"):
+            return module.ndtr
+    # The module is private: an older scipy keeps ``ndtr`` elsewhere.
+    from scipy.special import ndtr
+    return ndtr
+
+
+ndtr = _load_ndtr()  # standard normal CDF, vectorized
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
