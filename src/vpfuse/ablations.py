@@ -3,7 +3,8 @@
 An ablation is a list of arms, each a name and a complete config; one arm
 list per mode (fusion strategy, projector subset, stacked projectors), and
 one loop, ``run_arms``, that trains a two-stage model per (arm, seed) from
-scratch and evaluates it.  Runs that share a seed consume identical data
+scratch and evaluates it, reading every setting (step counts and eval size
+too) from the arm's config.  Runs that share a seed consume identical data
 streams, so cross-arm comparisons differ only in the component under
 ablation.  Each table row keeps its arm's report per seed; the deterministic
 CSV and plain-text renderings compute each mean and sd from those reports.
@@ -19,8 +20,8 @@ import numpy as np
 from .config import PROJECTOR_KINDS, STRATEGIES, Config, slot_labels
 from .model import Batch, FusionModel
 from .router import make_strategy, scatter_gates
-from .tasks import FAMILIES, batch_stream, eval_batches
-from .training import TrainConfig, train
+from .tasks import FAMILIES, TUNE_INDEX_BASE, TaskError, batch_stream, eval_batches
+from .training import STAGES, TrainConfig, train
 
 
 def gate_columns(cfg: Config) -> tuple[str, ...]:
@@ -60,6 +61,8 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
              n: Optional[int] = None) -> EvalReport:
     """Accuracy and mean gates per family on the deterministic eval split.
 
+    ``n``, unless None, replaces ``eval.samples`` of the model's config, which
+    a checkpoint fixes: ``vpfuse eval --n`` and the benchmark pass it.
     Inference runs tape-free.  Random fusion strategies draw from a fresh
     stream (seed 0, stage "eval") so repeated evaluations are reproducible.
     """
@@ -94,28 +97,41 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
                       n_per_family=n, strategy=kind, gate_columns=gate_columns(cfg))
 
 
+def stage_steps(cfg: Config, stage: str, steps: Optional[int]) -> int:
+    """``steps``, or the stage's configured count if None, once checked to
+    keep the stage's batches inside its index range: each stage draws from
+    ``TUNE_INDEX_BASE`` sample indices of its own, below the next stage's
+    and the eval split's."""
+    steps = steps or cfg[f"train.{stage}_steps"]
+    drawn = steps * cfg["train.batch"]
+    if drawn > TUNE_INDEX_BASE:
+        raise TaskError(f"{stage}: {steps} steps of train.batch {cfg['train.batch']} "
+                        f"draw {drawn} samples, more than the stage's {TUNE_INDEX_BASE}")
+    return steps
+
+
 def stage_recipe(model: FusionModel, stage: str,
                  steps: Optional[int]) -> tuple[Iterator[Batch], TrainConfig]:
     """The batch stream and ``TrainConfig`` that ``train`` runs one stage of
     ``model`` with, read from ``model.cfg``; ``steps``, unless None, replaces
-    the stage's configured step count.  The stream's task specs are built
-    here, so a config the tasks cannot draw fails before any training."""
+    the stage's configured step count (``vpfuse train --steps``) outside the
+    config, which a checkpoint records and ``--init`` must match.  The
+    stream's task specs are built here, so a config the tasks cannot draw
+    fails before any training."""
     cfg = model.cfg
     seed = cfg["train.seed"]
-    tc = TrainConfig(stage=stage, steps=steps or cfg[f"train.{stage}_steps"],
+    tc = TrainConfig(stage=stage, steps=stage_steps(cfg, stage, steps),
                      batch_size=cfg["train.batch"], lr=cfg["train.lr"],
                      beta1=cfg["train.beta1"], beta2=cfg["train.beta2"],
                      seed=seed, strategy=cfg["train.strategy"])
     return batch_stream(cfg, stage, seed), tc
 
 
-def run_two_stage(cfg: Config, seed: int,
-                  pretrain_steps: Optional[int] = None,
-                  tune_steps: Optional[int] = None) -> FusionModel:
+def run_two_stage(cfg: Config, seed: int) -> FusionModel:
     """Pretrain then tune one model; stage 2 continues the stage-1 weights."""
     model = FusionModel(cfg.replace(train__seed=seed), seed)
-    for stage, steps in (("pretrain", pretrain_steps), ("tune", tune_steps)):
-        train(model, *stage_recipe(model, stage, steps))
+    for stage in STAGES:
+        train(model, *stage_recipe(model, stage, None))
     return model
 
 
@@ -151,7 +167,7 @@ class AblationTable:
 
     def to_text(self) -> str:
         columns = self.columns()
-        names = ["arm"] + [c[:7] for c in columns[:-1]] + ["combined"]
+        names = ["arm"] + columns
         widths = [max(len(names[0]), max(len(r.name) for r in self.rows))]
         widths += [12] * len(columns)
         out = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
@@ -192,14 +208,15 @@ def stacked_arms(cfg: Config) -> list[tuple[str, Config]]:
 ARMS = {"strategy": strategy_arms, "subset": subset_arms, "stacked": stacked_arms}
 
 
-def run_arms(mode: str, arms: Sequence[tuple[str, Config]], seeds: Sequence[int],
-             pretrain_steps: Optional[int] = None,
-             tune_steps: Optional[int] = None,
-             n_eval: Optional[int] = None) -> AblationTable:
-    """One trained and evaluated model per (arm, seed); one row per arm."""
+def run_arms(mode: str, arms: Sequence[tuple[str, Config]],
+             seeds: Sequence[int]) -> AblationTable:
+    """One trained and evaluated model per (arm, seed); one row per arm.
+    Every arm's stages are checked before the first one runs."""
     if len(seeds) < 1:
         raise ValueError("at least one seed required")
-    rows = [AblationRow(name, [evaluate(run_two_stage(cfg, seed, pretrain_steps, tune_steps),
-                                        n=n_eval) for seed in seeds])
+    for _, cfg in arms:
+        for stage in STAGES:
+            stage_steps(cfg, stage, None)
+    rows = [AblationRow(name, [evaluate(run_two_stage(cfg, seed)) for seed in seeds])
             for name, cfg in arms]
     return AblationTable(mode=mode, rows=rows)

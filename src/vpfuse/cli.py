@@ -7,7 +7,9 @@ CSV + manifest), `eval` (report files), `route` (gates for an instruction),
 Exit codes are a stable scripting contract: 0 success, 1 runtime failure,
 2 validation failure (bad config, misaligned budgets, malformed arguments).
 Every run directory is created exclusively and contains a manifest from
-which the run is reproducible: `train` creates its directory before
+which the run is reproducible: its ``command`` is the whole invocation and
+its ``config`` what ran (for `ablate`, with the step and ``--n`` flags
+applied to their config keys).  `train` creates its directory before
 training, `eval` and `ablate` only once evaluation has finished, so a failed
 eval or ablation leaves no directory.  The manifest's ``status`` reads
 ``running`` until every artifact is written; it is then rewritten with
@@ -22,6 +24,7 @@ import errno
 import json
 import os
 import platform
+import shlex
 import sys
 import tempfile
 import time
@@ -118,18 +121,18 @@ def _reject_taken_out(path: str) -> None:
 
 
 @contextmanager
-def _run_dir(path: str, started: float, cfg: Config, seed: int, command: str,
-             end_step: int, artifacts: list[str]) -> Iterator[Path]:
-    """Create the run directory exclusively and write its manifest, ``status``
-    running; once the block has written every artifact, rewrite it with
-    ``ok`` and ``wall_s``, the seconds since the command's ``started`` perf
-    counter.  A block that raises leaves ``running``."""
-    run_dir = Path(path)
+def _run_dir(args, cfg: Config, seed: int, end_step: int,
+             artifacts: list[str]) -> Iterator[Path]:
+    """Create the run directory ``args.out`` exclusively and write its
+    manifest, ``status`` running; once the block has written every artifact,
+    rewrite it with ``ok`` and ``wall_s``, the seconds since ``main`` parsed
+    the arguments.  A block that raises leaves ``running``."""
+    run_dir = Path(args.out)
     run_dir.parent.mkdir(parents=True, exist_ok=True)
     run_dir.mkdir(exist_ok=False)  # collisions are an error by contract
     manifest = {
         "tool_version": __version__,
-        "command": command,
+        "command": args.invocation,
         "seed": seed,
         "start_step": 0,
         "end_step": end_step,
@@ -150,7 +153,7 @@ def _run_dir(path: str, started: float, cfg: Config, seed: int, command: str,
 
     write(status="running")
     yield run_dir
-    write(status="ok", wall_s=time.perf_counter() - started)
+    write(status="ok", wall_s=time.perf_counter() - args.started)
 
 
 def _loss_csv(curve) -> str:
@@ -173,7 +176,6 @@ def cmd_tokens(args) -> int:
 
 
 def cmd_train(args) -> int:
-    started = time.perf_counter()
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = cfg.replace(train__seed=args.seed)
@@ -192,8 +194,7 @@ def cmd_train(args) -> int:
     # Every check on the config runs before the run directory exists.
     batches, tc = stage_recipe(model, args.stage, args.steps)
 
-    with _run_dir(args.out, started, cfg, tc.seed, f"train --stage {args.stage}",
-                  tc.steps, ["model.octo", "loss.csv"]) as run_dir:
+    with _run_dir(args, cfg, tc.seed, tc.steps, ["model.octo", "loss.csv"]) as run_dir:
         result = train(model, batches, tc)
         save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
         _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
@@ -203,7 +204,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = time.perf_counter()
     model, cfg, _ = load_checkpoint(args.ckpt)
     _reject_taken_out(args.out)
     families = args.families
@@ -219,7 +219,7 @@ def cmd_eval(args) -> int:
                      f"gates {gates}")
     lines.append(f"combined accuracy: {report.combined:.3f}")
     text = "\n".join(lines) + "\n"
-    with _run_dir(args.out, started, cfg, cfg["train.seed"], "eval", 0,
+    with _run_dir(args, cfg, cfg["train.seed"], 0,
                   ["accuracy.csv", "gates.csv", "report.txt"]) as run_dir:
         _write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
         _write_atomic(run_dir / "gates.csv", report.gate_csv())
@@ -248,14 +248,14 @@ def cmd_route(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
+    flags = {"train__pretrain_steps": args.pretrain_steps,
+             "train__tune_steps": args.tune_steps, "eval__samples": args.n}
+    cfg = _load_config(args.config).replace(**{k: v for k, v in flags.items() if v is not None})
     arms = ARMS[args.mode](cfg)
     _reject_taken_out(args.out)
-    table = run_arms(args.mode, arms, args.seeds, args.pretrain_steps, args.tune_steps, args.n)
+    table = run_arms(args.mode, arms, args.seeds)
 
-    with _run_dir(args.out, started, cfg, args.seeds[0], f"ablate --mode {args.mode}", 0,
-                  ["ablation.csv", "ablation.txt"]) as run_dir:
+    with _run_dir(args, cfg, args.seeds[0], 0, ["ablation.csv", "ablation.txt"]) as run_dir:
         _write_atomic(run_dir / "ablation.csv", table.to_csv())
         _write_atomic(run_dir / "ablation.txt", table.to_text())
     print(table.to_text(), end="")
@@ -300,16 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(ARMS), required=True)
     p.add_argument("--seeds", type=_seed_list, default="1,2",
                    help="comma list of distinct seeds")
-    p.add_argument("--pretrain-steps", type=_positive_int)
-    p.add_argument("--tune-steps", type=_positive_int)
-    p.add_argument("--n", type=_positive_int, help="eval samples per family")
+    p.add_argument("--pretrain-steps", type=_positive_int, help="sets train.pretrain_steps")
+    p.add_argument("--tune-steps", type=_positive_int, help="sets train.tune_steps")
+    p.add_argument("--n", type=_positive_int, help="sets eval.samples, per family")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.invocation = shlex.join(argv)
+    args.started = time.perf_counter()
     try:
         # Every op raises NonFiniteError on a NaN or Inf it produces, so
         # numpy's floating-point warnings would only repeat that on stderr.

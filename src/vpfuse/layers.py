@@ -67,9 +67,9 @@ class TransformerBlock(Module):
     """Pre-LN single-head self-attention followed by a GELU feed-forward.
 
     A call runs the block's ops (``composed``) through ``tensor.rowwise``:
-    when a tape records any of its inputs, each op records its own entry;
-    tape-free, the ops run on each chunk of batch rows in turn, and no
-    full-size intermediate is kept.
+    while a tape is open, each op records its own entry as the composed ops
+    would; tape-free, the ops run on each chunk of batch rows in turn, and
+    no full-size intermediate is kept.
     """
 
     def __init__(self, rng: Rng, dim: int, hidden: int):
@@ -86,8 +86,7 @@ class TransformerBlock(Module):
         # A row's work is its widest intermediate's: a chunk's numpy calls
         # must each be large enough to pay for running beside another chunk.
         _, n, d = x.shape
-        return rowwise(self.composed, x, list(self.named_parameters().values()),
-                       n * max(d, self.ffn["w1"].shape[1], n))
+        return rowwise(self.composed, x, n * max(d, self.ffn["w1"].shape[1], n))
 
     def composed(self, x: Tensor) -> Tensor:
         """The block's ops on (B, N, D) rows ``x``."""

@@ -66,7 +66,7 @@ implemented here.  Design points that the rest of the project relies on:
   separate, and the row-local gradients of ``linear`` and ``layer_norm``
   took as long split in two as whole.
 - ``rowwise`` runs a row-local composite of these ops (a transformer block,
-  ``layers.TransformerBlock``): the composed ops when a tape records, else
+  ``layers.TransformerBlock``): the composed ops while a tape is open, else
   the same ops on each row chunk in turn, so only the output is full-size.
   Outputs, gradients and the op named by ``NonFiniteError`` are the
   composed ops' either way.
@@ -453,18 +453,16 @@ def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
     return a[sl] if a.ndim == ndim > 0 and a.shape[0] != 1 else a
 
 
-def rowwise(f: Callable[[Tensor], Tensor], x: Tensor, others: Sequence[Tensor],
-            row_work: int) -> Tensor:
+def rowwise(f: Callable[[Tensor], Tensor], x: Tensor, row_work: int) -> Tensor:
     """``f(x)`` for an ``f`` that is row-local and shape-preserving on the
-    leading axis of ``x``; ``others`` are the other tensors it reads.
+    leading axis of ``x``.
 
-    When a tape records ``x`` or any of ``others``, this is ``f(x)``, and the
-    tape holds the entries of ``f``'s ops.  Otherwise ``f`` runs on each
-    ``_row_chunks`` chunk of ``x`` (``row_work`` elements a row), so only the
-    output is full-size; it is ``f(x)``'s bit for bit.
+    While a tape is open, this is ``f(x)``, and the tape holds the entries of
+    ``f``'s ops.  Otherwise ``f`` runs on each ``_row_chunks`` chunk of ``x``
+    (``row_work`` elements a row), so only the output is full-size; it is
+    ``f(x)``'s bit for bit.
     """
-    inputs = (x, *others)
-    if active_tape() is not None and any(t.requires_grad for t in inputs):
+    if active_tape() is not None:
         return f(x)
     out = np.empty(x.shape)
 
@@ -472,8 +470,8 @@ def rowwise(f: Callable[[Tensor], Tensor], x: Tensor, others: Sequence[Tensor],
         out[sl] = f(Tensor(x.data[sl])).data
 
     _over_rows(fill, x.shape[0], row_work)
-    # No tape records any of it, so no rule is ever called.
-    return _output("rowwise", inputs, out, None)
+    # No tape is open, so no rule is ever called.
+    return _output("rowwise", (x,), out, None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -351,12 +352,15 @@ def test_non_finite_forward_exits_1(tmp_path, capsys):
 def test_manifest_keys(tmp_path, fast_cfg, command):
     ckpt = untrained_ckpt(tmp_path, parse_config(FAST))
     out = tmp_path / "run"
-    assert run_cli(*command.format(cfg=fast_cfg, ckpt=ckpt).split(), "--out", str(out)) == 0
+    argv = command.format(cfg=fast_cfg, ckpt=ckpt).split() + ["--out", str(out)]
+    assert run_cli(*argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"status", "tool_version", "command", "seed", "start_step",
                              "end_step", "artifacts", "config", "row_workers",
                              "blas_threads", "python", "numpy", "scipy", "wall_s"}
     assert manifest["status"] == "ok"
+    # The whole invocation, so that the run can be repeated from it.
+    assert manifest["command"] == shlex.join(argv)
 
 
 class TestRoute:
@@ -464,6 +468,40 @@ class TestAblateCommand:
                            "--tune-steps", "2", "--n", "8", "--out", str(out)) == 0
             csvs.append((out / "ablation.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_manifest_config_reruns_the_table(self, tmp_path):
+        # The step and --n flags are recorded as the config keys they set, so
+        # the manifest's config alone repeats the run.
+        first = tmp_path / "flags"
+        assert run_cli("ablate", "--mode", "strategy", "--seeds", "1",
+                       "--pretrain-steps", "2", "--tune-steps", "2", "--n", "8",
+                       "--out", str(first)) == 0
+        cfg = tmp_path / "recorded.cfg"
+        cfg.write_text(json.loads((first / "manifest.json").read_text())["config"])
+        again = tmp_path / "config"
+        assert run_cli("ablate", "--mode", "strategy", "--seeds", "1",
+                       "--config", str(cfg), "--out", str(again)) == 0
+        assert ((first / "ablation.csv").read_bytes()
+                == (again / "ablation.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        "train --stage tune --steps 32769",
+        "ablate --mode subset --seeds 1 --tune-steps 32769",
+        "ablate --mode strategy --seeds 1 --pretrain-steps 32769",
+    ])
+    def test_stage_past_its_index_range_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # At train.batch 16, step 32769 would draw past the stage's 2^19
+        # sample indices: a tune stage into the eval split.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a stage past its index range")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(ablations, "run_two_stage", no_training)
+        out = tmp_path / "run"
+        assert run_cli(*argv.split(), "--out", str(out)) == 2
+        assert "32769 steps of train.batch 16 draw 524304 samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ablation_csvs_pinned(self, tmp_path):
         # Recorded with one BLAS thread while each mode had its own harness

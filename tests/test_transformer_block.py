@@ -147,8 +147,8 @@ def test_training_block_records_the_composed_tape(shape):
 
 
 def test_open_tape_with_nothing_to_record_stays_empty():
-    # Eval with a tape open (perfbench counts records this way): the block
-    # takes its tape-free path and records nothing, like the composed ops.
+    # Eval with a tape open: the block runs the composed ops, which record
+    # nothing as nothing requires grad.
     x, block = make_block(np.random.RandomState(6), 3, 134, 32, 64)
     weight = np.zeros(x.shape)
     called = run(call, x, block, weight, True)
@@ -162,9 +162,15 @@ def test_block_forward_is_one_split_pass(b, chunks):
     # The decoder's rows at the train and eval batch: chunks of 4 and 16 rows.
     # The block posts one split, and the ops its chunks run split no further.
     x, block = make_block(np.random.RandomState(1), b, 134, 32, 64)
-    with threads(2), Tape(), posted_chunks() as posted:
+    with threads(2), posted_chunks() as posted:
         block(x)
     assert posted == [chunks]
+    # While a tape is open, the block posts the composed ops' splits.
+    with threads(2), Tape(), posted_chunks() as posted:
+        block(x)
+    with threads(2), Tape(), posted_chunks() as composed:
+        composed_block(x, block)
+    assert posted == composed
 
 
 def traced_peak(call):
