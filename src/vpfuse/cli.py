@@ -45,7 +45,7 @@ from .projectors import compute_token_budget, validate_alignment
 from .router import FusionError, gate, scatter_gates
 from .tasks import FAMILIES, TaskError
 from .tensor import NonFiniteError
-from .training import TrainingError, train
+from .training import STAGES, TrainingError, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -121,7 +121,7 @@ def _reject_taken_out(path: str) -> None:
 
 
 @contextmanager
-def _run_dir(args, cfg: Config, seed: int, end_step: int,
+def _run_dir(args, cfg: Config, seed: int | list[int], end_step: int,
              artifacts: list[str]) -> Iterator[Path]:
     """Create the run directory ``args.out`` exclusively and write its
     manifest, ``status`` running; once the block has written every artifact,
@@ -255,7 +255,7 @@ def cmd_ablate(args) -> int:
     _reject_taken_out(args.out)
     table = run_arms(args.mode, arms, args.seeds)
 
-    with _run_dir(args, cfg, args.seeds[0], 0, ["ablation.csv", "ablation.txt"]) as run_dir:
+    with _run_dir(args, cfg, args.seeds, 0, ["ablation.csv", "ablation.txt"]) as run_dir:
         _write_atomic(run_dir / "ablation.csv", table.to_csv())
         _write_atomic(run_dir / "ablation.txt", table.to_text())
     print(table.to_text(), end="")
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tokens)
 
     p = sub.add_parser("train", help="train one stage and write a checkpoint")
-    p.add_argument("--stage", choices=("pretrain", "tune"), required=True)
+    p.add_argument("--stage", choices=STAGES, required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=_positive_int, help="override the configured step count")

@@ -39,7 +39,6 @@ class VideoSample:
 
     frames: np.ndarray  # (T_total, G, G), values in [0, 1]
     answer: int
-    family: str  # detail | motion | counting
     instruction_tokens: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -54,10 +53,6 @@ class VideoSample:
     @property
     def total_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def modality(self) -> str:
-        return "image" if self.total_frames == 1 else "video"
 
 
 @dataclass

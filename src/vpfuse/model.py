@@ -30,23 +30,26 @@ from .router import (
     Router,
     fuse_with_strategy,
     make_strategy,
-    one_hot_gates,
+    scatter_gates,
 )
 from .tensor import Tensor, concat, cross_entropy, embedding, tmean
 
 
 @dataclass
 class Batch:
-    """One homogeneous training/eval batch (shared modality and frame count)."""
+    """One homogeneous training/eval batch: every clip has T frames."""
 
     frames: np.ndarray  # (B, T, G, G)
     labels: np.ndarray  # (B,)
     tokens: np.ndarray  # (B, L)
-    modality: str       # image | video
 
     @property
     def size(self) -> int:
         return self.frames.shape[0]
+
+    @property
+    def modality(self) -> str:
+        return "image" if self.frames.shape[1] == 1 else "video"
 
 
 class Decoder(Module):
@@ -103,15 +106,13 @@ class FusionModel(Module):
         b, t = batch.frames.shape[0], batch.frames.shape[1]
 
         if batch.modality == "image":
-            if t != 1:
-                raise FusionError(f"image modality with {t} frames")
             slot = self.cfg.image_slot()
             if slot is None:
                 raise FusionError("no active image-based projector slot")
             feats = self.visual_encoder.encode(batch.frames, np.array([0]))
             fused = self.projectors[self.labels[slot]](feats)
-            gates = one_hot_gates(b, slot, len(self.labels))
-        elif batch.modality == "video":
+            gates = scatter_gates(np.ones((b, 1)), (slot,), len(self.labels))
+        else:
             if t != self.cfg["video.total_frames"]:
                 raise FusionError(f"video batch has {t} frames, config expects "
                                   f"{self.cfg['video.total_frames']}")
@@ -130,8 +131,6 @@ class FusionModel(Module):
                           for p, clip in zip(projectors, reads_clip)]
             fused, gates = fuse_with_strategy(strategy, instr, embeddings,
                                               self.router, active=self.active)
-        else:
-            raise FusionError(f"unknown modality {batch.modality!r}")
 
         logits = self.decoder(fused, instr.tokens)
         return logits, gates

@@ -131,12 +131,6 @@ def uniform_gates(batch: int, n_slots: int) -> GateWeights:
     return GateWeights(p=Tensor(np.full((batch, n_slots), 1.0 / n_slots)))
 
 
-def one_hot_gates(batch: int, index: int, n_slots: int) -> GateWeights:
-    p = np.zeros((batch, n_slots))
-    p[:, index] = 1.0
-    return GateWeights(p=Tensor(p))
-
-
 def scatter_gates(compact: np.ndarray, active: Sequence[int],
                   n_slots: int) -> GateWeights:
     """Slot-aligned copy of per-active-slot gates; inactive slots get 0."""

@@ -469,6 +469,13 @@ class TestAblateCommand:
             csvs.append((out / "ablation.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_manifest_records_every_seed(self, tmp_path, fast_cfg):
+        out = tmp_path / "seeds"
+        assert run_cli("ablate", "--config", fast_cfg, "--mode", "stacked",
+                       "--seeds", "1,2", "--pretrain-steps", "1",
+                       "--tune-steps", "1", "--n", "4", "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == [1, 2]
+
     def test_manifest_config_reruns_the_table(self, tmp_path):
         # The step and --n flags are recorded as the config keys they set, so
         # the manifest's config alone repeats the run.

@@ -150,16 +150,9 @@ class TestForward:
     def test_wrong_frame_count_rejected(self, model):
         batch = video_batch(model.cfg, n=1)
         short = Batch(frames=batch.frames[:, :16], labels=batch.labels,
-                      tokens=batch.tokens, modality="video")
+                      tokens=batch.tokens)
         with pytest.raises(FusionError):
             model.forward(short)
-
-    def test_unknown_modality_rejected(self, model):
-        batch = video_batch(model.cfg, n=1)
-        bad = Batch(frames=batch.frames, labels=batch.labels, tokens=batch.tokens,
-                    modality="audio")
-        with pytest.raises(FusionError):
-            model.forward(bad)
 
     def test_misaligned_budget_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="misaligned"):

@@ -10,7 +10,7 @@ from reference_ops import tsum
 from vpfuse.ablations import stacked_config
 from vpfuse.config import default_config
 from vpfuse.encoders import InstructionEncoder, InstructionEncoding
-from vpfuse.model import Batch, FusionModel
+from vpfuse.model import FusionModel
 from vpfuse.projectors import VisualTokens
 from vpfuse.rng import Rng
 from vpfuse.router import (
@@ -21,7 +21,7 @@ from vpfuse.router import (
     fuse,
     fuse_with_strategy,
     gate,
-    one_hot_gates,
+    scatter_gates,
 )
 from vpfuse.tasks import generate_sample, make_batch, spec_from_config
 from vpfuse.tensor import Tape, Tensor, softmax
@@ -123,7 +123,7 @@ class TestFuse:
     def test_one_hot_is_bitwise_selected(self):
         embs = const_embeddings()
         embs[0].tokens.data[0, 0, 0] = -0.0  # signed-zero stress
-        out = fuse(one_hot_gates(2, 0, len(ALL_SLOTS)), embs)
+        out = fuse(scatter_gates(np.ones((2, 1)), (0,), len(ALL_SLOTS)), embs)
         assert out.tokens.data.tobytes() == embs[0].tokens.data.tobytes()
 
     def test_weighted_constant_embeddings(self):
@@ -156,7 +156,7 @@ class TestFuse:
         embs = const_embeddings()
         embs[1] = VisualTokens(tokens=Tensor(np.zeros((2, 5, 3))))
         with pytest.raises(FusionError):
-            fuse(one_hot_gates(2, 0, len(ALL_SLOTS)), embs)
+            fuse(scatter_gates(np.ones((2, 1)), (0,), len(ALL_SLOTS)), embs)
 
     def test_per_sample_one_hot_rows_select_bitwise(self):
         embs = const_embeddings()
@@ -263,12 +263,3 @@ class TestModalityGate:
         expected = softmax(model.router.route(instr)).data
         np.testing.assert_array_equal(g.p.data, expected)
         assert np.ptp(expected, axis=1).min() > 1e-3  # the router is not uniform
-
-    def test_unknown_modality(self):
-        # A single-frame batch under a modality name no gate knows is refused.
-        cfg = default_config()
-        batch = model_batch(cfg, "detail", 1, total_frames=1)
-        bad = Batch(frames=batch.frames, labels=batch.labels, tokens=batch.tokens,
-                    modality="audio")
-        with pytest.raises(FusionError):
-            FusionModel(cfg, seed=1).forward(bad)

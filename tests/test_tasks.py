@@ -11,7 +11,6 @@ from vpfuse.tasks import (
     EVAL_BATCH,
     EVAL_INDEX_BASE,
     FAMILIES,
-    FAMILY_POOLS,
     GLYPHS,
     TaskError,
     batch_stream,
@@ -162,14 +161,24 @@ class TestCounting:
             spec_from_config(CFG, "counting", total_frames=8)
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(TaskError, match="unknown family 'audio'"):
+        spec_from_config(CFG, "audio")
+
+
 class TestInstructions:
     def test_family_pools_disjoint(self):
-        pools = [set(FAMILY_POOLS[f]) for f in FAMILIES]
-        assert not (pools[0] & pools[1] or pools[0] & pools[2] or pools[1] & pools[2])
+        # The family at table position i opens with its pool's first four ids,
+        # 6i..6i+3, in the table order (detail, motion, counting).
+        assert FAMILIES == ("detail", "motion", "counting")
+        starts = [generate_sample(spec(f), 0).instruction_tokens[:4].tolist()
+                  for f in FAMILIES]
+        assert starts == [[6 * i + j for j in range(4)] for i in range(len(FAMILIES))]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_tokens_stay_in_family_pool(self, family):
-        pool = set(FAMILY_POOLS[family])
+        i = FAMILIES.index(family)
+        pool = set(range(6 * i, 6 * i + 6))
         for idx in range(50):
             sample = generate_sample(spec(family), idx)
             assert set(sample.instruction_tokens.tolist()) <= pool
@@ -190,6 +199,12 @@ class TestBatching:
         cfg = CFG.replace(projectors__active=("stc", "com"), train__batch=2)
         mods = {b.modality for _, b in zip(range(40), batch_stream(cfg, "pretrain", 1))}
         assert mods == {"video"}
+
+    @pytest.mark.parametrize("frames,modality", [(1, "image"), (2, "video"), (32, "video")])
+    def test_modality_read_from_frame_count(self, frames, modality):
+        batch = make_batch([generate_sample(spec("detail", total_frames=frames), i)
+                            for i in range(2)])
+        assert batch.frames.shape[1] == frames and batch.modality == modality
 
     def test_mixed_modality_batch_rejected(self):
         video = generate_sample(spec("detail"), 0)
