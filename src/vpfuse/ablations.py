@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import PROJECTOR_KINDS, STRATEGIES, Config, slot_labels
 from .model import Batch, FusionModel
-from .router import make_strategy, scatter_gates
+from .router import make_strategy
 from .tasks import FAMILIES, TUNE_INDEX_BASE, TaskError, batch_stream, eval_batches
 from .training import STAGES, TrainConfig, train
 
@@ -63,36 +63,29 @@ def evaluate(model: FusionModel, families: Sequence[str] = FAMILIES,
 
     ``n``, unless None, replaces ``eval.samples`` of the model's config, which
     a checkpoint fixes: ``vpfuse eval --n`` and the benchmark pass it.
-    Inference runs tape-free.  Random fusion strategies draw from a fresh
-    stream (seed 0, stage "eval") so repeated evaluations are reproducible.
+    Inference runs tape-free.  Each family's random fusion draws come from a
+    fresh stream (seed 0, stage "eval"), so a family's row does not depend on
+    which families were evaluated before it.
     """
     cfg = model.cfg
     n = cfg["eval.samples"] if n is None else n
     kind = cfg["train.strategy"]
-    strategy = make_strategy(kind, 0, "eval")
 
     accuracy: dict[str, float] = {}
     mean_gates: dict[str, np.ndarray] = {}
-    n_slots = len(model.labels)
-    # Concat reports no gates; its streams weigh the same, inactive ones 0.
-    active = model.active
-    uniform = scatter_gates(np.full((1, len(active)), 1.0 / len(active)),
-                            active, n_slots).p.data[0]
     for family in families:
+        strategy = make_strategy(kind, 0, "eval")
         correct = 0
         total = 0
-        gate_sum = np.zeros(n_slots)
-        gate_rows = 0
+        gate_sum = np.zeros(len(model.labels))
         for batch in eval_batches(cfg, family, n):
             logits, gates = model.forward(batch, strategy)
             pred = logits.data.argmax(axis=1)
             correct += int((pred == batch.labels).sum())
             total += batch.size
-            if gates is not None:
-                gate_sum += gates.p.data.sum(axis=0)
-                gate_rows += batch.size
+            gate_sum += gates.p.data.sum(axis=0)
         accuracy[family] = correct / total
-        mean_gates[family] = gate_sum / gate_rows if gate_rows else uniform
+        mean_gates[family] = gate_sum / total
     return EvalReport(accuracy=accuracy, mean_gates=mean_gates,
                       n_per_family=n, strategy=kind, gate_columns=gate_columns(cfg))
 

@@ -100,7 +100,7 @@ def _seed_list(text: str) -> list[int]:
 def _family_list(text: str) -> tuple[str, ...]:
     """argparse type for ``--families``: a comma list of distinct task
     families (all of them if empty), checked before the checkpoint is read."""
-    families = tuple(text.split(",")) if text else FAMILIES
+    families = tuple(f.strip() for f in text.split(",")) if text else FAMILIES
     bad = [f for f in families if f not in FAMILIES]
     if bad:
         raise argparse.ArgumentTypeError(f"unknown families {bad}")
@@ -164,13 +164,13 @@ def _loss_csv(curve) -> str:
 
 def cmd_tokens(args) -> int:
     budgets = compute_token_budget(_load_config(args.config))
-    report = validate_alignment(budgets)
+    mismatch = validate_alignment(budgets)
     width = max(len(b.label) for b in budgets)
     for b in budgets:
         print(f"{b.label.ljust(width)}  {str(b.count).rjust(6)}  {b.derivation}")
-    print(f"verdict: {'OK' if report.ok else 'MISMATCH'}")
-    if not report.ok:
-        print(report.message)
+    print(f"verdict: {'OK' if mismatch is None else 'MISMATCH'}")
+    if mismatch is not None:
+        print(mismatch)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -76,9 +76,9 @@ class FusionModel(Module):
         self.labels = cfg.slot_labels()
         self.active = cfg.active_slots()
 
-        report = validate_alignment(compute_token_budget(cfg))
-        if not report.ok:
-            raise ConfigError(f"token budgets misaligned:\n{report.message}")
+        mismatch = validate_alignment(compute_token_budget(cfg))
+        if mismatch is not None:
+            raise ConfigError(f"token budgets misaligned:\n{mismatch}")
 
         self.visual_encoder = VideoEncoder(cfg, Rng(seed, "init/visual"))
         self.instruction_encoder = InstructionEncoder(cfg, Rng(seed, "init/text"))
@@ -93,12 +93,12 @@ class FusionModel(Module):
 
     # -- forward -------------------------------------------------------------
     def forward(self, batch: Batch,
-                strategy: Optional[FusionStrategy] = None,
-                ) -> tuple[Tensor, Optional[GateWeights]]:
-        """Answer logits (B, C) plus the gates used (None under concat).
+                strategy: Optional[FusionStrategy] = None) -> tuple[Tensor, GateWeights]:
+        """Answer logits (B, C) plus the slot-aligned gates used (under
+        concat, the uniform weight of each concatenated stream).
 
         Without ``strategy``, the configured one draws from the stream
-        ``evaluate`` uses: ``make_strategy(kind, 0, "eval")``.
+        ``evaluate`` starts each family with: ``make_strategy(kind, 0, "eval")``.
         """
         if strategy is None:
             strategy = make_strategy(self.cfg["train.strategy"], 0, "eval")
@@ -136,7 +136,6 @@ class FusionModel(Module):
         return logits, gates
 
     def loss(self, batch: Batch,
-             strategy: Optional[FusionStrategy] = None,
-             ) -> tuple[Tensor, Tensor, Optional[GateWeights]]:
+             strategy: FusionStrategy) -> tuple[Tensor, Tensor, GateWeights]:
         logits, gates = self.forward(batch, strategy)
         return cross_entropy(logits, batch.labels), logits, gates

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -74,12 +75,6 @@ class TokenBudget:
     derivation: str
 
 
-@dataclass
-class AlignmentReport:
-    ok: bool
-    message: str
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -98,18 +93,17 @@ def compute_token_budget(cfg: Config) -> list[TokenBudget]:
             for label, kind in zip(cfg.slot_labels(), cfg["projectors.kinds"])]
 
 
-def validate_alignment(budgets: list[TokenBudget]) -> AlignmentReport:
-    """ok iff all counts are equal; otherwise a report naming the offenders."""
+def validate_alignment(budgets: list[TokenBudget]) -> Optional[str]:
+    """None if all counts are equal; otherwise a report naming the offenders."""
     counts = [b.count for b in budgets]
-    lines = [f"  {b.label} ({PROJECTOR_CLASSES[b.kind].tag}): {b.derivation}"
-             for b in budgets]
     if len(set(counts)) == 1:
-        return AlignmentReport(True, "\n".join(lines))
+        return None
     majority = max(set(counts), key=counts.count)
     odd = [b.label for b in budgets if b.count != majority]
-    lines.append(f"  mismatch: {', '.join(odd)} disagree(s) with the "
-                 f"{majority}-token majority")
-    return AlignmentReport(False, "\n".join(lines))
+    lines = [f"  {b.label} ({PROJECTOR_CLASSES[b.kind].tag}): {b.derivation}"
+             for b in budgets]
+    return "\n".join(lines + [f"  mismatch: {', '.join(odd)} disagree(s) with the "
+                              f"{majority}-token majority"])
 
 
 def _append_separators(grouped: Tensor, sep: Tensor) -> Tensor:

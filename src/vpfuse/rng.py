@@ -93,8 +93,8 @@ class Rng:
         vals = bits.astype(np.float64) * (2.0 ** -53)
         return vals.reshape(shape)
 
-    def normal(self, shape, std: float = 1.0) -> np.ndarray:
-        """Standard normal via Box-Muller on uniform pairs."""
+    def normal(self, shape, std: float) -> np.ndarray:
+        """Zero-mean normal of ``std`` via Box-Muller on uniform pairs."""
         n = int(np.prod(shape))
         m = (n + 1) // 2
         u1 = 1.0 - np.asarray(self._raw(m) >> _U64(11), dtype=np.float64) * (2.0 ** -53)

@@ -10,10 +10,12 @@ live here too.
 
 There is one gating path.  ``gate`` softmaxes the active slots' logits only,
 so its gates have one column per active slot, like every other strategy's,
-and ``fuse`` weights the active streams with them.  ``scatter_gates`` is the
-one place that aligns gates to all slots (exact zeros on inactive slots) for
-reporting: ``fuse_with_strategy`` uses it for every strategy, and so does the
-``route`` command.  Image inputs bypass the router: ``FusionModel.forward``
+and ``fuse`` weights the active streams with them.  Every strategy reports
+gates: concat concatenates the active streams and reports the average's
+uniform weights, which is how much each stream counts.  ``scatter_gates`` is
+the one place that aligns gates to all slots (exact zeros on inactive slots)
+for reporting: ``fuse_with_strategy`` uses it for every strategy, and so does
+the ``route`` command.  Image inputs bypass the router: ``FusionModel.forward``
 sends them to the image-based projector and reports a one-hot gate.
 
 The second router stage is zero-initialized, so an untrained router emits
@@ -48,15 +50,12 @@ class GateWeights:
 @dataclass
 class FusionStrategy:
     kind: str  # router | average | concat | random-weights | random-choose
-    rng: Optional[Rng] = None  # consumed by the random kinds only
+    rng: Rng  # drawn from by the random kinds only
 
 
 def make_strategy(kind: str, seed: int, stage: str) -> FusionStrategy:
-    """The strategy ``kind`` with, for the random kinds, the rng stream of
-    ``seed`` and ``stage``."""
-    rng = (Rng(seed, f"fusion/{kind}/{stage}")
-           if kind in ("random-weights", "random-choose") else None)
-    return FusionStrategy(kind=kind, rng=rng)
+    """The strategy ``kind`` with the rng stream of ``seed`` and ``stage``."""
+    return FusionStrategy(kind=kind, rng=Rng(seed, f"fusion/{kind}/{stage}"))
 
 
 class Router(Module):
@@ -127,10 +126,6 @@ def fuse(p: GateWeights, embeddings: Sequence[VisualTokens]) -> VisualTokens:
     return VisualTokens(tokens=add(*terms))
 
 
-def uniform_gates(batch: int, n_slots: int) -> GateWeights:
-    return GateWeights(p=Tensor(np.full((batch, n_slots), 1.0 / n_slots)))
-
-
 def scatter_gates(compact: np.ndarray, active: Sequence[int],
                   n_slots: int) -> GateWeights:
     """Slot-aligned copy of per-active-slot gates; inactive slots get 0."""
@@ -141,40 +136,33 @@ def scatter_gates(compact: np.ndarray, active: Sequence[int],
 
 def fuse_with_strategy(strategy: FusionStrategy, instr: InstructionEncoding,
                        embeddings: Sequence[VisualTokens], router: Router,
-                       active: Sequence[int],
-                       ) -> tuple[VisualTokens, Optional[GateWeights]]:
-    """Fuse per the configured strategy; returns (tokens, gates or None).
+                       active: Sequence[int]) -> tuple[VisualTokens, GateWeights]:
+    """Fuse per the configured strategy; returns (tokens, gates).
 
     ``embeddings`` are the streams of the ``active`` slots, in slot order.
-    Reported gates are always slot-aligned (exact zeros on inactive slots);
-    concat needs no alignment and reports no gates.
+    Reported gates are slot-aligned (exact zeros on inactive slots); concat
+    reports the average's uniform gates, one weight per concatenated stream.
     """
     kind = strategy.kind
     batch = embeddings[0].tokens.shape[0]
     n = len(embeddings)
-    n_slots = router.n_slots
-    if kind == "concat":
-        tokens = concat([e.tokens for e in embeddings], axis=1)
-        return VisualTokens(tokens=tokens), None
     if kind == "router":
         compact = gate(router.route(instr), active)
-    elif kind == "average":
-        compact = uniform_gates(batch, n)
+    elif kind in ("average", "concat"):
+        compact = GateWeights(p=Tensor(np.full((batch, n), 1.0 / n)))
     elif kind == "random-weights":
-        if strategy.rng is None:
-            raise FusionError("random-weights strategy needs an rng stream")
         rows = np.stack([_random_simplex(strategy.rng, n) for _ in range(batch)])
         compact = GateWeights(p=Tensor(rows))
     elif kind == "random-choose":
-        if strategy.rng is None:
-            raise FusionError("random-choose strategy needs an rng stream")
         rows = np.zeros((batch, n))
         for b in range(batch):
             rows[b, strategy.rng.integers(n)] = 1.0
         compact = GateWeights(p=Tensor(rows))
     else:
         raise FusionError(f"unknown fusion strategy {kind!r}")
-    return fuse(compact, embeddings), scatter_gates(compact.p.data, active, n_slots)
+    fused = (VisualTokens(tokens=concat([e.tokens for e in embeddings], axis=1))
+             if kind == "concat" else fuse(compact, embeddings))
+    return fused, scatter_gates(compact.p.data, active, router.n_slots)
 
 
 def _random_simplex(rng: Rng, n: int) -> np.ndarray:

@@ -824,7 +824,7 @@ def _tap_ranges(d_in: int, d_out: int, k: int, stride: int,
     return ranges
 
 
-def conv3d(x: Tensor, kernel: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+def conv3d(x: Tensor, kernel: Tensor, stride, padding) -> Tensor:
     """3D convolution over (T, H, W) with zero padding.
 
     Input is (B, T, H, W, Cin); kernel is (k, k, k, Cin, Cout).  Output dims

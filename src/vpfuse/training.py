@@ -67,7 +67,7 @@ class Adam:
 
     EPS = 1e-8
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999):
+    def __init__(self, lr: float, beta1: float, beta2: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -60,6 +60,16 @@ class TestEvaluate:
             assert abs(report.mean_gates[fam].sum() - 1.0) < 1e-12
         assert 0.0 <= report.combined <= 1.0
 
+    @pytest.mark.parametrize("kind", ["random-weights", "random-choose"])
+    def test_family_row_does_not_depend_on_the_families_before_it(self, kind):
+        # Each family draws its random gates from a fresh eval stream.
+        model = FusionModel(default_config().replace(train__strategy=kind), seed=1)
+        full = evaluate(model, n=16)
+        for family in FAMILIES:
+            alone = evaluate(model, families=(family,), n=16)
+            assert alone.accuracy[family] == full.accuracy[family]
+            assert alone.mean_gates[family].tobytes() == full.mean_gates[family].tobytes()
+
     def test_concat_reports_uniform_gates_over_active_slots_only(self):
         cfg = default_config().replace(train__strategy="concat",
                                        projectors__active=("image", "stc"))

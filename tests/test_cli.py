@@ -130,6 +130,26 @@ class TestTrainEval:
         assert (out3 / "report.txt").exists()
         assert_finished(out3)
 
+    @pytest.mark.parametrize("active, accuracy, gates", [
+        ("", "695d082d69d14600a3f66b083b0985a775ab88c3bb0e45673d370ef178b35350",
+         "2d483306e1948727434c2a84f95302d0a8bc33698c6008eac36a919e82553757"),
+        ("projectors.active = image,stc\n",
+         "d9ed94b433b0429079ac5e9f2ac540eb74c45e9cd90fd61455c0766b81957850",
+         "ffc162961b6220624a5ee5d03780acc1696c0cf82aa29575aa3f51a6f44e2b27"),
+    ])
+    def test_concat_eval_csvs_pinned(self, tmp_path, active, accuracy, gates):
+        # Recorded while concat reported no gates and evaluate filled in its
+        # uniform ones.
+        cfg = tmp_path / "concat.cfg"
+        cfg.write_text(FAST + "train.strategy = concat\n" + active)
+        train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--steps", "2", "--out", str(train_dir)) == 0
+        assert run_cli("eval", "--ckpt", str(train_dir / "model.octo"),
+                       "--out", str(eval_dir)) == 0
+        assert [hashlib.sha256((eval_dir / name).read_bytes()).hexdigest()
+                for name in ("accuracy.csv", "gates.csv")] == [accuracy, gates]
+
     def test_failed_run_keeps_running_status(self, tmp_path, capsys):
         # Adam's first step at this rate makes step 1's loss non-finite: the
         # run dir exists, its artifacts do not, and the manifest says so.
@@ -315,6 +335,7 @@ class TestGateLabels:
     ("detail,detail", "each family may be listed once, got 'detail,detail'"),
     ("motion,counting,motion", "each family may be listed once, got 'motion,counting,motion'"),
     ("detail,colour", "unknown families ['colour']"),
+    ("detail, detail", "each family may be listed once, got 'detail, detail'"),
 ])
 def test_bad_family_list_exits_2_before_loading(tmp_path, capsys, monkeypatch,
                                                 families, message):
@@ -330,6 +351,16 @@ def test_bad_family_list_exits_2_before_loading(tmp_path, capsys, monkeypatch,
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument --families: {message}\n")
     assert not out.exists()
+
+
+def test_family_list_entries_may_be_spaced(tmp_path, capsys):
+    # Spaces around each entry are dropped, as --seeds drops them.
+    ckpt = untrained_ckpt(tmp_path, parse_config(FAST))
+    out = tmp_path / "ev"
+    assert run_cli("eval", "--ckpt", ckpt, "--families", "detail, motion",
+                   "--out", str(out)) == 0
+    rows = (out / "accuracy.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["family", "detail", "motion", "combined"]
 
 
 def test_non_finite_forward_exits_1(tmp_path, capsys):
@@ -512,9 +543,9 @@ class TestAblateCommand:
 
     def test_ablation_csvs_pinned(self, tmp_path):
         # Recorded with one BLAS thread while each mode had its own harness
-        # loop.
+        # loop; strategy's since each family's eval draws its own stream.
         expected = {
-            "strategy": "c3c2ffcec93e276faf33266d06a13e00e16d06607f1d4c11e66176031952742e",
+            "strategy": "0a51c932cdc26264421bc79640b5a801a2b3fd93a55d5cbbecd9f5d547e27e04",
             "subset": "068ab88567f9c92cbcba637ce9ca2536468264e780b87e252e728d250d0a537e",
             "stacked": "8ed4bc9c21bbd50c0077a8b83badd673a858ef70dc7ff2a1ebd2e36c44335e00",
         }

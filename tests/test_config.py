@@ -20,7 +20,7 @@ def test_empty_file_gives_desk_defaults_with_aligned_budgets():
     cfg = parse_config("")
     budgets = compute_token_budget(cfg)
     assert [b.count for b in budgets] == [128, 128, 128]
-    assert validate_alignment(budgets).ok
+    assert validate_alignment(budgets) is None
 
 
 def test_unknown_key_rejected():
@@ -56,9 +56,8 @@ def test_misaligned_stride_raises_naming_stc():
 
 def test_misaligned_profile_parseable_without_validation():
     cfg = parse_config("stc.stride = 2,2,2")
-    report = validate_alignment(compute_token_budget(cfg))
-    assert not report.ok
-    assert "stc" in report.message
+    mismatch = validate_alignment(compute_token_budget(cfg))
+    assert "stc" in mismatch
 
 
 def test_serialize_parse_is_canonical_and_idempotent():

@@ -8,7 +8,7 @@ from vpfuse.config import ConfigError, default_config
 from vpfuse.encoders import VideoEncoder, sample_frames
 from vpfuse import model as model_module
 from vpfuse.model import Batch, FusionModel
-from vpfuse.router import FusionError, FusionStrategy, make_strategy
+from vpfuse.router import FusionError, make_strategy
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
 from vpfuse.tensor import Tape, cross_entropy, embedding
 
@@ -69,7 +69,7 @@ class TestOneEncoderPass:
         def encoder_grads():
             model.zero_grad()
             with Tape() as tape:
-                loss, _, _ = model.loss(batch, FusionStrategy(kind="router"))
+                loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
                 tape.backward(loss)
             return {name: p.grad for name, p in model.named_parameters().items()
                     if name.startswith("visual_encoder.")}
@@ -100,15 +100,27 @@ class TestForward:
 
     def test_zero_router_matches_average_strategy(self, model):
         batch = video_batch(model.cfg, n=2)
-        lr, _ = model.forward(batch, FusionStrategy(kind="router"))
-        la, _ = model.forward(batch, FusionStrategy(kind="average"))
+        lr, _ = model.forward(batch, make_strategy("router", 0, "eval"))
+        la, _ = model.forward(batch, make_strategy("average", 0, "eval"))
         np.testing.assert_allclose(lr.data, la.data, atol=1e-13)
 
     def test_concat_accepts_triple_budget(self, model):
         batch = video_batch(model.cfg, n=2)
-        logits, gates = model.forward(batch, FusionStrategy(kind="concat"))
+        logits, gates = model.forward(batch, make_strategy("concat", 0, "eval"))
         assert logits.shape == (2, 4)
-        assert gates is None
+        assert gates.p.shape == (2, 3)
+
+    @pytest.mark.parametrize("active, row", [
+        (("image", "stc", "com"), [1 / 3, 1 / 3, 1 / 3]),
+        (("image", "stc"), [1 / 2, 1 / 2, 0.0]),
+    ])
+    def test_concat_reports_uniform_gates_on_active_slots(self, active, row):
+        # Each concatenated stream counts once: exactly 1/n on the n active
+        # slots, exact zeros elsewhere, as the average strategy reports.
+        cfg = default_config().replace(projectors__active=active)
+        batch = video_batch(cfg, n=2)
+        _, gates = FusionModel(cfg, seed=1).forward(batch, make_strategy("concat", 0, "eval"))
+        assert gates.p.data.tobytes() == np.array([row, row]).tobytes()
 
     @pytest.mark.parametrize("kind", ["random-weights", "random-choose"])
     def test_default_random_strategy_draws_the_eval_stream(self, kind):
@@ -133,7 +145,7 @@ class TestForward:
             p.requires_grad = True
         model.zero_grad()
         with Tape() as tape:
-            loss, _, _ = model.loss(batch)
+            loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
             tape.backward(loss)
         for name, p in model.named_parameters().items():
             if name.startswith("router."):
@@ -141,7 +153,8 @@ class TestForward:
         # while a video batch reaches the router
         model.zero_grad()
         with Tape() as tape:
-            loss, _, _ = model.loss(video_batch(model.cfg, n=2))
+            loss, _, _ = model.loss(video_batch(model.cfg, n=2),
+                                    make_strategy("router", 0, "eval"))
             tape.backward(loss)
         grads = [p.grad for n, p in model.named_parameters().items()
                  if n.startswith("router.mlp2.")]
@@ -187,7 +200,7 @@ class TestGradientFlow:
             p.requires_grad = True
         model.zero_grad()
         with Tape() as tape:
-            loss, _, _ = model.loss(batch)
+            loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
             tape.backward(loss)
         for label in ("image", "stc", "com"):
             gs = [p.grad for n, p in model.named_parameters().items()
@@ -212,7 +225,7 @@ class TestGradientFlow:
 
         for name in targets:
             def f(_t, name=name):
-                loss, _, _ = m.loss(batch, FusionStrategy(kind="router"))
+                loss, _, _ = m.loss(batch, make_strategy("router", 0, "eval"))
                 return loss
             err = grad_check(f, params[name], max_coords=6, seed=11)
             assert err < 1e-4, f"{name}: {err}"

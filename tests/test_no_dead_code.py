@@ -21,7 +21,9 @@ statements are exports.
 Likewise every parameter with a default is passed by some call in the
 program or the benchmark, by keyword, by position or through ``*``/``**``,
 with an expression other than the default itself; a default that no caller
-overrides is a knob only its default reaches.
+overrides is a knob only its default reaches.  And some such call leaves the
+parameter out (or may, through ``*``/``**``): a default that every caller
+passes explicitly serves only tests.
 """
 
 from __future__ import annotations
@@ -235,19 +237,17 @@ def unused_definitions(package: dict[str, ast.Module],
     return unused
 
 
-def unpassed_defaults(package: dict[str, ast.Module],
-                      users: dict[str, ast.Module]) -> list[tuple[str, str | None, str, str]]:
-    """(file, owning class or None, function, parameter) of every parameter
-    with a default that no call overrides.  A call matches by the callee's
-    last name (the class's name for ``__init__``); a call that spreads ``*``
-    or ``**`` passes every parameter; passing the default's own expression
-    (``f(1, k=1)`` for ``k=1``) overrides nothing."""
+def _defaults(package: dict[str, ast.Module], users: dict[str, ast.Module]):
+    """(file, owning class or None, function, parameter, passed) of every
+    parameter with a default, where ``passed`` lists, per call of the
+    function, the expressions that call gives the parameter; ``None`` stands
+    for a ``*``/``**`` spread, which may give it anything.  A call matches by
+    the callee's last name (the class's name for ``__init__``)."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in users.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_last_name(node.func), []).append(node)
-    missing = []
     for file, owner, fn in _functions(package):
         args = fn.args
         positional = args.posonlyargs + args.args
@@ -258,19 +258,40 @@ def unpassed_defaults(package: dict[str, ast.Module],
         bound = 1 if owner is not None else 0  # ``self`` is not in the call
         sites = calls.get(owner if fn.name == "__init__" else fn.name, [])
 
-        def overrides(call, index, param, default):
+        def given(call, index, param):
             if (any(isinstance(a, ast.Starred) for a in call.args)
                     or any(k.arg is None for k in call.keywords)):
-                return True
-            given = [k.value for k in call.keywords if k.arg == param]
+                return None
+            values = [k.value for k in call.keywords if k.arg == param]
             if index is not None and bound + len(call.args) > index:
-                given.append(call.args[index - bound])
-            return any(ast.dump(g) != ast.dump(default) for g in given)
+                values.append(call.args[index - bound])
+            return values
 
         for index, param, default in with_default:
-            if not any(overrides(call, index, param, default) for call in sites):
-                missing.append((file, owner, fn.name, param))
-    return missing
+            yield file, owner, fn.name, param, default, [given(c, index, param) for c in sites]
+
+
+def unpassed_defaults(package: dict[str, ast.Module],
+                      users: dict[str, ast.Module]) -> list[tuple[str, str | None, str, str]]:
+    """(file, owning class or None, function, parameter) of every parameter
+    with a default that no call overrides.  A call that spreads ``*`` or
+    ``**`` passes every parameter; passing the default's own expression
+    (``f(1, k=1)`` for ``k=1``) overrides nothing."""
+    return [(file, owner, fn, param)
+            for file, owner, fn, param, default, passed in _defaults(package, users)
+            if not any(values is None or any(ast.dump(v) != ast.dump(default) for v in values)
+                       for values in passed)]
+
+
+def unrelied_defaults(package: dict[str, ast.Module],
+                      users: dict[str, ast.Module]) -> list[tuple[str, str | None, str, str]]:
+    """(file, owning class or None, function, parameter) of every parameter
+    with a default that every call passes: no call leaves it out, so only
+    tests can reach the default.  A call that spreads ``*`` or ``**`` may
+    leave out any parameter."""
+    return [(file, owner, fn, param)
+            for file, owner, fn, param, _, passed in _defaults(package, users)
+            if all(values for values in passed)]
 
 
 def test_every_definition_has_a_non_test_caller():
@@ -284,6 +305,12 @@ def test_every_default_is_overridden_by_a_non_test_caller():
                 for file, owner, fn, param in unpassed_defaults(PACKAGE_TREES, USER_TREES)
                 if fn not in ALLOWED_DEFAULTS]
     assert unpassed == []
+
+
+def test_every_default_is_relied_on_by_a_non_test_caller():
+    unrelied = [f"{file}: {owner + '.' if owner else ''}{fn}({param}=)"
+                for file, owner, fn, param in unrelied_defaults(PACKAGE_TREES, USER_TREES)]
+    assert unrelied == []
 
 
 def test_allowlist_names_exist():
@@ -354,6 +381,18 @@ def test_unread_module_constant_is_unused():
     assert ("snippet.py", None, "__all__") not in unused
 
 
+_DEFAULTS_SOURCE = ("def f(a, k=1):\n"
+                    "    return a + k\n"
+                    "\n"
+                    "class Adam:\n"
+                    "    def __init__(self, lr, beta=0.9):\n"
+                    "        self.lr = lr\n"
+                    "\n"
+                    "    def step(self, a, k=1):\n"
+                    "        return a + k\n"
+                    "\n")
+
+
 @pytest.mark.parametrize("call, target, passed", [
     ("f(1)", (None, "f"), False),
     ("f(1, 2)", (None, "f"), True),
@@ -369,16 +408,28 @@ def test_unread_module_constant_is_unused():
     ("f(1, k=1)", (None, "f"), False),
 ])
 def test_default_passed_by_keyword_position_or_spread(call, target, passed):
-    tree = _snippet("def f(a, k=1):\n"
-                    "    return a + k\n"
-                    "\n"
-                    "class Adam:\n"
-                    "    def __init__(self, lr, beta=0.9):\n"
-                    "        self.lr = lr\n"
-                    "\n"
-                    "    def step(self, a, k=1):\n"
-                    "        return a + k\n"
-                    "\n"
-                    f"{call}\n")
+    tree = _snippet(_DEFAULTS_SOURCE + f"{call}\n")
     unpassed = {(owner, fn) for _, owner, fn, _ in unpassed_defaults(tree, tree)}
     assert (target not in unpassed) is passed
+
+
+@pytest.mark.parametrize("call, target, relied", [
+    ("f(1)", (None, "f"), True),
+    ("f(1, 2)", (None, "f"), False),
+    ("f(1, k=2)", (None, "f"), False),
+    ("f(*args)", (None, "f"), True),
+    ("f(1, **kwargs)", (None, "f"), True),
+    ("g(1)", (None, "f"), False),
+    ("Adam(0.1)", ("Adam", "__init__"), True),
+    ("Adam(0.1, 0.9)", ("Adam", "__init__"), False),
+    ("opt.step(1)", ("Adam", "step"), True),
+    ("opt.step(1, k=2)", ("Adam", "step"), False),
+    # Passing the default's own expression still leaves the default unused.
+    ("f(1, k=1)", (None, "f"), False),
+    ("f(1, 1)", (None, "f"), False),
+    ("f(1, 2)\nf(3)", (None, "f"), True),
+])
+def test_default_relied_on_by_a_call_that_leaves_it_out(call, target, relied):
+    tree = _snippet(_DEFAULTS_SOURCE + f"{call}\n")
+    unrelied = {(owner, fn) for _, owner, fn, _ in unrelied_defaults(tree, tree)}
+    assert (target not in unrelied) is relied

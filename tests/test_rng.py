@@ -40,7 +40,7 @@ def test_uniform_range_and_moments():
 
 
 def test_normal_moments():
-    z = Rng(0, "n").normal((20000,))
+    z = Rng(0, "n").normal((20000,), std=1.0)
     assert abs(z.mean()) < 0.03
     assert abs(z.std() - 1.0) < 0.03
 

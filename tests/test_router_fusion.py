@@ -21,6 +21,7 @@ from vpfuse.router import (
     fuse,
     fuse_with_strategy,
     gate,
+    make_strategy,
     scatter_gates,
 )
 from vpfuse.tasks import generate_sample, make_batch, spec_from_config
@@ -100,7 +101,7 @@ class TestGate:
         router = make_router()
         router.named_parameters()["mlp2.b"].data[:] = logits
         embs = const_embeddings(batch=1, values=values)
-        out, g = fuse_with_strategy(FusionStrategy(kind="router"),
+        out, g = fuse_with_strategy(make_strategy("router", 0, "eval"),
                                     fake_instr(np.zeros((1, 32))), embs, router, active)
         return out.tokens.data, g.p.data, embs
 
@@ -196,7 +197,7 @@ class TestStrategies:
     def test_concat_triples_tokens(self):
         out, g = self.run("concat")
         assert out.tokens.shape == (4, 12, 3)
-        assert g is None
+        assert np.all(g.p.data == 1 / 3)
 
     def test_router_on_zero_init_equals_average(self):
         out_r, _ = self.run("router")

@@ -159,11 +159,13 @@ class TestConv3d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(TensorError):
-            conv3d(Tensor(np.zeros((1, 2, 4, 4, 3))), Tensor(np.zeros((3, 3, 3, 2, 5))))
+            conv3d(Tensor(np.zeros((1, 2, 4, 4, 3))), Tensor(np.zeros((3, 3, 3, 2, 5))),
+                   (1, 1, 1), (0, 0, 0))
 
     def test_unbatched_input_raises(self):
         with pytest.raises(TensorError):
-            conv3d(Tensor(np.zeros((2, 4, 4, 1))), Tensor(np.zeros((1, 1, 1, 1, 1))))
+            conv3d(Tensor(np.zeros((2, 4, 4, 1))), Tensor(np.zeros((1, 1, 1, 1, 1))),
+                   (1, 1, 1), (0, 0, 0))
 
     def test_non_positive_output_raises(self):
         with pytest.raises(TensorError):

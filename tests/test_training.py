@@ -69,7 +69,7 @@ class TestAdam:
     def test_quadratic_convergence_oracle(self):
         # f(x) = (x - 3)^2 must reach the minimum within 1e-6
         x = Tensor(np.array([10.0]), requires_grad=True)
-        opt = Adam(lr=0.1)
+        opt = Adam(lr=0.1, beta1=0.9, beta2=0.999)
         mask = FreezeMask(trainable_prefixes=("x",))
         for _ in range(800):
             x.grad = 2.0 * (x.data - 3.0)
@@ -79,7 +79,7 @@ class TestAdam:
     def test_zero_lr_is_noop(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         before = x.data.tobytes()
-        opt = Adam(lr=0.0)
+        opt = Adam(lr=0.0, beta1=0.9, beta2=0.999)
         x.grad = np.array([5.0, -1.0])
         opt.step({"x": x}, FreezeMask(trainable_prefixes=("x",)))
         assert x.data.tobytes() == before
@@ -88,7 +88,7 @@ class TestAdam:
         x = Tensor(np.array([1.0]), requires_grad=True)
         x.grad = np.array([1.0])
         before = x.data.tobytes()
-        Adam(lr=1.0).step({"x": x}, FreezeMask(trainable_prefixes=("y",)))
+        Adam(lr=1.0, beta1=0.9, beta2=0.999).step({"x": x}, FreezeMask(trainable_prefixes=("y",)))
         assert x.data.tobytes() == before
 
 
