@@ -23,7 +23,9 @@ canonical serialization and serializing it again gives the same text.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -72,7 +74,21 @@ def save_checkpoint(model: FusionModel, path, stage: Optional[str] = None) -> No
         out += struct.pack(f"<{t.data.ndim}Q", *t.data.shape)
         out += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(out))
-    Path(path).write_bytes(bytes(out))
+    write_atomic(Path(path), out)
+
+
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) through a temporary file beside
+    ``path`` and a rename, so that ``path`` is whole or absent."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -4,8 +4,9 @@ Subcommands: `tokens` (budget table), `train` (one stage, checkpoint + loss
 CSV + manifest), `eval` (report files), `route` (gates for an instruction),
 `ablate` (strategy/subset/stacked tables).
 
-Exit codes are a stable scripting contract: 0 success, 1 runtime failure,
-2 validation failure (bad config, misaligned budgets, malformed arguments).
+Exit codes are a stable scripting contract: 0 success, 1 runtime failure
+(a ``NonFiniteError`` or ``OSError``), 2 validation failure (any
+``ValueError``: bad config, checkpoint or arguments, misaligned budgets).
 Every run directory is created exclusively and contains a manifest from
 which the run is reproducible: its ``command`` is the whole invocation and
 its ``config`` what ran (for `ablate`, with the step and ``--n`` flags
@@ -26,7 +27,6 @@ import os
 import platform
 import shlex
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -37,39 +37,23 @@ import scipy
 
 from . import __version__, tensor
 from .ablations import ARMS, evaluate, gate_columns, run_arms, stage_recipe
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import Config, ConfigError, parse_config
-from .encoders import EncodingError
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .config import Config, parse_config
 from .model import FusionModel
 from .projectors import compute_token_budget, validate_alignment
-from .router import FusionError, gate, scatter_gates
-from .tasks import FAMILIES, TaskError
+from .router import gate, scatter_gates
+from .tasks import FAMILIES
 from .tensor import NonFiniteError
-from .training import STAGES, TrainingError, train
+from .training import STAGES, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
-_VALIDATION_ERRORS = (ConfigError, CheckpointError, EncodingError, TaskError,
-                      FusionError, ValueError)
-
 
 def _load_config(path: str | None) -> Config:
     text = Path(path).read_text(encoding="utf-8") if path else ""
     return parse_config(text)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _positive_int(text: str) -> int:
@@ -99,8 +83,9 @@ def _seed_list(text: str) -> list[int]:
 
 def _family_list(text: str) -> tuple[str, ...]:
     """argparse type for ``--families``: a comma list of distinct task
-    families (all of them if empty), checked before the checkpoint is read."""
-    families = tuple(f.strip() for f in text.split(",")) if text else FAMILIES
+    families (all of them if it has no entries), checked before the
+    checkpoint is read.  Empty entries are skipped, as ``--seeds`` skips them."""
+    families = tuple(f.strip() for f in text.split(",") if f.strip()) or FAMILIES
     bad = [f for f in families if f not in FAMILIES]
     if bad:
         raise argparse.ArgumentTypeError(f"unknown families {bad}")
@@ -148,8 +133,8 @@ def _run_dir(args, cfg: Config, seed: int | list[int], end_step: int,
 
     def write(**fields) -> None:
         manifest.update(fields)
-        _write_atomic(run_dir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_atomic(run_dir / "manifest.json",
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     write(status="running")
     yield run_dir
@@ -197,7 +182,7 @@ def cmd_train(args) -> int:
     with _run_dir(args, cfg, tc.seed, tc.steps, ["model.octo", "loss.csv"]) as run_dir:
         result = train(model, batches, tc)
         save_checkpoint(model, run_dir / "model.octo", stage=args.stage)
-        _write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
+        write_atomic(run_dir / "loss.csv", _loss_csv(result.loss_curve))
     print(f"{args.stage}: {tc.steps} steps, final loss {result.final_loss:.6f}")
     print(f"artifacts in {run_dir}")
     return EXIT_OK
@@ -221,9 +206,9 @@ def cmd_eval(args) -> int:
     text = "\n".join(lines) + "\n"
     with _run_dir(args, cfg, cfg["train.seed"], 0,
                   ["accuracy.csv", "gates.csv", "report.txt"]) as run_dir:
-        _write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
-        _write_atomic(run_dir / "gates.csv", report.gate_csv())
-        _write_atomic(run_dir / "report.txt", text)
+        write_atomic(run_dir / "accuracy.csv", report.accuracy_csv())
+        write_atomic(run_dir / "gates.csv", report.gate_csv())
+        write_atomic(run_dir / "report.txt", text)
     print(text, end="")
     return EXIT_OK
 
@@ -256,8 +241,8 @@ def cmd_ablate(args) -> int:
     table = run_arms(args.mode, arms, args.seeds)
 
     with _run_dir(args, cfg, args.seeds, 0, ["ablation.csv", "ablation.txt"]) as run_dir:
-        _write_atomic(run_dir / "ablation.csv", table.to_csv())
-        _write_atomic(run_dir / "ablation.txt", table.to_text())
+        write_atomic(run_dir / "ablation.csv", table.to_csv())
+        write_atomic(run_dir / "ablation.txt", table.to_text())
     print(table.to_text(), end="")
     return EXIT_OK
 
@@ -318,10 +303,10 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would only repeat that on stderr.
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TrainingError, NonFiniteError, OSError) as exc:
+    except (NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

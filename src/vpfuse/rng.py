@@ -68,7 +68,6 @@ class Rng:
         self._base_int = stream_seed(master_seed, label)
         self._base = _U64(self._base_int)
         self._counter = 0
-        self.label = label
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)

@@ -8,7 +8,6 @@ optimizer, so they stay bitwise identical across any number of steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -24,10 +23,6 @@ _TRAINABLE_PREFIXES = {
     "pretrain": ("projectors.",),
     "tune": ("projectors.", "router.", "decoder.", "instruction_encoder."),
 }
-
-
-class TrainingError(RuntimeError):
-    """Training aborted (typically a non-finite loss) with a diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -130,10 +125,7 @@ def train(model: FusionModel, batches: Iterable[Batch], cfg: TrainConfig) -> Tra
                 loss, _, _ = model.loss(batch, strategy)
                 tape.backward(loss)
         except NonFiniteError as exc:
-            raise TrainingError(f"non-finite value at step {step}: {exc}") from exc
-        value = loss.item()
-        if not math.isfinite(value):
-            raise TrainingError(f"non-finite loss at step {step}")
+            raise NonFiniteError(f"non-finite value at step {step}: {exc}") from exc
         opt.step(params, mask)
-        result.loss_curve.append((step, value))
+        result.loss_curve.append((step, loss.item()))
     return result

@@ -1,5 +1,6 @@
 """Binary checkpoint format: round trips, versioning, corruption handling."""
 
+import os
 import struct
 import zlib
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpfuse import checkpoint
 from vpfuse.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -82,6 +84,18 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert stage == "pretrain"
     save_checkpoint(loaded, p2, stage=stage)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
+    # A save that stops before its rename leaves neither the checkpoint nor
+    # its temporary file.
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(FusionModel(small_cfg(), seed=0), tmp_path / "model.octo")
+    assert os.listdir(tmp_path) == []
 
 
 def test_parameters_roundtrip_bitwise(tmp_path):

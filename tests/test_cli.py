@@ -163,6 +163,15 @@ class TestTrainEval:
         assert manifest["status"] == "running" and "wall_s" not in manifest
         assert not (out / "model.octo").exists()
 
+    def test_failed_run_error_line(self, tmp_path, capsys):
+        # The whole stderr of a train run whose step 1 overflows.
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(FAST + "train.lr = 1e300\n")
+        assert run_cli("train", "--stage", "pretrain", "--config", str(cfg),
+                       "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err == ("error: non-finite value at step 1: "
+                                           "op 'linear' produced non-finite values\n")
+
     def test_run_dir_collision_is_error(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "dir"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
@@ -361,6 +370,19 @@ def test_family_list_entries_may_be_spaced(tmp_path, capsys):
                    "--out", str(out)) == 0
     rows = (out / "accuracy.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows] == ["family", "detail", "motion", "combined"]
+
+
+@pytest.mark.parametrize("families, evaluated", [
+    ("detail,", ["detail"]),
+    ("detail,,motion", ["detail", "motion"]),
+])
+def test_family_list_skips_empty_entries(tmp_path, families, evaluated):
+    # Empty entries are skipped, as --seeds skips them.
+    ckpt = untrained_ckpt(tmp_path, parse_config(FAST))
+    out = tmp_path / "ev"
+    assert run_cli("eval", "--ckpt", ckpt, "--families", families, "--out", str(out)) == 0
+    rows = (out / "accuracy.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["family", *evaluated, "combined"]
 
 
 def test_non_finite_forward_exits_1(tmp_path, capsys):

@@ -24,6 +24,11 @@ with an expression other than the default itself; a default that no caller
 overrides is a knob only its default reaches.  And some such call leaves the
 parameter out (or may, through ``*``/``**``): a default that every caller
 passes explicitly serves only tests.
+
+And every name the package's ``__init__`` imports is imported from the
+package by the program or the benchmark (``from vpfuse import X``,
+``from . import X`` or ``vpfuse.X``): a re-export that no caller goes through
+is a second import path for a name.
 """
 
 from __future__ import annotations
@@ -294,6 +299,22 @@ def unrelied_defaults(package: dict[str, ast.Module],
             if all(values for values in passed)]
 
 
+def unused_reexports(init: ast.Module, users: dict[str, ast.Module]) -> list[str]:
+    """Names ``init`` imports that no module in ``users`` imports from the
+    package."""
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    imported = set()
+    for tree in users.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "vpfuse" or (node.level == 1 and node.module is None)):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and _last_name(node.value) == "vpfuse":
+                imported.add(node.attr)
+    return sorted(exported - imported)
+
+
 def test_every_definition_has_a_non_test_caller():
     unused = [f"{file}: {owner + '.' if owner else ''}{name}"
               for file, owner, name in unused_definitions(PACKAGE_TREES, USER_TREES)]
@@ -311,6 +332,10 @@ def test_every_default_is_relied_on_by_a_non_test_caller():
     unrelied = [f"{file}: {owner + '.' if owner else ''}{fn}({param}=)"
                 for file, owner, fn, param in unrelied_defaults(PACKAGE_TREES, USER_TREES)]
     assert unrelied == []
+
+
+def test_every_reexport_is_imported_from_the_package():
+    assert unused_reexports(PACKAGE_TREES["__init__.py"], USER_TREES) == []
 
 
 def test_allowlist_names_exist():
@@ -433,3 +458,15 @@ def test_default_relied_on_by_a_call_that_leaves_it_out(call, target, relied):
     tree = _snippet(_DEFAULTS_SOURCE + f"{call}\n")
     unrelied = {(owner, fn) for _, owner, fn, _ in unrelied_defaults(tree, tree)}
     assert (target not in unrelied) is relied
+
+
+@pytest.mark.parametrize("use, flagged", [
+    ("x = 1\n", ["Model", "load"]),
+    ("from vpfuse import Model\n", ["load"]),
+    ("from . import Model, load\n", []),
+    ("import vpfuse\nvpfuse.load()\n", ["Model"]),
+    ("from vpfuse.model import Model\n", ["Model", "load"]),
+])
+def test_reexport_counts_only_imports_from_the_package(use, flagged):
+    init = ast.parse("from .model import Model\nfrom .io import load\n")
+    assert unused_reexports(init, _snippet(use)) == flagged

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reference_ops import tsum
@@ -354,8 +354,11 @@ def big_pool_cases(draw):
     eh, ew = draw(pool_edges()), draw(pool_edges())
     c = 32 if eh[-1] * ew[-1] < 64 else 2
     # From 1 to 9 rows of 1-48 frames: unsplit, two, three and four chunks.
-    x = seeded(draw).randn(draw(st.integers(1, 9)), draw(st.integers(1, 48)),
-                           eh[-1], ew[-1], c)
+    # A case holds at most 64 MiB of input, so fewer frames are drawn where
+    # frames are large; nine rows of one 603 x 603 frame (50 MiB) still fit.
+    rows = draw(st.integers(1, 9))
+    frames = min(48, (64 << 20) // (rows * eh[-1] * ew[-1] * c * 8))
+    x = seeded(draw).randn(rows, draw(st.integers(1, frames)), eh[-1], ew[-1], c)
     if draw(st.booleans()):
         x[x < -1.5] = -0.0  # bins of signed zeros keep their sign
     return x, (eh, ew)
@@ -366,6 +369,12 @@ def big_pool_cases(draw):
 def test_split_pool_bitwise(case):
     x, (eh, ew) = case
     sh, sw = np.diff(eh), np.diff(ew)
+    # The regimes drawn, as ``--hypothesis-show-statistics`` counts them.
+    for axis, bins in (("H", sh), ("W", sw)):
+        widest = bins.max()
+        regime = "1-7" if widest < 8 else "8-128" if widest <= 128 else "over 128"
+        event(f"widest {axis} bin: {regime} cells")
+    event(f"{len(tensor._row_chunks(x.shape[0], x[0].size))} row chunks")
     weight = np.random.RandomState(0).randn(*x.shape[:2], len(sh), len(sw), x.shape[-1])
     out, _, (dx,) = split_and_serial(lambda a: pool(a, eh, ew),
                                      (Tensor(x, requires_grad=True),), weight)

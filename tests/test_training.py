@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vpfuse.ablations import evaluate
+from vpfuse.ablations import evaluate, stage_recipe
 from vpfuse.config import default_config
 from vpfuse.model import FusionModel
 from vpfuse.tasks import batch_stream, eval_batches
-from vpfuse.tensor import Tensor
+from vpfuse.tensor import NonFiniteError, Tensor
 from vpfuse.training import (
     Adam,
     FreezeMask,
@@ -141,6 +141,14 @@ class TestTrainLoop:
             hashes.append(param_hashes(model))
         assert curves[0] == curves[1]
         assert hashes[0] == hashes[1]
+
+    def test_non_finite_step_names_step_and_op(self):
+        # Adam's first step at this rate makes step 1's forward overflow.
+        model = FusionModel(fast_cfg(train__lr=1e300), seed=1)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as exc:
+            train(model, *stage_recipe(model, "pretrain", 3))
+        assert str(exc.value) == ("non-finite value at step 1: "
+                                  "op 'linear' produced non-finite values")
 
     def test_different_seed_differs(self):
         cfg = fast_cfg()
