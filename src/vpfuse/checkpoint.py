@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -79,8 +78,12 @@ def save_checkpoint(model: FusionModel, path, stage: Optional[str] = None) -> No
 
 def write_atomic(path: Path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) through a temporary file beside
-    ``path`` and a rename, so that ``path`` is whole or absent."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    ``path`` and a rename, so that ``path`` is whole or absent.
+
+    The temporary file is created with mode 0o666 less the umask, as
+    ``open`` would create ``path``; ``mkstemp`` would make it 0o600."""
+    tmp = path.parent / f".tmp-{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -218,12 +218,10 @@ def cmd_route(args) -> int:
     try:
         ids = np.array([int(tok) for tok in args.instruction.split()], dtype=np.int64)
     except ValueError:
-        print(f"error: instruction must be whitespace-separated token ids, "
-              f"got {args.instruction!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"instruction must be whitespace-separated token ids, "
+                         f"got {args.instruction!r}") from None
     if ids.size == 0:
-        print("error: empty instruction", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("empty instruction")
     instr = model.instruction_encoder.encode(ids[None, :])
     gates = gate(model.router.route(instr), model.active)
     gates = scatter_gates(gates.p.data, model.active, model.router.n_slots)

@@ -21,12 +21,6 @@ class ConfigError(ValueError):
     """Malformed config text, unknown key, bad type or out-of-range value."""
 
 
-def _parse_bool(s: str) -> bool:
-    if s in ("true", "false"):
-        return s == "true"
-    raise ConfigError(f"expected true/false, got {s!r}")
-
-
 def _parse_int3(s: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != 3:
@@ -40,8 +34,6 @@ def _parse_names(s: str) -> tuple[str, ...]:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -51,7 +43,7 @@ def _fmt(value: Any) -> str:
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # int | float | bool | str | int3 | names
+    kind: str  # int | float | str | int3 | names
     default: Any
     check: Optional[Callable[[Any], Optional[str]]] = None
 
@@ -109,15 +101,13 @@ SCHEMA: dict[str, _Key] = {
     "text.blocks": _Key("int", 2, _non_negative),
     "text.max_len": _Key("int", 6, _positive),
     "img.prepool": _Key("int", 1, _positive),
-    "img.separator": _Key("bool", False),
     "img.hidden": _Key("int", 32, _positive),
     "stc.kernel": _Key("int", 3, _positive),
     "stc.stride": _Key("int3", (1, 1, 1), _stride_pos),
     "stc.pad": _Key("int3", (1, 1, 1), _pad_ok),
-    "stc.blocks": _Key("int", 1, _positive),
     "stc.channels": _Key("int", 32, _positive),
-    "com.context": _Key("int", 2, _non_negative),
-    "com.content": _Key("int", 1, _non_negative),
+    "com.context": _Key("int", 2, _positive),
+    "com.content": _Key("int", 1, _positive),
     "com.sep_period": _Key("int", 1, _non_negative),  # 0 disables separators
     "router.hidden": _Key("int", 32, _positive),
     "model.dim": _Key("int", 32, _positive),
@@ -142,7 +132,6 @@ SCHEMA: dict[str, _Key] = {
 _PARSERS = {
     "int": int,
     "float": float,
-    "bool": _parse_bool,
     "str": str,
     "int3": _parse_int3,
     "names": _parse_names,

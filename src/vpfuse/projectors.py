@@ -20,11 +20,11 @@ Projector families:
 
 - image: per-position two-layer MLP (linear -> GELU -> linear) over the
   sampled frames' patch grid, optionally pre-pooled spatially.
-- stc: strided/padded 3D convolution block(s) over (T, H, W) with GELU
-  between blocks, then a per-token linear map into the decoder width.
+- stc: one strided/padded 3D convolution over (T, H, W), then a per-token
+  linear map into the decoder width.
 - com: per-frame compression over the full frame set; a few cross-attention
   context tokens whose queries are conditioned on the instruction summary,
-  plus spatially binned content tokens, with a learned separator token after
+  then spatially binned content tokens, with a learned separator token after
   every frame group.
 """
 
@@ -50,7 +50,6 @@ from .tensor import (
     conv3d,
     conv3d_out_dims,
     even_edges,
-    gelu,
     grid_edges,
     linear,
     pool,
@@ -106,14 +105,6 @@ def validate_alignment(budgets: list[TokenBudget]) -> Optional[str]:
                               f"{majority}-token majority"])
 
 
-def _append_separators(grouped: Tensor, sep: Tensor) -> Tensor:
-    """(B, G, n, D) token groups -> (B, G * (n + 1), D) with the learned
-    (D,) separator closing every group."""
-    b, g, n, d = grouped.shape
-    seps = broadcast_to(reshape(sep, (1, 1, 1, d)), (b, g, 1, d))
-    return reshape(concat([grouped, seps], axis=2), (b, g * (n + 1), d))
-
-
 class ImageProjector(Module):
     """Frame-local MLP2x-GELU projector; no cross-frame mixing by design."""
 
@@ -127,11 +118,9 @@ class ImageProjector(Module):
         pg = cfg.patch_grid()
         pre = cfg["img.prepool"]
         g = _ceil_div(pg, pre)
-        seps = t if cfg["img.separator"] else 0
-        count = t * g * g + seps
+        count = t * g * g
         pool_note = f" (pre-pooled {pg}->{g})" if pre > 1 else ""
-        sep_note = f" + {seps} separators" if seps else ""
-        return count, f"{t} frames x {g}x{g} grid{pool_note}{sep_note} = {count}"
+        return count, f"{t} frames x {g}x{g} grid{pool_note} = {count}"
 
     def __init__(self, cfg: Config, rng: Rng):
         d_in = cfg["encoder.dim"]
@@ -140,8 +129,6 @@ class ImageProjector(Module):
         self.prepool = cfg["img.prepool"]
         self.w1, self.b1 = linear_params(rng, d_in, hidden)
         self.w2, self.b2 = linear_params(rng, hidden, d_out)
-        self.sep = (Tensor(rng.normal((d_out,), std=0.1), requires_grad=True)
-                    if cfg["img.separator"] else None)
 
     def __call__(self, x: Tensor) -> VisualTokens:
         if self.prepool > 1:
@@ -150,8 +137,6 @@ class ImageProjector(Module):
         b, t, h, w, d = x.shape
         x = reshape(x, (b, t * h * w, d))
         x = linear(linear(x, self.w1, self.b1, "gelu"), self.w2, self.b2)
-        if self.sep is not None:
-            x = _append_separators(reshape(x, (b, t, h * w, x.shape[-1])), self.sep)
         return VisualTokens(tokens=x)
 
 
@@ -169,15 +154,12 @@ class StcProjector(Module):
         pad = cfg["stc.pad"]
         pg = cfg.patch_grid()
         dims = (_sampled_frames(cfg), pg, pg)
-        chain = [dims]
-        for _ in range(cfg["stc.blocks"]):
-            try:
-                dims = conv3d_out_dims(dims, k, stride, pad)
-            except TensorError as exc:
-                raise ConfigError(f"stc {exc}") from exc
-            chain.append(dims)
-        count = dims[0] * dims[1] * dims[2]
-        path = " -> ".join("x".join(str(d) for d in c) for c in chain)
+        try:
+            out = conv3d_out_dims(dims, k, stride, pad)
+        except TensorError as exc:
+            raise ConfigError(f"stc {exc}") from exc
+        count = math.prod(out)
+        path = " -> ".join("x".join(str(d) for d in c) for c in (dims, out))
         return count, f"conv k={k} stride={stride} pad={pad}: {path} = {count}"
 
     def __init__(self, cfg: Config, rng: Rng):
@@ -187,23 +169,17 @@ class StcProjector(Module):
         k = cfg["stc.kernel"]
         self.stride = cfg["stc.stride"]
         self.pad = cfg["stc.pad"]
-        self.conv: list[dict[str, Tensor]] = []
-        cin = d_in
-        for _ in range(cfg["stc.blocks"]):
-            fan_in = k * k * k * cin
-            self.conv.append({
-                "k": Tensor(rng.normal((k, k, k, cin, ch), std=1.0 / math.sqrt(fan_in)),
-                            requires_grad=True),
-                "b": Tensor(np.zeros(ch), requires_grad=True),
-            })
-            cin = ch
+        fan_in = k * k * k * d_in
+        # Its tensors are named conv0.k and conv0.b in checkpoints.
+        self.conv0 = {
+            "k": Tensor(rng.normal((k, k, k, d_in, ch), std=1.0 / math.sqrt(fan_in)),
+                        requires_grad=True),
+            "b": Tensor(np.zeros(ch), requires_grad=True),
+        }
         self.out = Linear(rng, ch, d_out)
 
     def __call__(self, x: Tensor) -> VisualTokens:
-        for i, block in enumerate(self.conv):
-            if i > 0:
-                x = gelu(x)
-            x = add(conv3d(x, block["k"], self.stride, self.pad), block["b"])
+        x = add(conv3d(x, self.conv0["k"], self.stride, self.pad), self.conv0["b"])
         b, t, h, w, c = x.shape
         return VisualTokens(tokens=self.out(reshape(x, (b, t * h * w, c))))
 
@@ -221,7 +197,8 @@ class ComProjector(Module):
     Context tokens: learned query slots, shifted additively by a projection
     of the instruction summary, attend over the frame's patch features.
     Content tokens: the patch grid averaged into a fixed number of spatial
-    bins and mapped linearly.  A learned separator closes every group of
+    bins and mapped linearly.  Each frame emits its context tokens, then its
+    content tokens.  A learned separator closes every group of
     ``sep_period`` frames.
     """
 
@@ -234,13 +211,10 @@ class ComProjector(Module):
         t = cfg["video.total_frames"]
         c = cfg["com.context"] + cfg["com.content"]
         m = cfg["com.sep_period"]
-        if c == 0:
-            raise ConfigError("com projector needs at least one context or content token")
-        if cfg["com.content"]:
-            (bh, bw), pg = _bin_layout(cfg["com.content"]), cfg.patch_grid()
-            if max(bh, bw) > pg:
-                raise ConfigError(f"com.content {cfg['com.content']} pools into {bh}x{bw} "
-                                  f"bins, more than the {pg}x{pg} patch grid holds")
+        (bh, bw), pg = _bin_layout(cfg["com.content"]), cfg.patch_grid()
+        if max(bh, bw) > pg:
+            raise ConfigError(f"com.content {cfg['com.content']} pools into {bh}x{bw} "
+                              f"bins, more than the {pg}x{pg} patch grid holds")
         if m == 0:
             count = t * c
             return count, f"{t} frames x {c} tokens, no separators = {count}"
@@ -259,39 +233,32 @@ class ComProjector(Module):
         self.n_context = cfg["com.context"]
         self.n_content = cfg["com.content"]
         self.sep_period = cfg["com.sep_period"]
-        if self.n_context > 0:
-            self.query = Tensor(rng.normal((self.n_context, d_in), std=0.1),
-                                requires_grad=True)
-            self.cls_proj = Linear(rng, d_text, d_in)
-            self.ctx_out = Linear(rng, d_in, d_out)
-        if self.n_content > 0:
-            self.bins = _bin_layout(self.n_content)
-            self.cnt_out = Linear(rng, d_in, d_out)
+        self.query = Tensor(rng.normal((self.n_context, d_in), std=0.1), requires_grad=True)
+        self.cls_proj = Linear(rng, d_text, d_in)
+        self.ctx_out = Linear(rng, d_in, d_out)
+        self.bins = _bin_layout(self.n_content)
+        self.cnt_out = Linear(rng, d_in, d_out)
         self.sep = (Tensor(rng.normal((d_out,), std=0.1), requires_grad=True)
                     if self.sep_period > 0 else None)
 
     def __call__(self, x: Tensor, instr: InstructionEncoding) -> VisualTokens:
         b, t, h, w, d = x.shape
-        parts = []
-        if self.n_context > 0:
-            flat = reshape(x, (b, t, h * w, d))
-            q = add(reshape(self.cls_proj(instr.cls), (b, 1, 1, d)),
-                    self.query)  # (B, 1, n_ctx, D)
-            q = broadcast_to(q, (b, t, self.n_context, d))  # the same query per frame
-            ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
-            parts.append(self.ctx_out(ctx))
-        if self.n_content > 0:
-            pooled = pool(x, even_edges(h, self.bins[0]), even_edges(w, self.bins[1]))
-            pooled = reshape(pooled, (b, t, self.n_content, d))
-            parts.append(self.cnt_out(pooled))
-        per_frame = parts[0] if len(parts) == 1 else concat(parts, axis=2)
+        flat = reshape(x, (b, t, h * w, d))
+        q = add(reshape(self.cls_proj(instr.cls), (b, 1, 1, d)),
+                self.query)  # (B, 1, n_ctx, D)
+        q = broadcast_to(q, (b, t, self.n_context, d))  # the same query per frame
+        ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
+        pooled = pool(x, even_edges(h, self.bins[0]), even_edges(w, self.bins[1]))
+        pooled = reshape(pooled, (b, t, self.n_content, d))
+        per_frame = concat([self.ctx_out(ctx), self.cnt_out(pooled)], axis=2)
         c, d_out = per_frame.shape[2:]
-        if self.sep is not None:
-            m = self.sep_period
-            tokens = _append_separators(reshape(per_frame, (b, t // m, m * c, d_out)),
-                                        self.sep)
-        else:
-            tokens = reshape(per_frame, (b, t * c, d_out))
+        if self.sep is None:
+            return VisualTokens(tokens=reshape(per_frame, (b, t * c, d_out)))
+        # Groups of sep_period frames, each closed by the separator.
+        g, n = t // self.sep_period, self.sep_period * c
+        grouped = reshape(per_frame, (b, g, n, d_out))
+        seps = broadcast_to(reshape(self.sep, (1, 1, 1, d_out)), (b, g, 1, d_out))
+        tokens = reshape(concat([grouped, seps], axis=2), (b, g * (n + 1), d_out))
         return VisualTokens(tokens=tokens)
 
 

@@ -512,7 +512,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor:
     """``x @ w + b``, optionally followed by GELU, as one tape entry.
 
-    Bitwise equal to ``add(matmul(x, w), b)`` (and ``gelu`` of it): the
+    Bitwise equal to ``add(matmul(x, w), b)`` (and GELU of it): the
     forward and backward repeat the composed ops' arithmetic in order.
     """
     if act not in (None, "gelu"):
@@ -673,18 +673,6 @@ def tmean(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF."""
-    phi_cdf = ndtr(a.data)
-    data = a.data * phi_cdf
-
-    def rule(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (phi_cdf + a.data * pdf),)
-
-    return _emit("gelu", (a,), data, rule)
-
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""

@@ -1,9 +1,10 @@
 """Ops and a gradient checker that only the tests use, built on
 ``vpfuse.tensor``'s ``_emit`` and ``Tape``.
 
-``matmul`` and ``transpose`` are the composed references the fused-op tests
-compare ``linear`` and ``attention`` against, ``tsum`` builds scalar losses,
-and ``grad_check`` compares a tape's gradients with central differences.
+``matmul``, ``transpose`` and ``gelu`` are the composed references the
+fused-op tests compare ``linear`` and ``attention`` against, ``tsum`` builds
+scalar losses, and ``grad_check`` compares a tape's gradients with central
+differences.
 """
 
 from typing import Callable, Optional
@@ -11,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from vpfuse.rng import Rng
-from vpfuse.tensor import Tape, Tensor, TensorError, _emit, _unbroadcast
+from vpfuse.tensor import _INV_SQRT_2PI, Tape, Tensor, TensorError, _emit, _unbroadcast, ndtr
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -35,6 +36,18 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     data = a.data.transpose(axes)
     return _emit("transpose", (a,), data, lambda g: (g.transpose(inv),))
+
+
+def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x) with the exact Gaussian CDF."""
+    phi_cdf = ndtr(a.data)
+    data = a.data * phi_cdf
+
+    def rule(g):
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+        return (g * (phi_cdf + a.data * pdf),)
+
+    return _emit("gelu", (a,), data, rule)
 
 
 def tsum(a: Tensor) -> Tensor:

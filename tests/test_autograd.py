@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from reference_ops import grad_check, matmul, transpose, tsum
+from reference_ops import gelu, grad_check, matmul, transpose, tsum
 from vpfuse.tensor import (
     Tape,
     Tensor,
@@ -19,7 +19,6 @@ from vpfuse.tensor import (
     conv3d,
     cross_entropy,
     embedding,
-    gelu,
     grid_edges,
     layer_norm,
     linear,

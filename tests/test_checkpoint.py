@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, versioning, corruption handling."""
 
 import os
+import stat
 import struct
 import zlib
 
@@ -14,7 +15,9 @@ from vpfuse.checkpoint import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
+from vpfuse.cli import main
 from vpfuse.config import default_config
 from vpfuse.model import FusionModel
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
@@ -96,6 +99,14 @@ def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         save_checkpoint(FusionModel(small_cfg(), seed=0), tmp_path / "model.octo")
     assert os.listdir(tmp_path) == []
+
+
+def test_written_file_mode_follows_umask(tmp_path, file_mode):
+    # As open() would create it: 0o666 less the umask.
+    for name, data in (("a.txt", "text\n"), ("b.bin", b"\x00\x01")):
+        write_atomic(tmp_path / name, data)
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == file_mode
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.bin"]
 
 
 def test_parameters_roundtrip_bitwise(tmp_path):
@@ -230,3 +241,23 @@ def test_bad_config_blob_is_checkpoint_error(tmp_path, junk, message):
     path.write_bytes(with_config_blob(path.read_bytes(), junk))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("lines, key", [
+    (["img.separator = false", "stc.blocks = 1"], "img.separator"),
+    (["stc.blocks = 1"], "stc.blocks"),
+])
+def test_checkpoint_with_a_removed_key_is_rejected(tmp_path, capsys, lines, key):
+    # A checkpoint written while img.separator and stc.blocks were config
+    # keys names them in its config blob; the blob no longer parses.
+    path = tmp_path / "old.octo"
+    save_checkpoint(FusionModel(small_cfg(), seed=0), path, stage="pretrain")
+    text = small_cfg().serialize()
+    blob = "\n".join(sorted(text.splitlines() + lines)) + "\n# stage: pretrain\n"
+    path.write_bytes(with_config_blob(path.read_bytes(), blob.encode()))
+    with pytest.raises(CheckpointError, match=f"unknown key '{key}'"):
+        load_checkpoint(path)
+    out = tmp_path / "ev"
+    assert main(["eval", "--ckpt", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"unknown key '{key}'\n")
+    assert not out.exists()

@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -79,7 +80,7 @@ class TestTokens:
 
     def test_more_sampled_than_total_frames_exits_2(self, tmp_path, capsys):
         # Every slot counts 640 tokens here, but no video can be sampled.
-        text = ("sampler.frames = 40\ncom.context = 20\ncom.content = 0\n"
+        text = ("sampler.frames = 40\ncom.context = 19\ncom.content = 1\n"
                 "com.sep_period = 0\n")
         bad = tmp_path / "frames.cfg"
         bad.write_text(text)
@@ -172,6 +173,13 @@ class TestTrainEval:
         assert capsys.readouterr().err == ("error: non-finite value at step 1: "
                                            "op 'linear' produced non-finite values\n")
 
+    def test_artifact_mode_follows_umask(self, tmp_path, fast_cfg, file_mode):
+        out = tmp_path / "run"
+        assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
+                       "--steps", "1", "--out", str(out)) == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(["loss.csv", "manifest.json", "model.octo"], file_mode)
+
     def test_run_dir_collision_is_error(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "dir"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
@@ -217,7 +225,7 @@ class TestTrainEval:
                              "the frame range [0, 1]"),
         ("text.vocab = 12", "text.vocab 12 holds fewer than the 18 instruction token ids"),
         ("text.max_len = 4", "text.max_len 4 is shorter than the 6-token instructions"),
-        ("video.patch = 2\ncom.context = 0\ncom.content = 16\ncom.sep_period = 0",
+        ("video.patch = 2\ncom.context = 15\ncom.content = 1\ncom.sep_period = 0",
          "detail glyphs span 4x4 pixels, more than a video.patch of 2"),
         ("video.grid = 4\nprojectors.kinds = com,com,com\n"
          "projectors.active = com0,com1,com2",
@@ -432,7 +440,16 @@ class TestRoute:
 
     def test_malformed_token_id(self, tmp_path, fast_cfg, capsys):
         ckpt = self.make_ckpt(tmp_path, fast_cfg)
+        capsys.readouterr()
         assert run_cli("route", "--ckpt", ckpt, "--instruction", "12 pizza") == 2
+        assert capsys.readouterr().err == ("error: instruction must be whitespace-"
+                                           "separated token ids, got '12 pizza'\n")
+
+    def test_empty_instruction(self, tmp_path, fast_cfg, capsys):
+        ckpt = self.make_ckpt(tmp_path, fast_cfg)
+        capsys.readouterr()
+        assert run_cli("route", "--ckpt", ckpt, "--instruction", "   ") == 2
+        assert capsys.readouterr().err == "error: empty instruction\n"
 
     def test_out_of_vocab_token(self, tmp_path, fast_cfg, capsys):
         ckpt = self.make_ckpt(tmp_path, fast_cfg)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_ops import matmul, transpose, tsum
+from reference_ops import gelu, matmul, transpose, tsum
 from vpfuse.tensor import (
     NonFiniteError,
     Tape,
@@ -15,7 +15,6 @@ from vpfuse.tensor import (
     add,
     attention,
     broadcast_to,
-    gelu,
     layer_norm,
     linear,
     mul,

@@ -58,11 +58,6 @@ class TestTokenBudget:
         mismatch = validate_alignment(budgets)
         assert "stc" in mismatch
 
-    def test_image_separators_restore_1576(self):
-        cfg = parse_config(FULL_SCALE + "img.separator = true\n")
-        budgets = compute_token_budget(cfg)
-        assert budgets[0].count == 1576  # 8 * 14 * 14 + 8 separators
-
     def test_desk_default_budgets(self):
         budgets = compute_token_budget(desk_cfg())
         assert [b.count for b in budgets] == [128, 128, 128]
@@ -185,18 +180,19 @@ class TestComProjector:
         out = proj(feats, instr)
         assert out.tokens.shape == (2, 128, 32)
 
-    def test_single_frame_content_only_is_mapped_mean(self):
-        cfg = desk_cfg(com__context=0, com__content=1, com__sep_period=0,
+    def test_single_frame_content_token_is_mapped_mean(self):
+        # A frame's tokens are its context tokens, then its content tokens.
+        cfg = desk_cfg(com__context=1, com__content=1, com__sep_period=0,
                        video__total_frames=1, projectors__active=("com",))
         enc, text, proj = self.build(cfg)
         frames = np.random.RandomState(0).rand(1, 1, 16, 16)
         feats = enc.encode(frames, np.arange(1))
         instr = text.encode(np.array([[12, 13, 14, 15, 16, 17]]))
         out = proj(feats, instr)
-        assert out.tokens.shape == (1, 1, 32)
+        assert out.tokens.shape == (1, 2, 32)
         mean_feat = feats.data.reshape(1, 16, 32).mean(axis=1)
         expected = mean_feat @ proj.cnt_out.w.data + proj.cnt_out.b.data
-        np.testing.assert_allclose(out.tokens.data[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(out.tokens.data[:, 1], expected, atol=1e-12)
 
     def test_instruction_changes_context_tokens(self):
         cfg = desk_cfg()
@@ -218,12 +214,10 @@ def small_configs(draw):
         video__patch=patch, video__grid=patch * draw(st.integers(1, 4)),
         video__total_frames=total, sampler__frames=draw(st.integers(1, total)),
         encoder__dim=8, text__dim=8, model__dim=8, img__hidden=8, stc__channels=8,
-        img__prepool=draw(st.integers(1, 3)), img__separator=draw(st.booleans()),
-        stc__kernel=draw(st.integers(1, 3)),
+        img__prepool=draw(st.integers(1, 3)), stc__kernel=draw(st.integers(1, 3)),
         stc__stride=tuple(draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))),
         stc__pad=tuple(draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))),
-        stc__blocks=draw(st.integers(1, 2)),
-        com__context=draw(st.integers(0, 3)), com__content=draw(st.integers(0, 2)),
+        com__context=draw(st.integers(1, 3)), com__content=draw(st.integers(1, 2)),
         com__sep_period=draw(st.sampled_from((0, 1, 2, 3, total))))
 
 

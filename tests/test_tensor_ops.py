@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference_ops import matmul, tsum
+from reference_ops import gelu, matmul, tsum
 from vpfuse.tensor import (
     NonFiniteError,
     Tape,
@@ -18,7 +18,6 @@ from vpfuse.tensor import (
     cross_entropy,
     embedding,
     even_edges,
-    gelu,
     grid_edges,
     layer_norm,
     mul,
