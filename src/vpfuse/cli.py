@@ -168,9 +168,7 @@ def cmd_train(args) -> int:
     if args.init:
         model, ckpt_cfg, _ = load_checkpoint(args.init)
         if ckpt_cfg.serialize() != cfg.serialize():
-            print("error: --init checkpoint config does not match --config",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("--init checkpoint config does not match --config")
     else:
         model = FusionModel(cfg, cfg["train.seed"])
         if args.stage == "tune":

@@ -101,10 +101,12 @@ class VideoEncoder(Module):
         if frame_indices.shape != (t,):
             raise EncodingError("frame_indices must match the frame axis")
         pg = g1 // p
-        patches = (frames.reshape(b, t, pg, p, pg, p)
-                   .transpose(0, 1, 2, 4, 3, 5)
-                   .reshape(b, t, pg, pg, p * p))
-        return add(self.patch(Tensor(patches)),
+        # The (B, T, H, W, p*p) patches live only while the linear map reads
+        # them, not through the positional add.
+        x = self.patch(Tensor(frames.reshape(b, t, pg, p, pg, p)
+                              .transpose(0, 1, 2, 4, 3, 5)
+                              .reshape(b, t, pg, pg, p * p)))
+        return add(x,
                    reshape(embedding(self.pos_t, frame_indices), (t, 1, 1, self.dim)),
                    reshape(self.pos_h, (pg, 1, self.dim)),
                    self.pos_w)

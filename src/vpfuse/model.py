@@ -4,6 +4,15 @@ The decoder is a small self-attention classifier rather than an autoregressive
 LM: it reads [fused visual tokens ; projected instruction token states],
 mean-pools, and emits answer-class logits.  That keeps the object under test
 (which projector mix reaches the decoder) intact at desk scale.
+
+``FusionModel.forward`` composes three stages: ``encode`` (the frozen visual
+encoder's one pass), ``project`` (each projecting slot's tokens) and
+``decide`` (route, fuse and decode).  Each stage's input dies at its last
+reader: tape-free, the features are freed when ``project`` returns and the
+unfused streams when fusion returns, so the decoder runs without them
+(CPython 3.11+ hands a call's arguments over to the callee; 3.10 frees the
+streams only when ``decide`` returns).  A recording tape keeps what backward
+needs either way.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import Config, ConfigError
-from .encoders import InstructionEncoder, VideoEncoder, sample_frames
+from .encoders import InstructionEncoder, InstructionEncoding, VideoEncoder, sample_frames
 from .layers import Linear, Module, TransformerBlock
 from .projectors import (
     PROJECTOR_CLASSES,
@@ -50,6 +59,23 @@ class Batch:
     @property
     def modality(self) -> str:
         return "image" if self.frames.shape[1] == 1 else "video"
+
+
+@dataclass
+class Features:
+    """A batch's frozen visual features, as ``FusionModel.project`` reads them."""
+
+    clip: Optional[Tensor]  # (B, T, H, W, D) over every frame, when an active slot reads it
+    sampled: Optional[Tensor]  # (B, K, H, W, D) over the sampled frames, or an image's one
+    image: bool
+
+
+@dataclass
+class Streams:
+    """The projected token streams that ``FusionModel.decide`` fuses."""
+
+    tokens: list[VisualTokens]  # one per projecting slot, in slot order
+    image: bool  # an image batch: the image slot's stream alone, not routed
 
 
 class Decoder(Module):
@@ -99,41 +125,57 @@ class FusionModel(Module):
 
         Without ``strategy``, the configured one draws from the stream
         ``evaluate`` starts each family with: ``make_strategy(kind, 0, "eval")``.
+        No local names the features or the streams (see the module notes).
         """
         if strategy is None:
             strategy = make_strategy(self.cfg["train.strategy"], 0, "eval")
         instr = self.instruction_encoder.encode(batch.tokens)
-        b, t = batch.frames.shape[0], batch.frames.shape[1]
+        return self.decide(self.project(self.encode(batch), instr), instr, strategy)
 
+    def encode(self, batch: Batch) -> Features:
+        """The frozen visual encoder's one pass: over the full clip when an
+        active slot reads it, with the sampled frames gathered from it;
+        else over those frames alone, or over an image batch's one frame."""
         if batch.modality == "image":
-            slot = self.cfg.image_slot()
-            if slot is None:
+            if self.cfg.image_slot() is None:
                 raise FusionError("no active image-based projector slot")
-            feats = self.visual_encoder.encode(batch.frames, np.array([0]))
-            fused = self.projectors[self.labels[slot]](feats)
-            gates = scatter_gates(np.ones((b, 1)), (slot,), len(self.labels))
-        else:
-            if t != self.cfg["video.total_frames"]:
-                raise FusionError(f"video batch has {t} frames, config expects "
-                                  f"{self.cfg['video.total_frames']}")
-            # One encoder pass: over the full clip when a slot reads it, with
-            # the sampled frames gathered from it; else over those frames.
-            projectors = [self.projectors[self.labels[i]] for i in self.active]
-            reads_clip = [p.reads_clip for p in projectors]
-            full = (self.visual_encoder.encode(batch.frames, np.arange(t))
-                    if any(reads_clip) else None)
-            sampled = None
-            if not all(reads_clip):
-                idx = sample_frames(t, self.cfg["sampler.frames"])
-                sampled = (self.visual_encoder.encode(batch.frames[:, idx], idx)
-                           if full is None else embedding(full, idx, axis=1))
-            embeddings = [p(full, instr) if clip else p(sampled)
-                          for p, clip in zip(projectors, reads_clip)]
-            fused, gates = fuse_with_strategy(strategy, instr, embeddings,
-                                              self.router, active=self.active)
+            return Features(clip=None, sampled=self.visual_encoder.encode(
+                batch.frames, np.array([0])), image=True)
+        t = batch.frames.shape[1]
+        if t != self.cfg["video.total_frames"]:
+            raise FusionError(f"video batch has {t} frames, config expects "
+                              f"{self.cfg['video.total_frames']}")
+        reads_clip = [self.projectors[self.labels[i]].reads_clip for i in self.active]
+        clip = (self.visual_encoder.encode(batch.frames, np.arange(t))
+                if any(reads_clip) else None)
+        sampled = None
+        if not all(reads_clip):
+            idx = sample_frames(t, self.cfg["sampler.frames"])
+            sampled = (self.visual_encoder.encode(batch.frames[:, idx], idx)
+                       if clip is None else embedding(clip, idx, axis=1))
+        return Features(clip=clip, sampled=sampled, image=False)
 
-        logits = self.decoder(fused, instr.tokens)
-        return logits, gates
+    def project(self, features: Features, instr: InstructionEncoding) -> Streams:
+        """Each projecting slot's tokens, in slot order: every active slot's
+        for a video batch, the image slot's alone for an image batch."""
+        slots = (self.cfg.image_slot(),) if features.image else self.active
+        projectors = [self.projectors[self.labels[i]] for i in slots]
+        return Streams(tokens=[p(features.clip, instr) if p.reads_clip else p(features.sampled)
+                               for p in projectors], image=features.image)
+
+    def decide(self, streams: Streams, instr: InstructionEncoding,
+               strategy: FusionStrategy) -> tuple[Tensor, GateWeights]:
+        """Route, fuse and decode: logits and slot-aligned gates.  An image
+        batch bypasses the router, with a one-hot gate on the image slot."""
+        if streams.image:
+            fused, = streams.tokens
+            gates = scatter_gates(np.ones((fused.tokens.shape[0], 1)),
+                                  (self.cfg.image_slot(),), len(self.labels))
+        else:
+            fused, gates = fuse_with_strategy(strategy, instr, streams.tokens,
+                                              self.router, active=self.active)
+        del streams  # tape-free, the unfused streams die here
+        return self.decoder(fused, instr.tokens), gates
 
     def loss(self, batch: Batch,
              strategy: FusionStrategy) -> tuple[Tensor, Tensor, GateWeights]:

@@ -15,8 +15,9 @@ gates: concat concatenates the active streams and reports the average's
 uniform weights, which is how much each stream counts.  ``scatter_gates`` is
 the one place that aligns gates to all slots (exact zeros on inactive slots)
 for reporting: ``fuse_with_strategy`` uses it for every strategy, and so does
-the ``route`` command.  Image inputs bypass the router: ``FusionModel.forward``
-sends them to the image-based projector and reports a one-hot gate.
+the ``route`` command.  Image inputs bypass the router: ``FusionModel``
+projects them with the image-based projector alone, and its ``decide``
+reports a one-hot gate.
 
 The second router stage is zero-initialized, so an untrained router emits
 exactly zero logits and uniform gates: the router strategy and the average

@@ -199,15 +199,18 @@ class TestTrainEval:
         assert ((outs[0] / "loss.csv").read_text()
                 == (outs[1] / "loss.csv").read_text())
 
-    def test_mismatched_init_config_rejected(self, tmp_path, fast_cfg):
+    def test_mismatched_init_config_rejected(self, tmp_path, fast_cfg, capsys):
         out1 = tmp_path / "s1"
         assert run_cli("train", "--stage", "pretrain", "--config", fast_cfg,
                        "--out", str(out1)) == 0
         other = tmp_path / "other.cfg"
         other.write_text(FAST + "router.hidden = 16\n")
+        capsys.readouterr()
         assert run_cli("train", "--stage", "tune", "--config", str(other),
                        "--init", str(out1 / "model.octo"),
                        "--out", str(tmp_path / "s2")) == 2
+        assert capsys.readouterr().err == (
+            "error: --init checkpoint config does not match --config\n")
 
     def test_task_config_error_leaves_no_run_dir(self, tmp_path, capsys):
         # The detail family draws one of four glyphs, so five classes cannot

@@ -1,9 +1,13 @@
 """End-to-end forward behavior of the assembled model."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from reference_ops import grad_check
+from test_row_chunks import threads
+from test_transformer_block import traced_peak
 from vpfuse.config import ConfigError, default_config
 from vpfuse.encoders import VideoEncoder, sample_frames
 from vpfuse import model as model_module
@@ -191,6 +195,81 @@ class TestForward:
         m = FusionModel(cfg, seed=1)
         with pytest.raises(FusionError):
             m.forward(image_batch(cfg, n=1))
+
+
+class TestStageLifetimes:
+    """Tape-free, a stage's input dies at its last reader: the features when
+    ``project`` returns, the unfused streams when fusion does."""
+
+    @pytest.fixture(scope="class")
+    def desk_eval(self):
+        # The benchmark's eval shape: B=64 at the desk config.  The router is
+        # at init, so its gates are uniform and fusion makes a new stream.
+        model = FusionModel(default_config(), seed=1)
+        return model, video_batch(model.cfg, n=64, family="motion")
+
+    def test_decoder_runs_without_features_or_streams(self, desk_eval, monkeypatch):
+        model, batch = desk_eval
+        refs, frames, alive = {}, [], []
+        encode, project = FusionModel.encode, FusionModel.project
+        decoder_call = model_module.Decoder.__call__
+
+        def encode_refs(self, batch):
+            features = encode(self, batch)
+            frames.append(features.clip.shape[1])
+            refs["clip"] = weakref.ref(features.clip.data)
+            refs["sampled"] = weakref.ref(features.sampled.data)
+            return features
+
+        def project_refs(self, features, instr):
+            streams = project(self, features, instr)
+            refs.update((f"stream{i}", weakref.ref(s.tokens.data))
+                        for i, s in enumerate(streams.tokens))
+            return streams
+
+        def decoder_checks(self, visual, text_states):
+            alive.extend(name for name, ref in refs.items() if ref() is not None)
+            return decoder_call(self, visual, text_states)
+
+        monkeypatch.setattr(FusionModel, "encode", encode_refs)
+        monkeypatch.setattr(FusionModel, "project", project_refs)
+        monkeypatch.setattr(model_module.Decoder, "__call__", decoder_checks)
+        model.forward(batch)
+        assert frames == [32] and len(refs) == 5
+        assert alive == []
+
+    def test_traced_peak_is_one_stage_at_a_time(self, desk_eval):
+        model, batch = desk_eval
+        instr = model.instruction_encoder.encode(batch.tokens)
+        features = model.encode(batch)
+        clip, sampled = features.clip.data.nbytes, features.sampled.data.nbytes
+        visual = model.project(features, instr).tokens[0]  # a fused stream's shape
+        stream = visual.tokens.data.nbytes
+        # Two threads, so that two chunks' scratch is in flight on any machine.
+        with threads(2):
+            decoder = traced_peak(lambda: model.decoder(visual, instr.tokens))
+            model.forward(batch)  # warm up lazy allocations
+            peak = traced_peak(lambda: model.forward(batch))
+        # Up to the last projector: the clip and sampled features, the three
+        # streams and one clip-sized working buffer (the encoder's positional
+        # add, com's attention).  Then the decoder over the fused stream
+        # alone.  A forward that held the features and the unfused streams
+        # through the decoder would exceed both.
+        projecting = 2 * clip + sampled + 3 * stream
+        deciding = decoder + stream
+        undivided = decoder + clip + sampled + 4 * stream
+        assert peak < max(projecting, deciding) < undivided
+
+    def test_encoder_drops_patches_before_positions(self, desk_eval):
+        # The linear map's output and the positional add's output, each a
+        # clip's features; the (B, T, H, W, p*p) patches, as many values as
+        # the frames, die before the add.
+        model, batch = desk_eval
+        t = batch.frames.shape[1]
+        clip = model.visual_encoder.encode(batch.frames, np.arange(t)).data.nbytes
+        with threads(2):
+            peak = traced_peak(lambda: model.visual_encoder.encode(batch.frames, np.arange(t)))
+        assert peak < 2 * clip + batch.frames.nbytes
 
 
 class TestGradientFlow:

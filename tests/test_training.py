@@ -1,5 +1,6 @@
 """Freeze contract, optimizer, and training-loop determinism."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -14,9 +15,10 @@ import pytest
 from vpfuse.ablations import evaluate, stage_recipe
 from vpfuse.config import default_config
 from vpfuse.model import FusionModel
-from vpfuse.tasks import batch_stream, eval_batches
-from vpfuse.tensor import NonFiniteError, Tensor
+from vpfuse.tasks import batch_stream, eval_batches, generate_sample, make_batch, spec_from_config
+from vpfuse.tensor import NonFiniteError, Tape, Tensor
 from vpfuse.training import (
+    STAGES,
     Adam,
     FreezeMask,
     TrainConfig,
@@ -169,6 +171,37 @@ class TestTrainLoop:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Tape entries by op name of one step on a 16-clip motion batch at the desk
+# config.  A forward refactor must keep them: the same ops, the same work.
+STEP_TAPE_ENTRIES = {
+    "pretrain": {"add": 7, "attention": 3, "broadcast": 2, "concat": 3, "conv3d": 1,
+                 "cross_entropy": 1, "layer_norm": 4, "linear": 19, "mean": 1, "mul": 3,
+                 "reshape": 5},
+    "tune": {"add": 12, "attention": 5, "broadcast": 3, "concat": 4, "conv3d": 1,
+             "cross_entropy": 1, "embedding": 1, "layer_norm": 8, "linear": 34, "mean": 1,
+             "mul": 3, "reshape": 11, "slice": 6, "softmax": 1},
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_step_tape_entries_pinned(stage, monkeypatch):
+    cfg = default_config()
+    model = FusionModel(cfg, seed=1)
+    spec = spec_from_config(cfg, "motion")
+    batch = make_batch([generate_sample(spec, i) for i in range(cfg["train.batch"])])
+    counts = collections.Counter()
+    record = Tape.record
+
+    def counted(tape, name, inputs, output, rule):
+        counts[name] += 1
+        return record(tape, name, inputs, output, rule)
+
+    monkeypatch.setattr(Tape, "record", counted)
+    _, tc = stage_recipe(model, stage, 1)
+    train(model, [batch], tc)
+    assert counts == STEP_TAPE_ENTRIES[stage]
 
 
 def pin_digest(**overrides):
