@@ -125,7 +125,9 @@ def _run_dir(args, cfg: Config, seed: int | list[int], end_step: int,
         "config": cfg.serialize(),
         "row_workers": tensor._WORKERS,
         "blas_threads": tensor._BLAS_THREADS,
-        # pool and layer_norm reproduce numpy's summation order bit for bit.
+        # pool and layer_norm reproduce numpy's summation order bit for bit:
+        # pool sums bins of at most 8 cells in the sequence numpy's pairwise
+        # sum takes below 8 terms, and wider bins with np.add.reduceat.
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

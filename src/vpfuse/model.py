@@ -8,11 +8,11 @@ mean-pools, and emits answer-class logits.  That keeps the object under test
 ``FusionModel.forward`` composes three stages: ``encode`` (the frozen visual
 encoder's one pass), ``project`` (each projecting slot's tokens) and
 ``decide`` (route, fuse and decode).  Each stage's input dies at its last
-reader: tape-free, the features are freed when ``project`` returns and the
+reader: tape-free, the sampled features are freed once the last slot that
+reads them has projected, the clip's when ``project`` returns and the
 unfused streams when fusion returns, so the decoder runs without them
-(CPython 3.11+ hands a call's arguments over to the callee; 3.10 frees the
-streams only when ``decide`` returns).  A recording tape keeps what backward
-needs either way.
+(CPython 3.11+ hands a call's arguments over to the callee).  A recording
+tape keeps what backward needs either way.
 """
 
 from __future__ import annotations
@@ -160,8 +160,12 @@ class FusionModel(Module):
         for a video batch, the image slot's alone for an image batch."""
         slots = (self.cfg.image_slot(),) if features.image else self.active
         projectors = [self.projectors[self.labels[i]] for i in slots]
-        return Streams(tokens=[p(features.clip, instr) if p.reads_clip else p(features.sampled)
-                               for p in projectors], image=features.image)
+        tokens = []
+        for n, p in enumerate(projectors):
+            tokens.append(p(features.clip, instr) if p.reads_clip else p(features.sampled))
+            if all(q.reads_clip for q in projectors[n + 1:]):
+                features.sampled = None  # tape-free, the sampled features die here
+        return Streams(tokens=tokens, image=features.image)
 
     def decide(self, streams: Streams, instr: InstructionEncoding,
                strategy: FusionStrategy) -> tuple[Tensor, GateWeights]:

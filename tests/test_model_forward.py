@@ -12,6 +12,7 @@ from vpfuse.config import ConfigError, default_config
 from vpfuse.encoders import VideoEncoder, sample_frames
 from vpfuse import model as model_module
 from vpfuse.model import Batch, FusionModel
+from vpfuse.projectors import ComProjector
 from vpfuse.router import FusionError, make_strategy
 from vpfuse.tasks import batch_stream, generate_sample, make_batch, spec_from_config
 from vpfuse.tensor import Tape, cross_entropy, embedding
@@ -237,6 +238,27 @@ class TestStageLifetimes:
         model.forward(batch)
         assert frames == [32] and len(refs) == 5
         assert alive == []
+
+    def test_com_runs_without_sampled_features(self, desk_eval, monkeypatch):
+        # stc is the last slot, in slot order, that reads the sampled frames.
+        model, batch = desk_eval
+        assert model.labels == ("image", "stc", "com")
+        refs, alive = [], []
+        encode, com_call = FusionModel.encode, ComProjector.__call__
+
+        def encode_refs(self, batch):
+            features = encode(self, batch)
+            refs.append(weakref.ref(features.sampled.data))
+            return features
+
+        def com_checks(self, x, instr):
+            alive.extend(ref() is not None for ref in refs)
+            return com_call(self, x, instr)
+
+        monkeypatch.setattr(FusionModel, "encode", encode_refs)
+        monkeypatch.setattr(ComProjector, "__call__", com_checks)
+        model.forward(batch)
+        assert alive == [False]
 
     def test_traced_peak_is_one_stage_at_a_time(self, desk_eval):
         model, batch = desk_eval

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from reference_ops import tsum
@@ -340,8 +340,10 @@ def reduceat_pool(x, eh, ew):
 
 @st.composite
 def pool_edges(draw):
-    # Bins of 1-7 cells add in sequence, 8-128 in 8 accumulators and wider
-    # ones in halves, so every regime of numpy's pairwise sum is drawn.
+    # numpy's pairwise sum adds 1-7 terms in sequence, 8-128 in 8
+    # accumulators and more in halves.  Bins of at most 8 cells (1-7 others
+    # after the first) are summed in that sequence, wider ones by reduceat,
+    # and every regime is drawn.
     size = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
     extent = draw(st.integers(size, 2 * size + 3))
     if draw(st.booleans()):
@@ -364,16 +366,30 @@ def big_pool_cases(draw):
     return x, (eh, ew)
 
 
+def boundary_pool_case(eh, ew):
+    # Four rows of eight frames split into four chunks at these extents.  A
+    # bin of -0.0 in the first row must stay -0.0; scattered -0.0 cells meet
+    # positive ones elsewhere.
+    x = np.random.RandomState(5).randn(4, 8, eh[-1], ew[-1], 32)
+    x[x < -1.5] = -0.0
+    x[0, :, :eh[1], :ew[1]] = -0.0
+    return x, (eh, ew)
+
+
 @settings(max_examples=40, deadline=None)
 @given(big_pool_cases())
+@example(boundary_pool_case(grid_edges(16, 8), grid_edges(8, 8)))  # 8-cell bins
+@example(boundary_pool_case(grid_edges(18, 9), grid_edges(9, 9)))  # 9-cell bins
+@example(boundary_pool_case(even_edges(17, 2), even_edges(17, 2)))  # 8 and 9 cells
 def test_split_pool_bitwise(case):
     x, (eh, ew) = case
     sh, sw = np.diff(eh), np.diff(ew)
-    # The regimes drawn, as ``--hypothesis-show-statistics`` counts them.
+    # The paths taken, as ``--hypothesis-show-statistics`` counts them.
     for axis, bins in (("H", sh), ("W", sw)):
-        widest = bins.max()
-        regime = "1-7" if widest < 8 else "8-128" if widest <= 128 else "over 128"
-        event(f"widest {axis} bin: {regime} cells")
+        if bins.min() <= 8:
+            event(f"{axis} bins: ≤8 strided")
+        if bins.max() > 8:
+            event(f"{axis} bins: >8 reduceat")
     event(f"{len(tensor._row_chunks(x.shape[0], x[0].size))} row chunks")
     weight = np.random.RandomState(0).randn(*x.shape[:2], len(sh), len(sw), x.shape[-1])
     out, _, (dx,) = split_and_serial(lambda a: pool(a, eh, ew),
