@@ -74,8 +74,8 @@ def sample_frames(total_frames: int, k: int) -> np.ndarray:
 class VideoEncoder(Module):
     """Non-overlapping patch flattening -> linear map -> 3-axis positions.
 
-    Parameters are frozen in every training stage; the trainer enforces this
-    through the stage freeze mask.
+    Built frozen: no parameter requires grad, so neither do the features it
+    returns, which ``conv3d`` and ``pool`` require.
     """
 
     def __init__(self, cfg: Config, rng: Rng):
@@ -83,10 +83,10 @@ class VideoEncoder(Module):
         self.dim = cfg["encoder.dim"]
         pg = cfg.patch_grid()
         self.patch = Linear(rng, self.patch_size * self.patch_size, self.dim)
-        self.pos_t = Tensor(rng.normal((cfg["video.total_frames"], self.dim), std=0.1),
-                            requires_grad=True)
-        self.pos_h = Tensor(rng.normal((pg, self.dim), std=0.1), requires_grad=True)
-        self.pos_w = Tensor(rng.normal((pg, self.dim), std=0.1), requires_grad=True)
+        self.pos_t = Tensor(rng.normal((cfg["video.total_frames"], self.dim), std=0.1))
+        self.pos_h = Tensor(rng.normal((pg, self.dim), std=0.1))
+        self.pos_w = Tensor(rng.normal((pg, self.dim), std=0.1))
+        self.patch.w.requires_grad = self.patch.b.requires_grad = False
 
     def encode(self, frames: np.ndarray, frame_indices: np.ndarray) -> Tensor:
         """(B, T, H, W, D) patch features of (B, T, G, G) raw frames whose

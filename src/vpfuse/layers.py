@@ -95,7 +95,7 @@ class TransformerBlock(Module):
         # Each intermediate but h and x1 stays unnamed, so that tape-free it
         # is freed as soon as the next op has read it.
         x1 = add(x, linear(attention(linear(h, a["wq"], a["bq"]), linear(h, a["wk"], a["bk"]),
-                                     linear(h, a["wv"], a["bv"]), 1.0 / math.sqrt(x.shape[-1])),
+                                     linear(h, a["wv"], a["bv"])),
                            a["wo"], a["bo"]))
         return add(x1, linear(linear(layer_norm(x1, ln2["g"], ln2["b"]),
                                      f["w1"], f["b1"], "gelu"), f["w2"], f["b2"]))

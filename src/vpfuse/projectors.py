@@ -247,7 +247,7 @@ class ComProjector(Module):
         q = add(reshape(self.cls_proj(instr.cls), (b, 1, 1, d)),
                 self.query)  # (B, 1, n_ctx, D)
         q = broadcast_to(q, (b, t, self.n_context, d))  # the same query per frame
-        ctx = attention(q, flat, flat, 1.0 / math.sqrt(d))  # (B, T, n_ctx, D)
+        ctx = attention(q, flat, flat)  # (B, T, n_ctx, D)
         pooled = pool(x, even_edges(h, self.bins[0]), even_edges(w, self.bins[1]))
         pooled = reshape(pooled, (b, t, self.n_content, d))
         per_frame = concat([self.ctx_out(ctx), self.cnt_out(pooled)], axis=2)

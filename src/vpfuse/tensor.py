@@ -63,11 +63,13 @@ implemented here.  Design points that the rest of the project relies on:
   gradients per batch row, each row's from that row alone (a query shared
   by several frames is broadcast first, so ``broadcast_to``'s rule sums its
   gradient over them).  ``conv3d`` splits its kernel gradient over kernel
-  taps, each tap's gradient being one GEMM of its own; its input gradient
-  adds the taps up in order on the calling thread.  The other rules run on
-  the calling thread: a weight gradient sums over the rows a split would
+  taps, each tap's gradient being one GEMM of its own.  The other rules run
+  on the calling thread: a weight gradient sums over the rows a split would
   separate, and the row-local gradients of ``linear`` and ``layer_norm``
   took as long split in two as whole.
+- ``conv3d`` and ``pool`` take the frozen visual encoder's features: their
+  input must not require grad, else they raise ``TensorError``.  So
+  ``conv3d`` computes no input gradient and ``pool`` records no rule.
 - ``rowwise`` runs a row-local composite of these ops (a transformer block,
   ``layers.TransformerBlock``): the composed ops while a tape is open, else
   the same ops on each row chunk in turn, so only the output is full-size.
@@ -562,8 +564,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
     return _output("linear", (x, w, b), data, rule)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """``softmax(scale * q @ kᵀ) @ v`` over the last axis, as one tape entry.
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q @ kᵀ / sqrt(D)) @ v`` over the last axis, as one tape
+    entry, where D is the width of ``q`` and ``k``.
 
     ``q``, ``k`` and ``v`` share their leading axes (a query shared by every
     frame is broadcast first), and ``k`` may be ``v``.  The probabilities are
@@ -573,7 +576,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     if min(q.ndim, k.ndim, v.ndim) < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise TensorError(f"attention needs rank >= 2 operands with equal leading "
                           f"axes, got {q.shape}, {k.shape} and {v.shape}")
-    scale = float(scale)
+    scale = 1.0 / math.sqrt(q.shape[-1])
     kt = np.swapaxes(k.data, -1, -2)
     p = np.empty(q.shape[:-1] + k.shape[-2:-1])
     data = np.empty(q.shape[:-1] + v.shape[-1:])
@@ -818,11 +821,13 @@ def _tap_ranges(d_in: int, d_out: int, k: int, stride: int,
 def conv3d(x: Tensor, kernel: Tensor, stride, padding) -> Tensor:
     """3D convolution over (T, H, W) with zero padding.
 
-    Input is (B, T, H, W, Cin); kernel is (k, k, k, Cin, Cout).  Output dims
-    follow floor((d + 2p - k)/s) + 1.
+    Input is (B, T, H, W, Cin) frozen features; kernel is (k, k, k, Cin,
+    Cout).  Output dims follow floor((d + 2p - k)/s) + 1.
     """
     if x.ndim != 5:
         raise TensorError(f"conv3d input must be (B, T, H, W, Cin), got {x.shape}")
+    if x.requires_grad:
+        raise TensorError("conv3d takes frozen features: its input must not require grad")
     if kernel.ndim != 5 or not (kernel.shape[0] == kernel.shape[1] == kernel.shape[2]):
         raise TensorError(f"conv3d kernel must be (k,k,k,Cin,Cout), got {kernel.shape}")
     k = kernel.shape[0]
@@ -856,8 +861,8 @@ def conv3d(x: Tensor, kernel: Tensor, stride, padding) -> Tensor:
     _over_rows(fill, out.shape[0], math.prod(out.shape[1:]))
 
     def rule(g):
-        dx = np.zeros(x.shape, dtype=np.float64) if x.requires_grad else None
-        dk = np.zeros(kernel.shape, dtype=np.float64) if kernel.requires_grad else None
+        # A tap that reads only padding is not in ``taps``: its gradient is 0.
+        dk = np.zeros(kernel.shape, dtype=np.float64)
 
         # Each tap's kernel gradient is its own GEMM, so the taps split into
         # chunks; a tap reads at most every output row's (Cin + Cout) values.
@@ -865,14 +870,8 @@ def conv3d(x: Tensor, kernel: Tensor, stride, padding) -> Tensor:
             for tap, out_sl, in_sl in taps[sl]:
                 dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g[out_sl].reshape(-1, cout)
 
-        if dk is not None:
-            _over_rows(fill_dk, len(taps), math.prod(out.shape[:-1]) * (cin + cout))
-        if dx is not None:  # taps overlap in dx, so they add up in order
-            for tap, out_sl, in_sl in taps:
-                g_tap = g[out_sl]
-                dx[in_sl] += (g_tap.reshape(-1, cout) @ kernel.data[tap].T
-                              ).reshape(g_tap.shape[:-1] + (cin,))
-        return dx, dk
+        _over_rows(fill_dk, len(taps), math.prod(out.shape[:-1]) * (cin + cout))
+        return None, dk
 
     return _output("conv3d", (x, kernel), out, rule)
 
@@ -902,12 +901,14 @@ def _bins(edges, extent: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pool(x: Tensor, edges_h, edges_w) -> Tensor:
-    """Average the H and W axes of (..., H, W, C) over bins.
+    """Average the H and W axes of (..., H, W, C) frozen features over bins.
 
     Bin ``i`` of an axis covers cells ``[edges[i], edges[i + 1])``; edges
     rise strictly from 0 to the axis extent (see ``grid_edges`` and
     ``even_edges``).
     """
+    if x.requires_grad:
+        raise TensorError("pool takes frozen features: its input must not require grad")
     hs, hsz = _bins(edges_h, x.shape[-3])
     ws, wsz = _bins(edges_w, x.shape[-2])
     counts = np.outer(hsz, wsz)[..., None]
@@ -922,12 +923,7 @@ def pool(x: Tensor, edges_h, edges_w) -> Tensor:
         _check_finite(ds, "pool")
 
     _over_rows(fill, x.shape[0], math.prod(x.shape[1:]) if x.ndim > 3 else 0)
-
-    def rule(g):
-        gh = np.repeat(g / counts, hsz, axis=-3)
-        return (np.repeat(gh, wsz, axis=-2),)
-
-    return _output("pool", (x,), data, rule)
+    return _output("pool", (x,), data, None)
 
 
 def _bin_sums(x: np.ndarray, starts, sizes, axis: int, out: np.ndarray) -> None:

@@ -2,8 +2,8 @@
 
 Stage semantics: pretraining adjusts the three projectors only; tuning trains
 projectors, router, decoder, and the instruction encoder.  The visual encoder
-is frozen in both stages.  Frozen parameters are never touched by the
-optimizer, so they stay bitwise identical across any number of steps.
+is built frozen, and no stage trains it.  Frozen parameters are never touched
+by the optimizer, so they stay bitwise identical across any number of steps.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """The fused ``linear`` and ``attention`` ops against the composed ops they
 replace: forward outputs and every gradient must agree bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,20 +29,21 @@ def composed_linear(x, w, b, act=None):
     return gelu(z) if act == "gelu" else z
 
 
-def composed_attention(q, k, v, scale):
+def composed_attention(q, k, v):
     axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scale = 1.0 / math.sqrt(q.shape[-1])
     scores = mul(matmul(q, transpose(k, axes)), Tensor(np.array(scale)))
     return matmul(softmax(scores), v)
 
 
-def attention_call(op, scale, query_shape):
-    """``op(q, k, v, scale)`` over ``run``'s inputs, (q, k, v) or (q, kv) when
-    k is v.  With ``query_shape`` set, q is broadcast to it first, as the com
+def attention_call(op, query_shape):
+    """``op(q, k, v)`` over ``run``'s inputs, (q, k, v) or (q, kv) when k is
+    v.  With ``query_shape`` set, q is broadcast to it first, as the com
     projector broadcasts one query set to every frame."""
     def call(q, k, *v):
         if query_shape is not None:
             q = broadcast_to(q, query_shape)
-        return op(q, k, *(v or (k,)), scale)
+        return op(q, k, *(v or (k,)))
     return call
 
 
@@ -95,7 +98,6 @@ def attention_cases(draw):
     n, m, d = (draw(st.integers(1, 6)) for _ in range(3))
     k_is_v = draw(st.booleans())
     dv = d if k_is_v else draw(st.integers(1, 6))
-    scale = draw(st.floats(0.05, 2.0))
     rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
     q = Tensor(rng.randn(batch, 1 if shared_q else frames, n, d))
     k = Tensor(rng.randn(batch, frames, m, d))
@@ -105,7 +107,7 @@ def attention_cases(draw):
     k.requires_grad = on_k or (k_is_v and on_v)
     v.requires_grad = k.requires_grad if k_is_v else on_v
     weight = rng.randn(batch, frames, n, dv)
-    return (q, k, v), scale, weight, (batch, frames, n, d) if shared_q else None
+    return (q, k, v), weight, (batch, frames, n, d) if shared_q else None
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,10 +123,10 @@ def test_linear_bitwise_equals_composed(case):
 @settings(max_examples=60, deadline=None)
 @given(attention_cases())
 def test_attention_bitwise_equals_composed(case):
-    (q, k, v), scale, weight, query_shape = case
+    (q, k, v), weight, query_shape = case
     inputs = (q, k) if k is v else (q, k, v)
-    fused = run(attention_call(attention, scale, query_shape), inputs, weight)
-    composed = run(attention_call(composed_attention, scale, query_shape), inputs, weight)
+    fused = run(attention_call(attention, query_shape), inputs, weight)
+    composed = run(attention_call(composed_attention, query_shape), inputs, weight)
     assert_bitwise(fused, composed)
     # attention, mul, sum, and the query's broadcast when it is recorded
     assert fused[1] == 3 + (query_shape is not None and q.requires_grad)
@@ -138,9 +140,9 @@ def test_attention_raises_on_minus_inf_score():
     v = Tensor(np.ones((3, 2)))
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError, match="attention"):
-            attention(q, k, v, 1.0)
+            attention(q, k, v)
         with pytest.raises(NonFiniteError, match="matmul"):
-            composed_attention(q, k, v, 1.0)
+            composed_attention(q, k, v)
 
 
 def test_bad_arguments_rejected():
@@ -151,15 +153,15 @@ def test_bad_arguments_rejected():
     with pytest.raises(TensorError):
         linear(Tensor(np.ones(3)), w, b)
     with pytest.raises(TensorError):
-        attention(Tensor(np.ones(3)), x, x, 1.0)
+        attention(Tensor(np.ones(3)), x, x)
 
 
 @pytest.mark.parametrize("call", [
     lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros((1, 4)))),
     lambda: attention(Tensor(np.ones((2, 1, 3, 4))), Tensor(np.ones((2, 5, 6, 4))),
-                      Tensor(np.ones((2, 5, 6, 4))), 1.0),
+                      Tensor(np.ones((2, 5, 6, 4)))),
     lambda: attention(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 6, 4))),
-                      Tensor(np.ones((2, 6, 4))), 1.0),
+                      Tensor(np.ones((2, 6, 4)))),
     lambda: layer_norm(Tensor(np.ones((4, 6))), Tensor(np.ones((3, 1, 6))), Tensor(np.zeros(6))),
     lambda: layer_norm(Tensor(np.ones((4, 6))), Tensor(np.ones(6)), Tensor(np.zeros((1, 6)))),
 ], ids=["linear-bias-broadcasts", "attention-query-shared-by-frames",

@@ -53,4 +53,7 @@ def test_model_parameters_are_distinct_trainable_tensors(variant):
     params = FusionModel(cfg, seed=1).named_parameters()
     tensors = list(params.values())
     assert len({id(t) for t in tensors}) == len(tensors)
-    assert [n for n, t in params.items() if not t.requires_grad] == []
+    # Only the visual encoder is built frozen.
+    assert [n for n, t in params.items() if not t.requires_grad] == [
+        "visual_encoder.patch.w", "visual_encoder.patch.b", "visual_encoder.pos_t",
+        "visual_encoder.pos_h", "visual_encoder.pos_w"]

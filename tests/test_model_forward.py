@@ -63,38 +63,6 @@ class TestOneEncoderPass:
         model.forward(video_batch(cfg, n=2))
         assert seen == frames
 
-    def test_unfrozen_encoder_gradient_equals_a_separate_pass(self, monkeypatch):
-        # The gather records on the tape, so an encoder that trains gets the
-        # sampled frames' gradient as a second pass over them would give it
-        # (summed in another order).
-        cfg = default_config()
-        model = FusionModel(cfg, seed=1)
-        batch = video_batch(cfg, n=2, family="motion")
-
-        def encoder_grads():
-            model.zero_grad()
-            with Tape() as tape:
-                loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
-                tape.backward(loss)
-            return {name: p.grad for name, p in model.named_parameters().items()
-                    if name.startswith("visual_encoder.")}
-
-        gathered = encoder_grads()
-        passes = []
-
-        def separate_pass(full, idx, axis):
-            passes.append(idx)
-            return model.visual_encoder.encode(batch.frames[:, idx], idx)
-
-        monkeypatch.setattr(model_module, "embedding", separate_pass)
-        separate = encoder_grads()
-        assert len(passes) == 1  # forward gathers the sampled frames
-        assert gathered.keys() == separate.keys() and len(gathered) == 5
-        for name, grad in gathered.items():
-            np.testing.assert_allclose(grad, separate[name], rtol=1e-10, atol=1e-13)
-        sampled = sample_frames(batch.frames.shape[1], cfg["sampler.frames"])
-        assert np.all(np.any(gathered["visual_encoder.pos_t"][sampled] != 0, axis=1))
-
 
 class TestForward:
     def test_logit_shape_single_sample(self, model):
@@ -146,8 +114,6 @@ class TestForward:
 
     def test_image_modality_router_gets_zero_grad(self, model):
         batch = image_batch(model.cfg, n=2)
-        for p in model.named_parameters().values():
-            p.requires_grad = True
         model.zero_grad()
         with Tape() as tape:
             loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
@@ -297,8 +263,6 @@ class TestStageLifetimes:
 class TestGradientFlow:
     def test_every_projector_gets_gradient_with_nondegenerate_gates(self, model):
         batch = video_batch(model.cfg, n=2)
-        for p in model.named_parameters().values():
-            p.requires_grad = True
         model.zero_grad()
         with Tape() as tape:
             loss, _, _ = model.loss(batch, make_strategy("router", 0, "eval"))
@@ -308,6 +272,23 @@ class TestGradientFlow:
                   if n.startswith(f"projectors.{label}.")]
             assert any(g is not None and np.any(g != 0) for g in gs), label
 
+    def test_fresh_model_backward_skips_the_encoder(self):
+        # Every other parameter is built trainable, but the features stay
+        # frozen: no encoder gradient and no pool entry on the tape.
+        cfg = default_config()
+        model = FusionModel(cfg, seed=1)
+        params = model.named_parameters()
+        with Tape() as tape:
+            loss, _, _ = model.loss(video_batch(cfg, n=2), make_strategy("router", 0, "eval"))
+            tape.backward(loss)
+        names = {entry.name for entry in tape.entries}
+        assert "pool" not in names and "conv3d" in names
+        for name, p in params.items():
+            if name.startswith("visual_encoder."):
+                assert p.grad is None, name
+            else:
+                assert p.requires_grad, name
+
     @pytest.mark.slow
     def test_full_graph_finite_difference(self):
         # one-sample desk batch, selected parameters across every component
@@ -315,13 +296,10 @@ class TestGradientFlow:
         m = FusionModel(cfg, seed=3)
         batch = video_batch(cfg, n=1, family="motion")
         params = m.named_parameters()
-        for p in params.values():
-            p.requires_grad = True
         targets = [
             "projectors.image.w1", "projectors.stc.conv0.k",
             "projectors.com.query", "router.mlp1.w",
             "decoder.block0.attn.wq", "instruction_encoder.embed",
-            "visual_encoder.patch.w",
         ]
 
         for name in targets:

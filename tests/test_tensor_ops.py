@@ -56,7 +56,7 @@ def naive_conv3d(x, kernel, stride, pad):
 
 def padded_conv3d_reference(x, kernel, g, stride, pad):
     """Zero-pad, then one matmul per kernel offset over the whole padded
-    volume: output, dx and dk for upstream gradient ``g``."""
+    volume: output and dk for upstream gradient ``g``."""
     k = kernel.shape[0]
     lead = x.ndim - 4
     xp = np.pad(x, [(0, 0)] * lead + [(p, p) for p in pad] + [(0, 0)])
@@ -67,7 +67,6 @@ def padded_conv3d_reference(x, kernel, g, stride, pad):
                                    zip((dt, dh, dw), dims_out, stride)) + (slice(None),)
 
     out = np.zeros(g.shape)
-    dxp = np.zeros_like(xp)
     dk = np.zeros_like(kernel)
     contract = tuple(range(g.ndim - 1))
     for dt in range(k):
@@ -76,10 +75,7 @@ def padded_conv3d_reference(x, kernel, g, stride, pad):
                 sl = window(dt, dh, dw)
                 out += xp[sl] @ kernel[dt, dh, dw]
                 dk[dt, dh, dw] = np.tensordot(xp[sl], g, axes=(contract, contract))
-                dxp[sl] += g @ kernel[dt, dh, dw].T
-    crop = (Ellipsis,) + tuple(slice(p, p + d) for p, d in
-                               zip(pad, x.shape[lead:lead + 3])) + (slice(None),)
-    return out, dxp[crop], dk
+    return out, dk
 
 
 class TestConv3d:
@@ -135,16 +131,14 @@ class TestConv3d:
     ])
     def test_forward_and_grads_match_padded_reference(self, shape, k, stride, pad):
         rng = np.random.RandomState(11)
-        x = Tensor(rng.randn(*shape), requires_grad=True)
+        x = Tensor(rng.randn(*shape))
         kernel = Tensor(rng.randn(k, k, k, shape[-1], 3), requires_grad=True)
         with Tape() as tape:
             out = conv3d(x, kernel, stride, pad)
             g = rng.randn(*out.shape)
             tape.backward(tsum(mul(out, Tensor(g))))
-        ref_out, ref_dx, ref_dk = padded_conv3d_reference(x.data, kernel.data, g,
-                                                          stride, pad)
+        ref_out, ref_dk = padded_conv3d_reference(x.data, kernel.data, g, stride, pad)
         np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(x.grad, ref_dx, rtol=1e-12, atol=0)
         np.testing.assert_allclose(kernel.grad, ref_dk, rtol=1e-12, atol=0)
 
     def test_batched_matches_per_sample(self):
@@ -165,6 +159,13 @@ class TestConv3d:
         with pytest.raises(TensorError):
             conv3d(Tensor(np.zeros((2, 4, 4, 1))), Tensor(np.zeros((1, 1, 1, 1, 1))),
                    (1, 1, 1), (0, 0, 0))
+
+    def test_input_requiring_grad_raises(self):
+        # conv3d takes frozen features: it computes no input gradient.
+        x = Tensor(np.zeros((1, 2, 4, 4, 1)), requires_grad=True)
+        kernel = Tensor(np.zeros((1, 1, 1, 1, 1)), requires_grad=True)
+        with pytest.raises(TensorError, match="conv3d"):
+            conv3d(x, kernel, (1, 1, 1), (0, 0, 0))
 
     def test_non_positive_output_raises(self):
         with pytest.raises(TensorError):
@@ -323,6 +324,12 @@ class TestPlumbingOps:
         x = np.arange(25.0).reshape(5, 5, 1)
         out = pool(Tensor(x), even_edges(5, 2), even_edges(5, 1)).data
         np.testing.assert_allclose(out[:, 0, 0], [x[:2].mean(), x[2:].mean()])
+
+    def test_pool_input_requiring_grad_raises(self):
+        # pool takes frozen features: it records no backward rule.
+        x = Tensor(np.ones((1, 4, 4, 1)), requires_grad=True)
+        with pytest.raises(TensorError, match="pool"):
+            pool(x, grid_edges(4, 2), grid_edges(4, 2))
 
     def test_pool_rejects_bad_edges(self):
         x = Tensor(np.ones((1, 4, 4, 1)))

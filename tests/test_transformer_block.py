@@ -38,7 +38,7 @@ def composed_block(x, block):
     h = layer_norm(x, p["ln1.g"], p["ln1.b"])
     att = attention(linear(h, p["attn.wq"], p["attn.bq"]),
                     linear(h, p["attn.wk"], p["attn.bk"]),
-                    linear(h, p["attn.wv"], p["attn.bv"]), 1.0 / math.sqrt(x.shape[-1]))
+                    linear(h, p["attn.wv"], p["attn.bv"]))
     x1 = add(x, linear(att, p["attn.wo"], p["attn.bo"]))
     ffn = linear(layer_norm(x1, p["ln2.g"], p["ln2.b"]), p["ffn.w1"], p["ffn.b1"], "gelu")
     return add(x1, linear(ffn, p["ffn.w2"], p["ffn.b2"]))
