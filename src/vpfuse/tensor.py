@@ -59,14 +59,22 @@ implemented here.  Design points that the rest of the project relies on:
   views, a cell of every bin at a time, which is 3-4x faster than reduceat
   on the 4-cell bins of the desk configs; wider bins go to reduceat itself.
   ``layer_norm`` takes ``np.var``'s steps but computes ``x - mean`` once.
-- Two backward rules split the same way.  ``attention`` computes its three
+- ``attention``'s backward rule splits the same way: it computes its three
   gradients per batch row, each row's from that row alone (a query shared
   by several frames is broadcast first, so ``broadcast_to``'s rule sums its
-  gradient over them).  ``conv3d`` splits its kernel gradient over kernel
-  taps, each tap's gradient being one GEMM of its own.  The other rules run
-  on the calling thread: a weight gradient sums over the rows a split would
-  separate, and the row-local gradients of ``linear`` and ``layer_norm``
-  took as long split in two as whole.
+  gradient over them).  The other input gradients run whole on the calling
+  thread; those of ``linear`` and ``layer_norm`` took as long split in two
+  as whole.
+- The backward runs in two lanes.  A parameter gradient (``linear``'s
+  weight and bias, ``layer_norm``'s gamma and beta, ``conv3d``'s kernel)
+  sums over the rows a split would separate, and no later rule reads it.
+  So these rules return it as a thunk, and ``Tape.backward`` posts a leaf's
+  thunk to the row workers as a one-chunk job while the calling thread goes
+  on down the chain of input gradients; see ``Tape.backward`` for the drain
+  and the order of ``.grad``.  No job is left running when ``backward``
+  returns, and with one worker each thunk runs at once, as in a serial
+  walk.  A queued job may still read a gradient array, so no rule writes
+  into a gradient array it received or returned.
 - ``conv3d`` and ``pool`` take the frozen visual encoder's features: their
   input must not require grad, else they raise ``TensorError``.  So
   ``conv3d`` computes no input gradient and ``pool`` records no rule.
@@ -244,9 +252,15 @@ class Tape:
         """Walk the tape in reverse from the loss.
 
         Gradients of intermediate (tape-produced) tensors propagate through
-        local buffers that are freed as the walk passes them; leaf tensors --
-        graph inputs such as parameters -- accumulate additively into
-        ``.grad``, so a second backward call doubles them.
+        local buffers that are freed as the walk passes them, on the calling
+        thread.  A rule may return a gradient as a thunk: the walk calls it
+        at once for a tensor on the tape, and posts it as a job (see
+        ``_WeightLane``) for a leaf -- a graph input such as a parameter.
+        When the walk ends, or a rule raises, the caller runs the jobs no
+        worker has started, newest first, waits for the others and re-raises
+        the first error.  Only then do leaves accumulate additively into
+        ``.grad``, in the walk's order, so the bits do not depend on which
+        thread ran a job, and a second backward call doubles them.
         """
         if loss.data.size != 1 or loss.data.shape != ():
             raise TensorError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -254,19 +268,28 @@ class Tape:
         if loss._tape is not ref or loss._op_index is None:
             raise TensorError("loss is not recorded on this tape (detached tensor)")
         local: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-        for entry in reversed(self.entries[: loss._op_index + 1]):
-            g_out = local.pop(entry.output, None)
-            if g_out is None:
-                continue
-            grads = entry.rule(g_out)
-            for inp, g in zip(entry.inputs, grads):
-                if g is None or not inp.requires_grad:
+        lane = _WeightLane()
+        leaves: list[tuple[Tensor, list]] = []  # each gradient in a 1-item list
+        try:
+            for entry in reversed(self.entries[: loss._op_index + 1]):
+                g_out = local.pop(entry.output, None)
+                if g_out is None:
                     continue
-                if inp._tape is ref:
-                    acc = local.get(inp)
-                    local[inp] = g if acc is None else acc + g
-                else:
-                    inp.grad = g.copy() if inp.grad is None else inp.grad + g
+                grads = entry.rule(g_out)
+                for inp, g in zip(entry.inputs, grads):
+                    if g is None or not inp.requires_grad:
+                        continue
+                    if inp._tape is ref:
+                        if callable(g):
+                            g = g()
+                        acc = local.get(inp)
+                        local[inp] = g if acc is None else acc + g
+                    else:
+                        leaves.append((inp, lane.post(g) if callable(g) else [g]))
+        finally:
+            lane.drain()
+        for inp, (g,) in leaves:
+            inp.grad = g.copy() if inp.grad is None else inp.grad + g
 
 
 def _emit(name: str, inputs: Sequence[Tensor], data: np.ndarray,
@@ -338,13 +361,15 @@ def _row_chunks(rows: int, row_work: int) -> list[slice]:
 
 
 class _Job:
-    """The chunks of one ``_over_rows`` call, claimed in order by the caller
-    and by the workers it was posted to.
+    """The chunks of one ``_over_rows`` call, or one deferred parameter
+    gradient (see ``_WeightLane``), claimed in order by the caller and by
+    the workers it was posted to.
 
-    ``claim`` hands out chunk indices from 1, as chunk 0 is the caller's;
-    ``finish`` counts finished chunks, and whichever thread finishes the last
-    releases ``done``.  ``next`` on an ``itertools.count`` is atomic under
-    the GIL, so neither counter needs a lock.
+    ``claim`` hands out chunk indices from 0; ``finish`` counts finished
+    chunks, and whichever thread finishes the last drops ``fill`` and
+    ``context``, so a finished job holds no arrays, and releases ``done``.
+    ``next`` on an ``itertools.count`` is atomic under the GIL, so neither
+    counter needs a lock.
     """
 
     __slots__ = ("fill", "chunks", "context", "claim", "finish", "done", "error")
@@ -353,7 +378,7 @@ class _Job:
         self.fill = fill
         self.chunks = chunks
         self.context = contextvars.copy_context()
-        self.claim = itertools.count(1)
+        self.claim = itertools.count()
         self.finish = itertools.count(1)
         self.done = threading.Lock()
         self.done.acquire()
@@ -373,10 +398,29 @@ class _Job:
                         if self.error is None:
                             self.error = exc
                 if next(self.finish) == len(chunks):
+                    # Queued copies of the job, and a thread still in this
+                    # loop, see chunks only: they must pin no arrays.
+                    self.fill = self.context = fill = None
                     self.done.release()
                 i = next(self.claim)
         finally:
             _local.in_chunk = False
+
+
+def _finish(jobs: Sequence[_Job]) -> None:
+    """Wait for the chunks of ``jobs`` that other threads have started, then
+    re-raise the first error, in the order of ``jobs``."""
+    error = None
+    for job in jobs:
+        job.done.acquire()
+        if error is None:
+            error = job.error
+        job.error = None  # else the error's traceback would lead back to it
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
@@ -385,7 +429,7 @@ def _serve(jobs: queue.SimpleQueue) -> None:
         job = jobs.get()
         i = next(job.claim)
         if i < len(job.chunks):
-            # Chunk i is unfinished, so the caller has not cleared the job yet.
+            # Chunk i is unfinished, so the job still holds fill and context.
             job.context.copy().run(job.run, i)
         del job  # keep nothing of this job while waiting for the next
 
@@ -441,16 +485,42 @@ def _over_rows(fill: Callable[[slice], None], rows: int, row_work: int) -> None:
             fill(sl)
         return
     job = _Job(fill, chunks)
+    mine = next(job.claim)  # chunk 0, claimed before a worker can take it
     _crew.post(job, helpers)
-    job.run(0)
-    job.done.acquire()
-    # Copies of the job may still wait in the queue: they must pin no arrays.
-    job.fill = job.context = None
-    if job.error is not None:
-        try:
-            raise job.error
-        finally:
-            job.error = None  # else the error's traceback would lead back to it
+    job.run(mine)
+    _finish((job,))
+
+
+class _WeightLane:
+    """The parameter gradients of one ``Tape.backward`` call: thunks that no
+    later rule reads, each run as a one-chunk job by the row workers while
+    the calling thread goes on with the input gradients.
+    """
+
+    __slots__ = ("jobs",)
+
+    def __init__(self):
+        self.jobs: list[_Job] = []
+
+    def post(self, thunk: Callable[[], np.ndarray]) -> list:
+        """A list that holds ``thunk()`` once its job has run; with no worker
+        to hand it to, ``thunk`` runs here, now."""
+        if _WORKERS <= 1:
+            return [thunk()]
+        result = []
+        job = _Job(lambda _: result.append(thunk()), [slice(None)])
+        _crew.post(job, 1)
+        self.jobs.append(job)
+        return result
+
+    def drain(self) -> None:
+        """Run the jobs no worker has claimed, newest first, as the workers
+        take the oldest; then ``_finish`` them all."""
+        for job in reversed(self.jobs):
+            i = next(job.claim)
+            if i < len(job.chunks):
+                job.run(i)
+        _finish(self.jobs)
 
 
 def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
@@ -555,10 +625,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: Optional[str] = None) -> Tensor
             dz += cdf
             dz *= g
         gx = dz @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None
-        # One weight-gradient block per leading index, then their sum.
-        gw = (_unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape)
+        # The parameter gradients are thunks, which ``Tape.backward`` may run
+        # on a row worker.  One weight-gradient block per leading index, then
+        # their sum.
+        gw = ((lambda: _unbroadcast(np.swapaxes(x.data, -1, -2) @ dz, w.shape))
               if w.requires_grad else None)
-        gb = _unbroadcast(dz, b.shape) if b.requires_grad else None
+        gb = (lambda: _unbroadcast(dz, b.shape)) if b.requires_grad else None
         return gx, gw, gb
 
     return _output("linear", (x, w, b), data, rule)
@@ -713,8 +785,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead) if gamma.requires_grad else None
-        dbeta = g.sum(axis=lead) if beta.requires_grad else None
+        dgamma = (lambda: (g * xhat).sum(axis=lead)) if gamma.requires_grad else None
+        dbeta = (lambda: g.sum(axis=lead)) if beta.requires_grad else None
         if not x.requires_grad:
             return None, dgamma, dbeta
         # dx = inv * (dxhat - m1 - xhat * m2), row by row
@@ -860,20 +932,14 @@ def conv3d(x: Tensor, kernel: Tensor, stride, padding) -> Tensor:
 
     _over_rows(fill, out.shape[0], math.prod(out.shape[1:]))
 
-    def rule(g):
+    def kernel_grad(g):
         # A tap that reads only padding is not in ``taps``: its gradient is 0.
         dk = np.zeros(kernel.shape, dtype=np.float64)
+        for tap, out_sl, in_sl in taps:
+            dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g[out_sl].reshape(-1, cout)
+        return dk
 
-        # Each tap's kernel gradient is its own GEMM, so the taps split into
-        # chunks; a tap reads at most every output row's (Cin + Cout) values.
-        def fill_dk(sl):
-            for tap, out_sl, in_sl in taps[sl]:
-                dk[tap] = x.data[in_sl].reshape(-1, cin).T @ g[out_sl].reshape(-1, cout)
-
-        _over_rows(fill_dk, len(taps), math.prod(out.shape[:-1]) * (cin + cout))
-        return None, dk
-
-    return _output("conv3d", (x, kernel), out, rule)
+    return _output("conv3d", (x, kernel), out, lambda g: (None, lambda: kernel_grad(g)))
 
 
 def grid_edges(extent: int, factor: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Kernels split into chunks across threads: the forwards of ``linear``,
 ``attention``, ``conv3d``, ``pool``, ``add`` and tape-free ``rowwise`` (which
-runs ``layers.TransformerBlock``) by rows of the leading axis; the backward of ``attention`` by batch rows; and
-conv3d's kernel gradient by kernel taps.  ``layer_norm`` runs unsplit on the
-calling thread and is held to the same checks.
+runs ``layers.TransformerBlock``) by rows of the leading axis, and the
+backward of ``attention`` by batch rows.  ``layer_norm`` runs unsplit on the
+calling thread, and conv3d's kernel gradient as one job beside the backward
+walk (``tests/test_weight_lane.py``); both are held to the same checks.
 
 On shapes large enough to split, outputs and every gradient must be bitwise
 equal to the unsplit reference and to the same op on one thread.  The desk
@@ -314,15 +315,19 @@ def test_two_term_add_splits_at_desk_shape():
     assert all(np.array_equal(g, weight) for g in grads)
 
 
-def test_split_conv3d_taps_at_desk_shape():
+def test_conv3d_kernel_gradient_is_a_job_at_desk_shape():
     # The stc projector's shape at B=16: (B, T, H, W, C) = (16, 8, 4, 4, 32)
-    # features and a 3x3x3 kernel with padding 1.  Its 27 taps' kernel
-    # gradients run in chunks, and must equal one thread's bit for bit.
+    # features and a 3x3x3 kernel with padding 1.  The kernel gradient, which
+    # no later rule reads, is posted to the workers as a one-chunk job, and
+    # must equal one thread's bit for bit.
     rng = np.random.RandomState(3)
     x = Tensor(rng.randn(16, 8, 4, 4, 32))
     kernel = Tensor(rng.randn(3, 3, 3, 32, 32) * 0.1, requires_grad=True)
-    [tap_chunks] = backward_chunk_counts(stc_conv, (x, kernel))
-    assert tap_chunks > 1
+    with threads(2), Tape() as tape:
+        loss = tsum(stc_conv(x, kernel))
+        with posted_chunks() as posted:
+            tape.backward(loss)
+    assert posted == [1]
     _, _, (dx, dk) = split_and_serial(stc_conv, (x, kernel), rng.randn(16, 8, 4, 4, 32))
     assert dx is None and dk is not None
 
@@ -601,33 +606,40 @@ def test_idle_worker_holds_no_job():
     assert ref() is None
 
 
+@contextlib.contextmanager
+def busy_workers():
+    """Under ``threads(4)``: hold all three workers in another caller's job
+    for the duration of the block, so that this thread runs every chunk and
+    job it posts itself, and their copies wait in the queue."""
+    tensor._over_rows(lambda sl: None, 4, tensor._MIN_CHUNK_WORK)  # 3 workers
+    workers_busy = threading.Barrier(4, timeout=30)
+    busy, release = threading.Event(), threading.Event()
+
+    def block(sl):
+        workers_busy.wait()  # chunk 0 on the other caller, 1-3 on workers
+        if sl.start == 0:
+            busy.set()
+        else:
+            release.wait(timeout=30)
+
+    other = threading.Thread(target=tensor._over_rows,
+                             args=(block, 4, tensor._MIN_CHUNK_WORK))
+    other.start()
+    try:
+        assert busy.wait(timeout=30)
+        yield
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+
+
 def test_queued_job_holds_no_arrays():
     # Every worker is busy in another caller's job, so this caller runs all
     # of its own chunks, and its job's copies wait in the queue: they must
     # not keep the call's arrays alive.
-    with threads(4):
-        tensor._over_rows(lambda sl: None, 4, tensor._MIN_CHUNK_WORK)  # 3 workers
-        workers_busy = threading.Barrier(4, timeout=30)
-        busy, release = threading.Event(), threading.Event()
-
-        def block(sl):
-            workers_busy.wait()  # chunk 0 on the other caller, 1-3 on workers
-            if sl.start == 0:
-                busy.set()
-            else:
-                release.wait(timeout=30)
-
-        other = threading.Thread(target=tensor._over_rows,
-                                 args=(block, 4, tensor._MIN_CHUNK_WORK))
-        other.start()
-        try:
-            assert busy.wait(timeout=30)
-            ref = split_call_ref()
-            assert ref() is None
-        finally:
-            release.set()
-            other.join(timeout=30)
-    assert not other.is_alive()
+    with threads(4), busy_workers():
+        assert split_call_ref()() is None
 
 
 _FORK_CHILD = """
