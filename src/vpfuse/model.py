@@ -13,11 +13,19 @@ reads them has projected, the clip's when ``project`` returns and the
 unfused streams when fusion returns, so the decoder runs without them
 (CPython 3.11+ hands a call's arguments over to the callee).  A recording
 tape keeps what backward needs either way.
+
+Work that meets only later runs side by side on the row workers
+(``tensor.fork``): the instruction encoder beside ``encode``, and in
+``project`` the first sampled-frame slot beside the others.
+``tensor.join`` hands results, tape entries and the first error back in
+program order, so outputs, gradients and the tape are the serial
+forward's, bit for bit, and no fork outlives ``forward``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +49,7 @@ from .router import (
     make_strategy,
     scatter_gates,
 )
-from .tensor import Tensor, concat, cross_entropy, embedding, tmean
+from .tensor import Branch, Tensor, concat, cross_entropy, embedding, fork, join, tmean
 
 
 @dataclass
@@ -76,6 +84,10 @@ class Streams:
 
     tokens: list[VisualTokens]  # one per projecting slot, in slot order
     image: bool  # an image batch: the image slot's stream alone, not routed
+
+
+def _project_each(projectors: list, x: Optional[Tensor]) -> list[VisualTokens]:
+    return [p(x) for p in projectors]
 
 
 class Decoder(Module):
@@ -125,12 +137,20 @@ class FusionModel(Module):
 
         Without ``strategy``, the configured one draws from the stream
         ``evaluate`` starts each family with: ``make_strategy(kind, 0, "eval")``.
-        No local names the features or the streams (see the module notes).
+        The instruction encoder runs as a fork while this thread runs
+        ``encode``, which records nothing; its error, coming first in
+        program order, wins over ``encode``'s.  ``project`` empties the
+        features, and no local names the streams (see the module notes).
         """
         if strategy is None:
             strategy = make_strategy(self.cfg["train.strategy"], 0, "eval")
-        instr = self.instruction_encoder.encode(batch.tokens)
-        return self.decide(self.project(self.encode(batch), instr), instr, strategy)
+        text = Branch(partial(self.instruction_encoder.encode, batch.tokens))
+        fork(text)
+        try:
+            features = self.encode(batch)
+        finally:
+            instr, = join(text)
+        return self.decide(self.project(features, instr), instr, strategy)
 
     def encode(self, batch: Batch) -> Features:
         """The frozen visual encoder's one pass: over the full clip when an
@@ -157,14 +177,31 @@ class FusionModel(Module):
 
     def project(self, features: Features, instr: InstructionEncoding) -> Streams:
         """Each projecting slot's tokens, in slot order: every active slot's
-        for a video batch, the image slot's alone for an image batch."""
+        for a video batch, the image slot's alone for an image batch.
+
+        The slots that read the sampled frames run first: the first of them
+        (image, in the default kinds) as a fork, beside the others on this
+        thread, where their ops can split into row chunks; each side records
+        on a tape of its own, and they are joined in slot order.
+        Then, with the sampled features dropped, the slots that read the
+        clip run in slot order.  That is slot order unless a clip slot
+        comes first; a sampled-frame slot shares no tensor that requires
+        grad with any other, so gradients do not depend on it.  ``features``
+        is left empty, so that the features die at their last reader.
+        """
         slots = (self.cfg.image_slot(),) if features.image else self.active
         projectors = [self.projectors[self.labels[i]] for i in slots]
-        tokens = []
-        for n, p in enumerate(projectors):
-            tokens.append(p(features.clip, instr) if p.reads_clip else p(features.sampled))
-            if all(q.reads_clip for q in projectors[n + 1:]):
-                features.sampled = None  # tape-free, the sampled features die here
+        sampled = [p for p in projectors if not p.reads_clip]
+        first = Branch(partial(_project_each, sampled[:1], features.sampled))
+        rest = Branch(partial(_project_each, sampled[1:], features.sampled))
+        features.sampled = None  # tape-free, it dies once both have run
+        if len(sampled) > 1:
+            fork(first)
+        rest.run()
+        first_tokens, rest_tokens = join(first, rest)
+        done = iter(first_tokens + rest_tokens)
+        clip, features.clip = features.clip, None
+        tokens = [p(clip, instr) if p.reads_clip else next(done) for p in projectors]
         return Streams(tokens=tokens, image=features.image)
 
     def decide(self, streams: Streams, instr: InstructionEncoding,

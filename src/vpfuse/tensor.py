@@ -51,6 +51,15 @@ implemented here.  Design points that the rest of the project relies on:
   applies to them), and a chunk's exception is re-raised in the caller.  A
   finished job holds no arrays, and a forked child starts workers of its
   own.  The tape and ``_emit`` stay on the calling thread.
+- A fork runs a whole call beside the caller on the same workers: ``fork``
+  posts a ``Branch`` as a one-chunk job, and ``join`` waits for it.  A
+  worker runs it, or the caller does at ``join`` when no worker has started
+  it; either way its ops run unchunked, as a claimed job sets ``in_chunk``.
+  With one worker, ``fork`` runs it at once, in program order.  While a tape
+  is open, a branch records on a tape of its own, and ``join`` appends the
+  branches' entries to the caller's tape in the order given, so the tape
+  lists what the serial program would have recorded, in that order.  The
+  first error in that order is raised, and only once every branch is done.
 - ``pool`` and ``layer_norm`` reproduce numpy's own summation order, so they
   are bitwise equal to ``np.add.reduceat`` and to ``np.mean``/``np.var``
   (checked on numpy 2.4.6).  numpy sums a bin as its first cell plus the
@@ -83,7 +92,7 @@ implemented here.  Design points that the rest of the project relies on:
   the same ops on each row chunk in turn, so only the output is full-size.
   Outputs, gradients and the op named by ``NonFiniteError`` are the
   composed ops' either way.
-- All parallelism comes from those row chunks.  At import, numpy's vendored
+- All parallelism comes from those row chunks and forks.  At import, numpy's vendored
   OpenBLAS is set to one thread: its threaded GEMM splits the summed axis
   by thread count, which changes the last bits of weight gradients.  So
   results do not depend on ``OPENBLAS_NUM_THREADS`` or on the core count.
@@ -225,8 +234,9 @@ class Tape:
     """Ordered record of ops; inputs of every entry precede it.
 
     Confined to the thread that opened it, and at most one is open per
-    thread.  ``backward`` replays entries in reverse, firing each backward
-    rule at most once per call.
+    thread.  It may adopt the entries of a ``Branch``'s tape, recorded on
+    another thread (see ``join``).  ``backward`` replays entries in reverse,
+    firing each backward rule at most once per call.
     """
 
     def __init__(self):
@@ -247,6 +257,13 @@ class Tape:
         output._tape = self._ref
         output._op_index = len(self.entries)
         self.entries.append(_TapeEntry(name, inputs, output, rule))
+
+    def adopt(self, branch: "Tape") -> None:
+        """Append ``branch``'s entries as if their ops had recorded here."""
+        for entry in branch.entries:
+            entry.output._tape = self._ref
+            entry.output._op_index = len(self.entries)
+            self.entries.append(entry)
 
     def backward(self, loss: Tensor) -> None:
         """Walk the tape in reverse from the loss.
@@ -362,8 +379,8 @@ def _row_chunks(rows: int, row_work: int) -> list[slice]:
 
 class _Job:
     """The chunks of one ``_over_rows`` call, or one deferred parameter
-    gradient (see ``_WeightLane``), claimed in order by the caller and by
-    the workers it was posted to.
+    gradient (see ``_WeightLane``) or forked ``Branch``, claimed in order by
+    the caller and by the workers it was posted to.
 
     ``claim`` hands out chunk indices from 0; ``finish`` counts finished
     chunks, and whichever thread finishes the last drops ``fill`` and
@@ -521,6 +538,70 @@ class _WeightLane:
             if i < len(job.chunks):
                 job.run(i)
         _finish(self.jobs)
+
+
+class Branch:
+    """A call that ``join`` hands back in program order: run here by
+    ``run``, or beside the caller by ``fork``.  While the caller's tape is
+    open, its ops record on a tape of its own; its error waits for ``join``.
+    """
+
+    __slots__ = ("fn", "tape", "result", "error", "job")
+
+    def __init__(self, fn: Callable[[], object]):
+        self.fn = fn
+        self.tape = Tape() if active_tape() is not None else None
+        self.result = self.error = self.job = None
+
+    def run(self) -> None:
+        """Call it on this thread, recording on the branch's tape."""
+        saved, _local.tape = active_tape(), self.tape
+        try:
+            self.result = self.fn()
+        except BaseException as exc:  # re-raised by ``join``, in program order
+            self.error = exc
+        finally:
+            self.fn = None
+            _local.tape = saved
+
+
+def fork(branch: Branch) -> None:
+    """Post ``branch`` to the row workers as a one-chunk job; with no worker
+    to hand it to, run it here, now."""
+    if _WORKERS <= 1:
+        branch.run()
+        return
+    branch.job = _Job(lambda _: branch.run(), [slice(None)])
+    _crew.post(branch.job, 1)
+
+
+def join(*branches: Branch) -> list:
+    """The branches' results, in order, once each has run: here, if no
+    worker has started it.  Their tapes are appended to the caller's in the
+    same order; the first error in that order is raised instead."""
+    for b in branches:
+        job, b.job = b.job, None
+        if job is not None:
+            if next(job.claim) < len(job.chunks):
+                job.run(0)
+            _finish((job,))
+        elif b.fn is not None:
+            b.run()
+    error = next((b.error for b in branches if b.error is not None), None)
+    tape = active_tape()
+    results = []
+    for b in branches:
+        if error is None:
+            if b.tape is not None:
+                tape.adopt(b.tape)
+            results.append(b.result)
+        b.tape = b.result = b.error = None  # else a traceback would pin them
+    if error is not None:
+        try:
+            raise error
+        finally:
+            error = None
+    return results
 
 
 def _rows(a: np.ndarray, ndim: int, sl: slice) -> np.ndarray:
